@@ -101,15 +101,19 @@ func (a *analyzer) buildResult() *Result {
 		top := rec.top || a.globalTop
 		shapes := map[*Shape]bool{}
 		for o := range rec.objs {
+			// Every receiver contributes its dictionary flag, ⊤ or not, so
+			// the verdict never depends on map iteration order.
+			if o.maybeDict {
+				p.MaybeDictionary = true
+			}
 			if o.escaped || o.shapes.top {
 				top = true
-				break
+			}
+			if top {
+				continue
 			}
 			for s := range o.shapes.set {
 				shapes[s] = true
-			}
-			if o.maybeDict {
-				p.MaybeDictionary = true
 			}
 		}
 		p.Top = top
