@@ -73,6 +73,15 @@ for g in testdata/traces/*.reuse.golden; do
 done
 go test -count=1 -run 'TestGoldenTraces|TestTraceDeterminism' .
 
+echo "== golden analysis results: drift check =="
+# The committed static-analysis results under
+# internal/analysis/testdata/results/ (shape graph, site verdicts,
+# predicted shape ids, slot types for every profile and Website1) must
+# match what Analyze produces today, and two analyses of the progen
+# corpus must agree. Regenerate deliberately with
+#   go test ./internal/analysis -run TestGoldenResults -update
+go test -count=1 -run 'TestGoldenResults|TestAnalyzeDeterministic' ./internal/analysis
+
 echo "== coverage floors =="
 # Statement-coverage floors for the observability-critical packages, set
 # just below the levels measured when the trace layer landed. Raising
@@ -94,6 +103,7 @@ check_cover ./internal/ic 98.0
 check_cover ./internal/vm 85.0
 check_cover ./internal/ric 86.0
 check_cover ./internal/trace 93.0
+check_cover ./internal/analysis 70.5
 
 echo "== riclint: offline record verification =="
 # Truthful fixtures must pass all four layers (integrity, site existence,

@@ -108,8 +108,11 @@ func (v absVal) leq(w absVal) bool {
 	if v.top {
 		return false
 	}
-	if v.prims&^w.prims != 0 {
+	if v.prims&^w.prims != 0 || len(v.objs) > len(w.objs) {
 		return false
+	}
+	if len(v.objs) == 0 {
+		return true
 	}
 	for o := range v.objs {
 		if !w.objs[o] {

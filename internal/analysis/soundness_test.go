@@ -14,7 +14,7 @@ import (
 	"ricjs/internal/workloads"
 )
 
-func compile(t *testing.T, script, src string) *bytecode.Program {
+func compile(t testing.TB, script, src string) *bytecode.Program {
 	t.Helper()
 	ast, err := parser.Parse(script, src)
 	if err != nil {

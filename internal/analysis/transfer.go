@@ -30,7 +30,9 @@ func (a *analyzer) step(fi *fnInfo, pc int, st *frameState) []succ {
 		}
 		return bytecode.SiteInfo{}, false
 	}
-	one := func() []succ { return []succ{{next, st}} }
+	// Successor lists live in a.succs, so stepping allocates none.
+	out := a.succs[:0]
+	one := func() []succ { return append(out, succ{next, st}) }
 
 	switch op {
 
@@ -56,18 +58,12 @@ func (a *analyzer) step(fi *fnInfo, pc int, st *frameState) []succ {
 		st.push(fi.this.get())
 		return one()
 	case bytecode.OpLoadLocal:
-		if i := arg(1); i < len(st.locals) {
-			st.push(st.locals[i])
-		} else {
-			st.push(topVal)
-		}
+		st.push(st.local(arg(1)))
 		return one()
 	case bytecode.OpStoreLocal:
 		// Locals are frame-private, so this is a strong (flow-sensitive)
 		// update — the one place the analysis kills information.
-		if i := arg(1); i < len(st.locals) {
-			st.locals[i] = st.peek()
-		}
+		st.setLocal(arg(1), st.peek())
 		return one()
 
 	// ---- Lexical context slots (weak: one cell per (owner, slot)) ----
@@ -257,13 +253,13 @@ func (a *analyzer) step(fi *fnInfo, pc int, st *frameState) []succ {
 	// ---- Control flow ----
 
 	case bytecode.OpJump:
-		return []succ{{arg(1), st}}
+		return append(out, succ{arg(1), st})
 	case bytecode.OpJumpIfFalse:
 		st.pop()
-		return []succ{{arg(1), st}, {next, st}}
+		return append(out, succ{arg(1), st}, succ{next, st})
 	case bytecode.OpJumpIfTrue:
 		st.pop()
-		return []succ{{arg(1), st}, {next, st}}
+		return append(out, succ{arg(1), st}, succ{next, st})
 
 	// ---- Calls ----
 
@@ -313,14 +309,9 @@ func (a *analyzer) step(fi *fnInfo, pc int, st *frameState) []succ {
 		// The catch entry inherits the protected region's stack depth but
 		// joins locals from every point inside the try body; ⊤ locals
 		// over-approximate that soundly (and cover the exception slot).
-		catch := &frameState{
-			stack:  append([]absVal(nil), st.stack...),
-			locals: make([]absVal, len(st.locals)),
-		}
-		for i := range catch.locals {
-			catch.locals[i] = topVal
-		}
-		return []succ{{next, st}, {arg(1), catch}}
+		catch := newFrameState(st.nlocals, a.topLocals)
+		catch.stack = append([]absVal(nil), st.stack...)
+		return append(out, succ{next, st}, succ{arg(1), catch})
 	case bytecode.OpTryPop:
 		return one()
 
@@ -372,12 +363,7 @@ func (a *analyzer) step(fi *fnInfo, pc int, st *frameState) []succ {
 		return one()
 	case bytecode.OpFusedLoadLocalLoadNamed:
 		// OpLoadLocal i, then OpLoadNamed with its site operand at word 4.
-		if i := arg(1); i < len(st.locals) {
-			st.push(st.locals[i])
-		} else {
-			st.push(topVal)
-		}
-		recv := st.pop()
+		recv := st.local(arg(1))
 		if si, ok := siteAt(4); ok {
 			st.push(a.loadNamed(si, recv))
 		} else {
@@ -401,7 +387,7 @@ func (a *analyzer) step(fi *fnInfo, pc int, st *frameState) []succ {
 		// OpLt, then OpJumpIfFalse consuming the comparison result.
 		st.pop()
 		st.pop()
-		return []succ{{arg(2), st}, {next, st}}
+		return append(out, succ{arg(2), st}, succ{next, st})
 	}
 
 	// Unknown opcode: degrade soundly rather than guess a stack effect.
