@@ -82,6 +82,11 @@ echo "== golden analysis results: drift check =="
 #   go test ./internal/analysis -run TestGoldenResults -update
 go test -count=1 -run 'TestGoldenResults|TestAnalyzeDeterministic' ./internal/analysis
 
+echo "== analysis benchmarks: smoke =="
+# One iteration of each extraction-statics benchmark, so the benchmarks
+# EXPERIMENTS.md quotes keep building and running.
+go test -run '^$' -bench 'BenchmarkAnalyze|BenchmarkAttachTypedShapes' -benchtime 1x ./internal/analysis ./internal/ric
+
 echo "== coverage floors =="
 # Statement-coverage floors for the observability-critical packages, set
 # just below the levels measured when the trace layer landed. Raising
@@ -101,9 +106,9 @@ check_cover() {
 }
 check_cover ./internal/ic 98.0
 check_cover ./internal/vm 85.0
-check_cover ./internal/ric 86.0
+check_cover ./internal/ric 87.5
 check_cover ./internal/trace 93.0
-check_cover ./internal/analysis 70.5
+check_cover ./internal/analysis 71.0
 
 echo "== riclint: offline record verification =="
 # Truthful fixtures must pass all four layers (integrity, site existence,

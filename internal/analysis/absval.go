@@ -30,26 +30,33 @@ const (
 
 // absVal is an abstract JS value: a may-set of primitive kinds plus a
 // may-set of abstract objects, or ⊤ (any value, including unknown
-// objects). Values are treated as immutable — mutation always goes through
-// copies — so they can be shared freely between stack slots and cells.
+// objects). Values are immutable — objSets are never written after they
+// are built — so they can be shared freely between stack slots and cells.
 type absVal struct {
 	top   bool
 	prims uint8
-	objs  map[*absObj]bool
+	// objs is a pointer rather than a slice so that absVal stays 16 bytes:
+	// frame states and locals chunks hold absVals by value, and every
+	// copy-on-write chunk copy scales with their size.
+	objs *objSet
 }
 
 var topVal = absVal{top: true}
 
 func primVal(p uint8) absVal { return absVal{prims: p} }
 
+// objVal returns the value holding exactly o, sharing o's singleton set.
 func objVal(o *absObj) absVal {
-	return absVal{objs: map[*absObj]bool{o: true}}
+	if o.self == nil {
+		o.self = &objSet{objs: []*absObj{o}}
+	}
+	return absVal{objs: o.self}
 }
 
-func (v absVal) isBottom() bool { return !v.top && v.prims == 0 && len(v.objs) == 0 }
+func (v absVal) isBottom() bool { return !v.top && v.prims == 0 && v.objs == nil }
 
 // maybeObj reports whether the value may be an object (⊤ included).
-func (v absVal) maybeObj() bool { return v.top || len(v.objs) > 0 }
+func (v absVal) maybeObj() bool { return v.top || v.objs != nil }
 
 // maybeString reports whether the value may be a string.
 func (v absVal) maybeString() bool { return v.top || v.prims&pStr != 0 }
@@ -58,46 +65,25 @@ func (v absVal) maybeString() bool { return v.top || v.prims&pStr != 0 }
 // for keyed access: numeric keys on arrays hit element storage, never
 // named properties).
 func (v absVal) numericOnly() bool {
-	return !v.top && len(v.objs) == 0 && v.prims != 0 && v.prims&^pNum == 0
+	return !v.top && v.objs == nil && v.prims != 0 && v.prims&^pNum == 0
 }
 
 // objsSorted returns the object set in id order, for deterministic
-// iteration wherever processing order affects shape-creation order.
-func (v absVal) objsSorted() []*absObj {
-	out := make([]*absObj, 0, len(v.objs))
-	for o := range v.objs {
-		out = append(out, o)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
-}
+// iteration wherever processing order affects shape-creation order. The
+// slice is the set itself: callers must not modify it.
+func (v absVal) objsSorted() []*absObj { return v.objs.list() }
 
-// join returns v ⊔ w.
+// join returns v ⊔ w. It allocates only when the object set grows.
+//
+// No size cap on objects: silently widening a join to ⊤ would drop
+// tracked objects into ⊤ without escaping them, breaking the invariant
+// that ⊤ only aliases escaped objects. Object counts are bounded by
+// allocation sites, so joins stay finite regardless.
 func (v absVal) join(w absVal) absVal {
 	if v.top || w.top {
 		return topVal
 	}
-	if w.prims == 0 && len(w.objs) == 0 {
-		return v
-	}
-	if v.prims == 0 && len(v.objs) == 0 {
-		return w
-	}
-	out := absVal{prims: v.prims | w.prims}
-	if len(v.objs) > 0 || len(w.objs) > 0 {
-		out.objs = make(map[*absObj]bool, len(v.objs)+len(w.objs))
-		for o := range v.objs {
-			out.objs[o] = true
-		}
-		for o := range w.objs {
-			out.objs[o] = true
-		}
-		// No size cap here: silently widening a join to ⊤ would drop
-		// tracked objects into ⊤ without escaping them, breaking the
-		// invariant that ⊤ only aliases escaped objects. Object counts are
-		// bounded by allocation sites, so joins stay finite regardless.
-	}
-	return out
+	return absVal{prims: v.prims | w.prims, objs: v.objs.union(w.objs)}
 }
 
 // leq reports v ⊑ w.
@@ -105,21 +91,66 @@ func (v absVal) leq(w absVal) bool {
 	if w.top {
 		return true
 	}
-	if v.top {
+	if v.top || v.prims&^w.prims != 0 {
 		return false
 	}
-	if v.prims&^w.prims != 0 || len(v.objs) > len(w.objs) {
-		return false
+	return v.objs.subsetOf(w.objs)
+}
+
+// objSet is an immutable set of abstract objects sorted by id; nil is the
+// empty set. Sets are shared between values and never modified after
+// construction, so a union that adds nothing returns an operand.
+type objSet struct {
+	objs []*absObj
+}
+
+// list returns the members in id order.
+func (s *objSet) list() []*absObj {
+	if s == nil {
+		return nil
 	}
-	if len(v.objs) == 0 {
+	return s.objs
+}
+
+// subsetOf reports s ⊆ t by a merge walk over the two id orders.
+func (s *objSet) subsetOf(t *objSet) bool {
+	if s == t || s == nil {
 		return true
 	}
-	for o := range v.objs {
-		if !w.objs[o] {
+	if t == nil || len(s.objs) > len(t.objs) {
+		return false
+	}
+	ts := t.objs
+	j := 0
+	for _, o := range s.objs {
+		for j < len(ts) && ts[j].id < o.id {
+			j++
+		}
+		if j == len(ts) || ts[j] != o {
 			return false
 		}
+		j++
 	}
 	return true
+}
+
+// union returns s ∪ t: s or t itself when it already holds the union, a
+// fresh set otherwise.
+func (s *objSet) union(t *objSet) *objSet {
+	if s == t || t == nil {
+		return s
+	}
+	if s == nil {
+		return t
+	}
+	switch u := unionSorted(s.objs, t.objs); len(u) {
+	case len(s.objs):
+		return s
+	case len(t.objs):
+		return t
+	default:
+		return &objSet{objs: u}
+	}
 }
 
 // numKind classifies a numeric constant into the lattice's number
@@ -140,7 +171,7 @@ func slotTypeOf(v absVal) objects.SlotType {
 		return objects.SlotTypeNone
 	}
 	t := objects.SlotTypeBottom
-	if len(v.objs) > 0 {
+	if v.objs != nil {
 		t = objects.SlotTypeObject
 	}
 	if v.prims&pInt != 0 {
@@ -184,18 +215,18 @@ func (c *cell) get() absVal { return c.v }
 // (unknown layout history — e.g. computed property names or escape).
 type shapeSet struct {
 	top bool
-	set map[*Shape]bool
+	// set is sorted by shape id and replaced, never modified, on add, so
+	// a caller iterating sorted() may add shapes as it goes.
+	set []*Shape
 }
 
 func (ss *shapeSet) add(s *Shape) bool {
-	if ss.top || ss.set[s] {
+	if ss.top {
 		return false
 	}
-	if ss.set == nil {
-		ss.set = make(map[*Shape]bool, 2)
-	}
-	ss.set[s] = true
-	return true
+	set, added := insertSorted(ss.set, s)
+	ss.set = set
+	return added
 }
 
 func (ss *shapeSet) widen() bool {
@@ -207,13 +238,76 @@ func (ss *shapeSet) widen() bool {
 	return true
 }
 
-func (ss *shapeSet) sorted() []*Shape {
-	out := make([]*Shape, 0, len(ss.set))
-	for s := range ss.set {
-		out = append(out, s)
+// sorted returns the shapes in id order. The slice is the set itself:
+// callers must not modify it.
+func (ss *shapeSet) sorted() []*Shape { return ss.set }
+
+// sortKey orders the members of the id-sorted sets.
+func (o *absObj) sortKey() int { return o.id }
+func (s *Shape) sortKey() int  { return s.ID }
+
+// sortKeyed is the element type of an id-sorted set.
+type sortKeyed interface {
+	comparable
+	sortKey() int
+}
+
+// unionSorted returns the union of two id-sorted sets: a or b itself when
+// it already holds the union, a fresh slice otherwise.
+func unionSorted[T sortKeyed](a, b []T) []T {
+	n, i, j := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		ka, kb := a[i].sortKey(), b[j].sortKey()
+		if ka <= kb {
+			i++
+		}
+		if kb <= ka {
+			j++
+		}
+		n++
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	n += len(a) - i + len(b) - j
+	if n == len(a) {
+		return a
+	}
+	if n == len(b) {
+		return b
+	}
+	out := make([]T, 0, n)
+	i, j = 0, 0
+	for i < len(a) && j < len(b) {
+		ka, kb := a[i].sortKey(), b[j].sortKey()
+		if ka <= kb {
+			out = append(out, a[i])
+			i++
+		} else {
+			out = append(out, b[j])
+		}
+		if kb <= ka {
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
+}
+
+// insertSorted returns s with x inserted in sortKey order and whether x
+// was new. A new x yields a fresh slice, so anyone still iterating s sees
+// it unchanged.
+func insertSorted[T sortKeyed](s []T, x T) ([]T, bool) {
+	k := x.sortKey()
+	i := 0
+	for i < len(s) && s[i].sortKey() < k {
+		i++
+	}
+	if i < len(s) && s[i] == x {
+		return s, false
+	}
+	out := make([]T, len(s)+1)
+	copy(out, s[:i])
+	out[i] = x
+	copy(out[i+1:], s[i:])
+	return out, true
 }
 
 // maxObjShapes bounds per-object shape-set growth. Sequential stores of n
@@ -236,8 +330,10 @@ type absObj struct {
 	// registered builtin (function or object), e.g. "Array.prototype.push"
 	// or "Math"; it keys the native call models.
 	native string
-	// fns is the set of compiled functions a closure object may wrap.
-	fns map[*bytecode.FuncProto]bool
+	// fn is the compiled function a closure object wraps, or nil.
+	fn *bytecode.FuncProto
+	// self is the singleton set {o}, shared by every objVal(o).
+	self *objSet
 
 	shapes shapeSet
 	// fields maps known property names to value cells.
@@ -246,16 +342,17 @@ type absObj struct {
 	unknown *cell
 	// elems holds array element values.
 	elems *cell
-	// protos is the may-set of prototype objects; protoTop means the
-	// prototype chain is unknown.
-	protos   map[*absObj]bool
+	// protos is the may-set of prototype objects, sorted by id and
+	// replaced on add; protoTop means the prototype chain is unknown.
+	protos   []*absObj
 	protoTop bool
 
 	// roots accumulates the root shape of every lineage this object ever
 	// held. Unlike the shape set it survives widening and escape, so the
 	// typed-shape pass can still tell WHICH lineages an untrackable object
 	// may reach (and poison exactly those) after the precise set is gone.
-	roots map[*Shape]bool
+	// Sorted by shape id.
+	roots []*Shape
 
 	// escaped marks objects reachable from ⊤ (unknown code may mutate
 	// them arbitrarily); their shape set is ⊤ and their fields are ⊤.
@@ -304,12 +401,7 @@ func (o *absObj) fieldNames() []string {
 }
 
 func (o *absObj) addProto(p *absObj) bool {
-	if o.protos[p] {
-		return false
-	}
-	if o.protos == nil {
-		o.protos = make(map[*absObj]bool, 1)
-	}
-	o.protos[p] = true
-	return true
+	protos, added := insertSorted(o.protos, p)
+	o.protos = protos
+	return added
 }

@@ -51,7 +51,7 @@ type siteRecord struct {
 	name    string
 	reached bool
 	top     bool
-	objs    map[*absObj]bool
+	objs    *objSet
 }
 
 type analyzer struct {
@@ -187,13 +187,9 @@ func (a *analyzer) shapeAdd(o *absObj, s *Shape) {
 // only grows and is read only after the fixpoint, so it does not drive
 // a.changed.
 func (a *analyzer) recordRoot(o *absObj, r *Shape) {
-	if r == nil || o.roots[r] {
-		return
+	if r != nil {
+		o.roots, _ = insertSorted(o.roots, r)
 	}
-	if o.roots == nil {
-		o.roots = make(map[*Shape]bool, 1)
-	}
-	o.roots[r] = true
 }
 
 func (a *analyzer) addProto(o, p *absObj) {
@@ -243,34 +239,36 @@ func (a *analyzer) escapeObj(o *absObj) {
 	if o.elems != nil {
 		a.escapeVal(o.elems.get())
 	}
-	for p := range o.protos {
+	for _, p := range o.protos {
 		a.escapeObj(p)
 	}
 	if po := a.protoObjs[o]; po != nil {
 		a.escapeObj(po)
 	}
-	a.escapeFns(o)
+	a.escapeFn(o)
 }
 
-func (a *analyzer) escapeFns(o *absObj) {
-	for p := range o.fns {
-		fi := a.fns[p]
-		if fi == nil {
-			continue
-		}
-		if !fi.reachable {
-			fi.reachable = true
-			a.changed = true
-		}
-		if !fi.escaped {
-			fi.escaped = true
-			a.changed = true
-			a.escapeVal(fi.ret.get())
-		}
-		a.upd(fi.this, topVal)
-		for _, pc := range fi.params {
-			a.upd(pc, topVal)
-		}
+// escapeFn marks the function a closure wraps as callable by unknown code.
+func (a *analyzer) escapeFn(o *absObj) {
+	if o.fn == nil {
+		return
+	}
+	fi := a.fns[o.fn]
+	if fi == nil {
+		return
+	}
+	if !fi.reachable {
+		fi.reachable = true
+		a.changed = true
+	}
+	if !fi.escaped {
+		fi.escaped = true
+		a.changed = true
+		a.escapeVal(fi.ret.get())
+	}
+	a.upd(fi.this, topVal)
+	for _, pc := range fi.params {
+		a.upd(pc, topVal)
 	}
 }
 
@@ -279,7 +277,7 @@ func (a *analyzer) escapeFns(o *absObj) {
 func (a *analyzer) siteRecFor(si bytecode.SiteInfo) *siteRecord {
 	rec := a.sites[si.Site]
 	if rec == nil {
-		rec = &siteRecord{site: si.Site, kind: si.Kind, name: si.Name, objs: map[*absObj]bool{}}
+		rec = &siteRecord{site: si.Site, kind: si.Kind, name: si.Name}
 		a.sites[si.Site] = rec
 	}
 	return rec
@@ -296,11 +294,9 @@ func (a *analyzer) recordSite(si bytecode.SiteInfo, recv absVal) *siteRecord {
 		rec.top = true
 		a.changed = true
 	}
-	for o := range recv.objs {
-		if !rec.objs[o] {
-			rec.objs[o] = true
-			a.changed = true
-		}
+	if objs := rec.objs.union(recv.objs); objs != rec.objs {
+		rec.objs = objs
+		a.changed = true
 	}
 	return rec
 }

@@ -1,7 +1,9 @@
 package analysis
 
 import (
+	"math/rand"
 	"testing"
+	"unsafe"
 
 	"ricjs/internal/objects"
 )
@@ -108,8 +110,9 @@ func TestSlotTypeLatticeLaws(t *testing.T) {
 	}
 }
 
-// absEq compares abstract values by mutual ⊑ — join produces fresh maps,
-// so structural equality is the wrong notion.
+// absEq compares abstract values by mutual ⊑ — equal sets built by
+// different joins are distinct objSets, so pointer equality is the wrong
+// notion.
 func absEq(a, b absVal) bool { return a.leq(b) && b.leq(a) }
 
 // TestAbsValJoinLaws checks the abstract-value join over a structured
@@ -165,7 +168,7 @@ func TestAbsValJoinLaws(t *testing.T) {
 	}
 	// Joining distinct objects keeps both identities (no silent widening)…
 	both := objVal(o1).join(objVal(o2))
-	if both.top || len(both.objs) != 2 || !both.objs[o1] || !both.objs[o2] {
+	if l := both.objsSorted(); both.top || len(l) != 2 || l[0] != o1 || l[1] != o2 {
 		t.Fatalf("object join lost identities: %v", both)
 	}
 	// …and still collapses to one Object claim for typed shapes.
@@ -211,6 +214,172 @@ func TestSlotTypeOfCollapse(t *testing.T) {
 			if !slotTypeOf(a.v).Leq(joined) || !slotTypeOf(b.v).Leq(joined) {
 				t.Errorf("collapse not monotone over join: %s ⊔ %s → %s", a.name, b.name, joined)
 			}
+		}
+	}
+}
+
+// objModel is the naive reference for an absVal's object component.
+func objModel(v absVal) map[*absObj]bool {
+	m := map[*absObj]bool{}
+	for _, o := range v.objsSorted() {
+		m[o] = true
+	}
+	return m
+}
+
+func subsetModel(a, b map[*absObj]bool) bool {
+	for o := range a {
+		if !b[o] {
+			return false
+		}
+	}
+	return true
+}
+
+// checkSetForm reports a set that is not strictly id-sorted, or an empty
+// set that is not nil.
+func checkSetForm(t *testing.T, what string, v absVal) {
+	t.Helper()
+	l := v.objsSorted()
+	if v.objs != nil && len(l) == 0 {
+		t.Fatalf("%s: empty object set is not nil", what)
+	}
+	for i := 1; i < len(l); i++ {
+		if l[i-1].id >= l[i].id {
+			t.Fatalf("%s: set not strictly id-sorted: ids %d, %d at %d", what, l[i-1].id, l[i].id, i)
+		}
+	}
+}
+
+// TestObjSetLawsAgainstMapModel checks join and leq on random values
+// over 40 objects against a map[*absObj]bool model. Sets are shared
+// between values, so a join must never modify an operand, and a join
+// that adds nothing must hand back the containing operand's own set.
+func TestObjSetLawsAgainstMapModel(t *testing.T) {
+	if got := unsafe.Sizeof(absVal{}); got != 16 {
+		t.Fatalf("absVal is %d bytes, want 16: every locals chunk copy scales with it", got)
+	}
+	rng := rand.New(rand.NewSource(13))
+	objs := make([]*absObj, 40)
+	for i := range objs {
+		objs[i] = &absObj{id: i}
+	}
+	random := func() absVal {
+		switch rng.Intn(10) {
+		case 0:
+			return topVal
+		case 1:
+			return absVal{}
+		}
+		v := primVal(uint8(rng.Intn(64)))
+		n := rng.Intn(5)
+		if rng.Intn(4) == 0 {
+			n = rng.Intn(len(objs))
+		}
+		for i := 0; i < n; i++ {
+			v = v.join(objVal(objs[rng.Intn(len(objs))]))
+		}
+		return v
+	}
+	for trial := 0; trial < 5000; trial++ {
+		v, w := random(), random()
+		vl := append([]*absObj(nil), v.objsSorted()...)
+		wl := append([]*absObj(nil), w.objsSorted()...)
+		vm, wm := objModel(v), objModel(w)
+
+		j := v.join(w)
+		checkSetForm(t, "join", j)
+		if j.top != (v.top || w.top) {
+			t.Fatalf("trial %d: join top = %v", trial, j.top)
+		}
+		if !j.top {
+			if j.prims != v.prims|w.prims {
+				t.Fatalf("trial %d: join prims %b, want %b", trial, j.prims, v.prims|w.prims)
+			}
+			um := objModel(j)
+			if !subsetModel(vm, um) || !subsetModel(wm, um) || len(um) > len(vm)+len(wm) {
+				t.Fatalf("trial %d: join objects are not the union", trial)
+			}
+			for o := range um {
+				if !vm[o] && !wm[o] {
+					t.Fatalf("trial %d: join invented object %d", trial, o.id)
+				}
+			}
+			if v.objs != nil && subsetModel(wm, vm) && j.objs != v.objs {
+				t.Fatalf("trial %d: join copied a set that already held the union", trial)
+			}
+			if w.objs != nil && subsetModel(vm, wm) && j.objs != w.objs && j.objs != v.objs {
+				t.Fatalf("trial %d: join copied a set that already held the union", trial)
+			}
+		}
+
+		wantLeq := w.top || (!v.top && v.prims&^w.prims == 0 && subsetModel(vm, wm))
+		if got := v.leq(w); got != wantLeq {
+			t.Fatalf("trial %d: leq = %v, model says %v", trial, got, wantLeq)
+		}
+		if !v.leq(j) || !w.leq(j) {
+			t.Fatalf("trial %d: join is not an upper bound", trial)
+		}
+
+		for _, c := range []struct {
+			name   string
+			before []*absObj
+			after  absVal
+		}{{"left", vl, v}, {"right", wl, w}} {
+			got := c.after.objsSorted()
+			if len(got) != len(c.before) {
+				t.Fatalf("trial %d: join changed its %s operand", trial, c.name)
+			}
+			for i := range got {
+				if got[i] != c.before[i] {
+					t.Fatalf("trial %d: join changed its %s operand", trial, c.name)
+				}
+			}
+		}
+	}
+}
+
+// TestShapeSetAddDuringIteration checks that add keeps the set id-sorted
+// and duplicate-free, and that a walk over sorted() sees the set as it
+// was before the adds it makes — storeTransition relies on it.
+func TestShapeSetAddDuringIteration(t *testing.T) {
+	g := newGraph()
+	shapes := make([]*Shape, 12)
+	for i := range shapes {
+		shapes[i] = g.newShape(nil, nil)
+	}
+	var ss shapeSet
+	for _, i := range []int{7, 2, 9, 2, 4, 10} {
+		ss.add(shapes[i])
+	}
+	if ss.add(shapes[4]) {
+		t.Fatal("add reported a present shape as new")
+	}
+	before := append([]*Shape(nil), ss.sorted()...)
+	var seen []*Shape
+	added := []int{1, 11, 3, 5, 0}
+	for k, s := range ss.sorted() {
+		seen = append(seen, s)
+		if !ss.add(shapes[added[k]]) {
+			t.Fatalf("add of new shape #%d reported no growth", added[k])
+		}
+	}
+	if len(seen) != len(before) {
+		t.Fatalf("walk saw %d shapes, set held %d before it", len(seen), len(before))
+	}
+	for i := range seen {
+		if seen[i] != before[i] {
+			t.Fatalf("walk saw shape #%d at %d, want #%d", seen[i].ID, i, before[i].ID)
+		}
+	}
+	want := []int{0, 1, 2, 3, 4, 5, 7, 9, 10, 11}
+	got := ss.sorted()
+	if len(got) != len(want) {
+		t.Fatalf("set has %d shapes, want %d", len(got), len(want))
+	}
+	for i, id := range want {
+		if got[i].ID != id {
+			t.Fatalf("shape %d is #%d, want #%d", i, got[i].ID, id)
 		}
 	}
 }

@@ -141,7 +141,7 @@ func (a *analyzer) protosOf(v absVal) absVal {
 		if o.escaped || o.protoTop {
 			return topVal
 		}
-		for _, p := range protosSorted(o) {
+		for _, p := range o.protos {
 			out = out.join(objVal(p))
 		}
 	}
@@ -174,10 +174,8 @@ func (a *analyzer) invokeCallback(cb absVal, callArgs []absVal) (ret absVal, kno
 	}
 	known = true
 	for _, o := range cb.objsSorted() {
-		if len(o.fns) > 0 {
-			for p := range o.fns {
-				ret = ret.join(a.callProto(p, primVal(pUndef), callArgs))
-			}
+		if o.fn != nil {
+			ret = ret.join(a.callProto(o.fn, primVal(pUndef), callArgs))
 			continue
 		}
 		if o.isFunc || o.escaped {
@@ -298,23 +296,21 @@ func (a *analyzer) callApplyLike(fnv, boundThis, argv absVal) absVal {
 	}
 	var out absVal
 	for _, o := range fnv.objsSorted() {
-		if len(o.fns) > 0 {
-			for p := range o.fns {
-				fi := a.fns[p]
-				if fi == nil {
-					out = topVal
-					continue
-				}
-				if !fi.reachable {
-					fi.reachable = true
-					a.changed = true
-				}
-				a.upd(fi.this, boundThis)
-				for _, c := range fi.params {
-					a.upd(c, argv)
-				}
-				out = out.join(fi.ret.get())
+		if o.fn != nil {
+			fi := a.fns[o.fn]
+			if fi == nil {
+				out = topVal
+				continue
 			}
+			if !fi.reachable {
+				fi.reachable = true
+				a.changed = true
+			}
+			a.upd(fi.this, boundThis)
+			for _, c := range fi.params {
+				a.upd(c, argv)
+			}
+			out = out.join(fi.ret.get())
 			continue
 		}
 		if o.isFunc || o.escaped {

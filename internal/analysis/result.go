@@ -79,6 +79,10 @@ type Result struct {
 	// untyped slots). A typed slot is a claim: no instance of the shape
 	// ever holds a value outside the type in that slot.
 	slotTypes map[*Shape][]objects.SlotType
+
+	// byCreator maps each creator identity to the one shape carrying it,
+	// or to nil when several shapes do.
+	byCreator map[string]*Shape
 }
 
 // buildResult expands site records into predictions. This runs after the
@@ -99,8 +103,8 @@ func (a *analyzer) buildResult() *Result {
 			Dead: !rec.reached,
 		}
 		top := rec.top || a.globalTop
-		shapes := map[*Shape]bool{}
-		for o := range rec.objs {
+		var shapes []*Shape
+		for _, o := range rec.objs.list() {
 			// Every receiver contributes its dictionary flag, ⊤ or not, so
 			// the verdict never depends on map iteration order.
 			if o.maybeDict {
@@ -112,22 +116,26 @@ func (a *analyzer) buildResult() *Result {
 			if top {
 				continue
 			}
-			for s := range o.shapes.set {
-				shapes[s] = true
-			}
+			shapes = unionSorted(shapes, o.shapes.set)
 		}
 		p.Top = top
 		if !top {
-			p.Shapes = make([]*Shape, 0, len(shapes))
-			for s := range shapes {
-				p.Shapes = append(p.Shapes, s)
-			}
-			sort.Slice(p.Shapes, func(i, j int) bool { return p.Shapes[i].ID < p.Shapes[j].ID })
+			p.Shapes = append(make([]*Shape, 0, len(shapes)), shapes...)
 		}
 		p.MegamorphicRisk = top || overPolymorphic(p.Shapes)
 		r.sites[p.Site] = p
 	}
 	r.slotTypes = a.typedShapes()
+	r.byCreator = make(map[string]*Shape)
+	for _, s := range a.graph.shapes {
+		for c := range s.Creators {
+			if _, dup := r.byCreator[c]; dup {
+				r.byCreator[c] = nil
+			} else {
+				r.byCreator[c] = s
+			}
+		}
+	}
 	r.order = make([]*SitePrediction, 0, len(r.sites))
 	for _, p := range r.sites {
 		r.order = append(r.order, p)
@@ -217,18 +225,7 @@ func (r *Result) RootByCreator(creator string) *Shape {
 // "builtin:FunctionPrototype.constructor") identify their shape uniquely;
 // site creators may legitimately appear on several shapes and resolve to
 // nil here.
-func (r *Result) ShapeForCreator(creator string) *Shape {
-	var found *Shape
-	for _, s := range r.graph.shapes {
-		if s.Creators[creator] {
-			if found != nil {
-				return nil
-			}
-			found = s
-		}
-	}
-	return found
-}
+func (r *Result) ShapeForCreator(creator string) *Shape { return r.byCreator[creator] }
 
 // ShapeCount returns the size of the static graph.
 func (r *Result) ShapeCount() int { return len(r.graph.shapes) }

@@ -150,3 +150,36 @@ func TestAnalyzeDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestShapeForCreatorMatchesScan checks the creator index against a
+// linear scan of the graph for every creator of every golden input: the
+// one shape carrying it, or nil when several do.
+func TestShapeForCreatorMatchesScan(t *testing.T) {
+	for name, progs := range goldenInputs(t) {
+		res := analysis.Analyze(progs...)
+		creators := map[string]bool{"builtin:no-such-creator": true}
+		for _, s := range res.Graph().Shapes() {
+			for c := range s.Creators {
+				creators[c] = true
+			}
+		}
+		ambiguous := 0
+		for c := range creators {
+			var want *analysis.Shape
+			for _, s := range res.Graph().Shapes() {
+				if s.Creators[c] {
+					if want != nil {
+						want = nil
+						ambiguous++
+						break
+					}
+					want = s
+				}
+			}
+			if got := res.ShapeForCreator(c); got != want {
+				t.Errorf("%s: ShapeForCreator(%q) = %v, scan finds %v", name, c, got, want)
+			}
+		}
+		t.Logf("%s: %d creators, %d ambiguous", name, len(creators), ambiguous)
+	}
+}

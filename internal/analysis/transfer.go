@@ -194,7 +194,7 @@ func (a *analyzer) step(fi *fnInfo, pc int, st *frameState) []succ {
 		o := a.allocObj(fi, pc, func() *absObj {
 			no := a.newObj("fn " + nested.FunctionName())
 			no.isFunc = true
-			no.fns = map[*bytecode.FuncProto]bool{nested: true}
+			no.fn = nested
 			a.rootShapeOn(no, "Function")
 			a.addProto(no, a.builtinObjs["Function.prototype"])
 			return no
@@ -407,7 +407,7 @@ func (st *frameState) popN(n int) []absVal {
 // or object, numeric addition otherwise.
 func addVal(x, y absVal) absVal {
 	if x.top || y.top || x.prims&pStr != 0 || y.prims&pStr != 0 ||
-		len(x.objs) > 0 || len(y.objs) > 0 {
+		x.objs != nil || y.objs != nil {
 		return primVal(pStr | pNum)
 	}
 	return primVal(pNum)
@@ -473,7 +473,7 @@ func (a *analyzer) protoLoad(o *absObj, name string, seen map[*absObj]bool) absV
 		return topVal
 	}
 	var out absVal
-	for _, p := range protosSorted(o) {
+	for _, p := range o.protos {
 		if seen[p] {
 			continue
 		}
@@ -534,6 +534,8 @@ func (a *analyzer) storeTransition(o *absObj, name, creator string) {
 	if o.shapes.top {
 		return
 	}
+	// add replaces the set rather than modifying it, so this walks the
+	// shapes held on entry even as transitions are added.
 	for _, s := range o.shapes.sorted() {
 		if s.HasField(name) {
 			continue
@@ -653,7 +655,7 @@ func (a *analyzer) anyNamedLoad(o *absObj, si bytecode.SiteInfo, seen map[*absOb
 		// prototype object with this site as the transition creator.
 		out = out.join(a.fnPrototype(o, objects.Creator{Site: si.Site}.String()).get())
 	}
-	for _, p := range protosSorted(o) {
+	for _, p := range o.protos {
 		out = out.join(a.anyNamedLoad(p, si, seen))
 	}
 	return out
@@ -714,12 +716,8 @@ func (a *analyzer) call(fnv, thisv absVal, args []absVal) absVal {
 }
 
 func (a *analyzer) callObj(o *absObj, thisv absVal, args []absVal) absVal {
-	if len(o.fns) > 0 {
-		var out absVal
-		for p := range o.fns {
-			out = out.join(a.callProto(p, thisv, args))
-		}
-		return out
+	if o.fn != nil {
+		return a.callProto(o.fn, thisv, args)
 	}
 	if o.native != "" && o.isFunc {
 		return a.callNative(o, thisv, args)
@@ -760,10 +758,8 @@ func (a *analyzer) construct(ctorv absVal, args []absVal) absVal {
 	}
 	var out absVal
 	for _, o := range ctorv.objsSorted() {
-		if len(o.fns) > 0 {
-			for p := range o.fns {
-				out = out.join(a.constructProto(o, p, args))
-			}
+		if o.fn != nil {
+			out = out.join(a.constructProto(o, o.fn, args))
 			continue
 		}
 		if o.native != "" && o.isFunc {
@@ -823,23 +819,5 @@ func objPart(v absVal) absVal {
 	if v.top {
 		return topVal
 	}
-	if len(v.objs) == 0 {
-		return absVal{}
-	}
 	return absVal{objs: v.objs}
-}
-
-func protosSorted(o *absObj) []*absObj {
-	out := make([]*absObj, 0, len(o.protos))
-	for p := range o.protos {
-		out = append(out, p)
-	}
-	if len(out) > 1 {
-		for i := 1; i < len(out); i++ {
-			for j := i; j > 0 && out[j].id < out[j-1].id; j-- {
-				out[j], out[j-1] = out[j-1], out[j]
-			}
-		}
-	}
-	return out
 }

@@ -41,7 +41,7 @@ func (a *analyzer) typedShapes() map[*Shape][]objects.SlotType {
 			// claim is justifiable anywhere.
 			return nil
 		}
-		for r := range o.roots {
+		for _, r := range o.roots {
 			poisoned[r] = true
 		}
 	}
@@ -50,7 +50,7 @@ func (a *analyzer) typedShapes() map[*Shape][]objects.SlotType {
 		if o.escaped || o.shapes.top {
 			continue
 		}
-		for s := range o.shapes.set {
+		for _, s := range o.shapes.set {
 			holders[s] = append(holders[s], o)
 		}
 	}

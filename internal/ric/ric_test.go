@@ -14,7 +14,7 @@ import (
 )
 
 // compile parses and compiles one script.
-func compileSrc(t *testing.T, name, src string) *bytecode.Program {
+func compileSrc(t testing.TB, name, src string) *bytecode.Program {
 	t.Helper()
 	prog, err := parser.Parse(name, src)
 	if err != nil {

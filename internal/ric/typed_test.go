@@ -13,6 +13,7 @@ import (
 	"ricjs/internal/analysis"
 	"ricjs/internal/objects"
 	"ricjs/internal/vm"
+	"ricjs/internal/workloads"
 )
 
 // extractTypedPointRecord records the point fixture and attaches the
@@ -52,6 +53,29 @@ func TestTypedClaimsRoundTrip(t *testing.T) {
 	// a truthful record must pass.
 	if err := back.VerifyTyped(res); err != nil {
 		t.Fatalf("truthful typed record rejected: %v", err)
+	}
+}
+
+// BenchmarkAttachTypedShapes times claim attachment — shape resolution
+// plus slot-type lookup — on each profile's freshly extracted record.
+func BenchmarkAttachTypedShapes(b *testing.B) {
+	for _, p := range workloads.Profiles {
+		p := p
+		b.Run(p.Name, func(b *testing.B) {
+			prog := compileSrc(b, p.Script, p.Source())
+			res := analysis.Analyze(prog)
+			v := vm.New(vm.Options{})
+			if _, err := v.RunProgram(prog); err != nil {
+				b.Fatal(err)
+			}
+			rec := Extract(v, p.Script, Config{})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rec.TypedSlots, rec.Stats.TypedSlotClaims = nil, 0
+				rec.AttachTypedShapes(res)
+			}
+		})
 	}
 }
 

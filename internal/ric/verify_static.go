@@ -83,19 +83,22 @@ func (r *Record) VerifyStatic(res *analysis.Result) error {
 // resolving to two distinct shapes is an inconsistency error.
 func (r *Record) resolveShapes(res *analysis.Result) ([]*analysis.Shape, error) {
 	shapes := make([]*analysis.Shape, r.HCCount)
-	assign := func(id int32, s *analysis.Shape, how string) error {
+	// assign records s for id and reports whether id already resolved to
+	// a different shape. The caller describes the conflict, so the
+	// description is built only on the error path.
+	assign := func(id int32, s *analysis.Shape) (conflict bool) {
 		if s == nil || id < 0 || int(id) >= len(shapes) {
-			return nil
+			return false
 		}
 		if shapes[id] == nil {
 			shapes[id] = s
-			return nil
+			return false
 		}
-		if shapes[id] != s {
-			return fmt.Errorf("ric: HCID %d resolves to both %s and %s (%s): HC table inconsistent with static transition graph",
-				id, shapes[id], s, how)
-		}
-		return nil
+		return shapes[id] != s
+	}
+	conflictErr := func(id int32, s *analysis.Shape, how string) error {
+		return fmt.Errorf("ric: HCID %d resolves to both %s and %s (%s): HC table inconsistent with static transition graph",
+			id, shapes[id], s, how)
 	}
 
 	// Builtin-keyed TOAST rows anchor resolution: startup is deterministic,
@@ -110,23 +113,30 @@ func (r *Record) resolveShapes(res *analysis.Result) ([]*analysis.Shape, error) 
 		if s == nil {
 			s = res.ShapeForCreator(objects.Creator{Builtin: name}.String())
 		}
-		if err := assign(r.BuiltinTOAST[name], s, "builtin "+name); err != nil {
-			return nil, err
+		if id := r.BuiltinTOAST[name]; assign(id, s) {
+			return nil, conflictErr(id, s, "builtin "+name)
 		}
 	}
 
-	sites := make([]source.Site, 0, len(r.SiteTOAST))
-	for site := range r.SiteTOAST {
-		sites = append(sites, site)
+	// Sites are visited in the order of their String form; each key is
+	// rendered once, not inside every comparison.
+	type keyedSite struct {
+		key  string
+		site source.Site
 	}
-	sort.Slice(sites, func(i, j int) bool { return sites[i].String() < sites[j].String() })
+	keyed := make([]keyedSite, 0, len(r.SiteTOAST))
+	for site := range r.SiteTOAST {
+		keyed = append(keyed, keyedSite{site.String(), site})
+	}
+	sort.Slice(keyed, func(i, j int) bool { return keyed[i].key < keyed[j].key })
 
 	// Site-keyed rows chain off already-resolved classes, so iterate to a
 	// fixpoint: the pair giving an ID its shape may be visited after the
 	// pair consuming it.
 	for progress := true; progress; {
 		progress = false
-		for _, site := range sites {
+		for _, k := range keyed {
+			site := k.site
 			if !res.Covered(site.Script) {
 				continue
 			}
@@ -141,8 +151,8 @@ func (r *Record) resolveShapes(res *analysis.Result) ([]*analysis.Shape, error) 
 					// Rootless creation: a constructor's instance root,
 					// keyed by the declaring function's site.
 					root := res.RootByCreator(objects.Creator{Site: site}.String())
-					if err := assign(p.Out, root, fmt.Sprintf("root at %s", site)); err != nil {
-						return nil, err
+					if assign(p.Out, root) {
+						return nil, conflictErr(p.Out, root, fmt.Sprintf("root at %s", site))
 					}
 				case shapes[p.In] != nil:
 					if pred == nil || pred.Name == "" {
@@ -160,8 +170,8 @@ func (r *Record) resolveShapes(res *analysis.Result) ([]*analysis.Shape, error) 
 						return nil, fmt.Errorf("ric: TOAST site %s: no static transition %s --%q--> (stale or lying record)",
 							site, shapes[p.In], pred.Name)
 					}
-					if err := assign(p.Out, next, fmt.Sprintf("transition at %s", site)); err != nil {
-						return nil, err
+					if assign(p.Out, next) {
+						return nil, conflictErr(p.Out, next, fmt.Sprintf("transition at %s", site))
 					}
 				}
 				if shapes[p.Out] != before {

@@ -1,8 +1,10 @@
 package ric
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -149,4 +151,73 @@ func TestVerifyStaticCatchesInjectedLies(t *testing.T) {
 			t.Fatalf("unexpected rejection reason: %v", err)
 		}
 	})
+}
+
+// TestVerifyStaticConflictMessages points one TOAST row's outgoing id at
+// a class a builtin row already resolved, for each kind of row, and pins
+// the rejection text: both shapes and the row that named the second.
+func TestVerifyStaticConflictMessages(t *testing.T) {
+	res, prog := analyzePointFixture(t)
+	v := vm.New(vm.Options{})
+	if _, err := v.RunProgram(prog); err != nil {
+		t.Fatal(err)
+	}
+	rec := Extract(v, "lib.js", Config{})
+	shapes, err := rec.resolveShapes(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, 0, len(rec.BuiltinTOAST))
+	for name := range rec.BuiltinTOAST {
+		if shapes[rec.BuiltinTOAST[name]] != nil {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	if len(names) < 2 {
+		t.Fatalf("need two resolved builtin rows, have %v", names)
+	}
+	anchor := rec.BuiltinTOAST[names[0]]
+	want := func(s *analysis.Shape, how string) string {
+		return fmt.Sprintf("ric: HCID %d resolves to both %s and %s (%s): HC table inconsistent with static transition graph",
+			anchor, shapes[anchor], s, how)
+	}
+	forge := func(t *testing.T, edit func(*Record)) error {
+		forged, err := Decode(rec.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(forged)
+		return forged.VerifyStatic(res)
+	}
+	check := func(t *testing.T, err error, want string) {
+		if err == nil {
+			t.Fatal("conflicting record accepted")
+		}
+		if err.Error() != want {
+			t.Fatalf("rejection text:\n got: %s\nwant: %s", err, want)
+		}
+	}
+
+	t.Run("builtin", func(t *testing.T) {
+		last := names[len(names)-1]
+		err := forge(t, func(r *Record) { r.BuiltinTOAST[last] = anchor })
+		check(t, err, want(shapes[rec.BuiltinTOAST[last]], "builtin "+last))
+	})
+	for _, rootless := range []bool{true, false} {
+		kind := map[bool]string{true: "root", false: "transition"}[rootless]
+		t.Run(kind, func(t *testing.T) {
+			for site, pairs := range rec.SiteTOAST {
+				for k, p := range pairs {
+					if (p.In < 0) != rootless || shapes[p.Out] == nil || shapes[p.Out] == shapes[anchor] {
+						continue
+					}
+					err := forge(t, func(r *Record) { r.SiteTOAST[site][k].Out = anchor })
+					check(t, err, want(shapes[p.Out], fmt.Sprintf("%s at %s", kind, site)))
+					return
+				}
+			}
+			t.Skipf("no resolved %s row in the fixture record", kind)
+		})
+	}
 }
