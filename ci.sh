@@ -81,6 +81,12 @@ echo "== golden analysis results: drift check =="
 # corpus must agree. Regenerate deliberately with
 #   go test ./internal/analysis -run TestGoldenResults -update
 go test -count=1 -run 'TestGoldenResults|TestAnalyzeDeterministic' ./internal/analysis
+# Frame states and locals chunks come from an arena each runFn call
+# recycles. With every recycled stack and chunk poisoned to ⊤ on reset,
+# the same goldens and the determinism check must still pass, so nothing
+# outlives the call that built it; and analyses running on 4 goroutines
+# at once must render exactly as sequential ones, with zero races.
+go test -race -count=1 -run 'TestFrameArenaPoisoned|TestAnalyzeConcurrent' ./internal/analysis
 
 echo "== analysis benchmarks: smoke =="
 # One iteration of each extraction-statics benchmark, so the benchmarks
@@ -108,7 +114,7 @@ check_cover ./internal/ic 98.0
 check_cover ./internal/vm 85.0
 check_cover ./internal/ric 87.5
 check_cover ./internal/trace 93.0
-check_cover ./internal/analysis 71.0
+check_cover ./internal/analysis 72.0
 
 echo "== riclint: offline record verification =="
 # Truthful fixtures must pass all four layers (integrity, site existence,

@@ -292,10 +292,17 @@ func unionSorted[T sortKeyed](a, b []T) []T {
 }
 
 // insertSorted returns s with x inserted in sortKey order and whether x
-// was new. A new x yields a fresh slice, so anyone still iterating s sees
-// it unchanged.
+// was new. Anyone still iterating s sees it unchanged: an x that sorts
+// last is appended, which may write s's backing array past len(s) but
+// never below it, and any other new x yields a fresh slice. Appending in
+// place is safe because no two sets share a backing array: every set
+// starts nil and grows only through insertSorted on its own slice.
 func insertSorted[T sortKeyed](s []T, x T) ([]T, bool) {
 	k := x.sortKey()
+	if len(s) == 0 || s[len(s)-1].sortKey() < k {
+		// New shapes carry the largest id, so this is the common case.
+		return append(s, x), true
+	}
 	i := 0
 	for i < len(s) && s[i].sortKey() < k {
 		i++

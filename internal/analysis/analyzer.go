@@ -52,6 +52,17 @@ type siteRecord struct {
 	reached bool
 	top     bool
 	objs    *objSet
+	// creatorStr caches creator's rendering; empty until first needed.
+	creatorStr string
+}
+
+// creator returns the creator identity a transition triggered at this
+// site carries, rendering it on first use only.
+func (r *siteRecord) creator() string {
+	if r.creatorStr == "" {
+		r.creatorStr = objects.Creator{Site: r.site}.String()
+	}
+	return r.creatorStr
 }
 
 type analyzer struct {
@@ -81,6 +92,14 @@ type analyzer struct {
 	// (a function's entry) and all ⊤ (a catch handler's entry).
 	undefLocals *localChunk
 	topLocals   *localChunk
+	// arena supplies every frame state and locals chunk runFn builds; it
+	// is reset at the start of each runFn call.
+	arena frameArena
+	// states, inWork and work are runFn's per-pc leader states, worklist
+	// membership flags and worklist, cleared and reused on every call.
+	states []*frameState
+	inWork []bool
+	work   []int
 	// succs backs the successor list step returns, which runFn consumes
 	// before the next step.
 	succs [2]succ
@@ -390,14 +409,83 @@ type frameState struct {
 	stack   []absVal
 	chunks  []*localChunk
 	nlocals int
+	// arena is the region the state came from; its clones and the chunks
+	// it copies on write come from the same region.
+	arena *frameArena
+}
+
+// frameArena is the region frame states and locals chunks are allocated
+// from. Nothing a runFn call builds for its frames outlives the call —
+// cells, site records and object fields hold absVals by value, and
+// frameState and localChunk pointers live only in runFn's leader states,
+// its worklist and the analyzer's successor buffer — so runFn resets the
+// arena on entry and every state and chunk of the previous call is
+// recycled. A recycled state keeps the capacity of its stack and chunk
+// slices; a recycled chunk is overwritten in full before use.
+type frameArena struct {
+	states  []*frameState
+	nstates int
+	chunks  []*localChunk
+	nchunks int
+}
+
+// poisonFrameArena makes reset fill every recycled stack slot and chunk
+// with ⊤, so a state or chunk that outlived its runFn call, or a recycled
+// one read before it is overwritten, changes the analysis result. Only
+// tests set it, before any analysis runs.
+var poisonFrameArena bool
+
+// reset recycles every state and chunk allocated since the last reset.
+func (ar *frameArena) reset() {
+	if poisonFrameArena {
+		for _, st := range ar.states[:ar.nstates] {
+			stack := st.stack[:cap(st.stack)]
+			for i := range stack {
+				stack[i] = topVal
+			}
+		}
+		for _, c := range ar.chunks[:ar.nchunks] {
+			c.owner = nil
+			for i := range c.vals {
+				c.vals[i] = topVal
+			}
+		}
+	}
+	ar.nstates, ar.nchunks = 0, 0
+}
+
+// state returns a recycled or new state with an empty stack and no
+// chunks.
+func (ar *frameArena) state() *frameState {
+	if ar.nstates == len(ar.states) {
+		ar.states = append(ar.states, &frameState{arena: ar})
+	}
+	st := ar.states[ar.nstates]
+	ar.nstates++
+	st.stack = st.stack[:0]
+	st.chunks = st.chunks[:0]
+	return st
+}
+
+// chunk returns a recycled or new chunk owned by st. Its values are stale:
+// the caller overwrites all of them.
+func (ar *frameArena) chunk(st *frameState) *localChunk {
+	if ar.nchunks == len(ar.chunks) {
+		ar.chunks = append(ar.chunks, &localChunk{})
+	}
+	c := ar.chunks[ar.nchunks]
+	ar.nchunks++
+	c.owner = st
+	return c
 }
 
 // newFrameState returns a state with n locals, every chunk of which is
 // the shared chunk fill.
-func newFrameState(n int, fill *localChunk) *frameState {
-	st := &frameState{chunks: make([]*localChunk, (n+localChunkSize-1)/localChunkSize), nlocals: n}
-	for i := range st.chunks {
-		st.chunks[i] = fill
+func (ar *frameArena) newFrameState(n int, fill *localChunk) *frameState {
+	st := ar.state()
+	st.nlocals = n
+	for i := 0; i < (n+localChunkSize-1)/localChunkSize; i++ {
+		st.chunks = append(st.chunks, fill)
 	}
 	return st
 }
@@ -409,11 +497,11 @@ func (st *frameState) clone() *frameState {
 	for _, c := range st.chunks {
 		c.owner = nil
 	}
-	return &frameState{
-		stack:   append([]absVal(nil), st.stack...),
-		chunks:  append([]*localChunk(nil), st.chunks...),
-		nlocals: st.nlocals,
-	}
+	cp := st.arena.state()
+	cp.stack = append(cp.stack, st.stack...)
+	cp.chunks = append(cp.chunks, st.chunks...)
+	cp.nlocals = st.nlocals
+	return cp
 }
 
 // local returns local i, or ⊤ for an index outside the frame.
@@ -438,8 +526,10 @@ func (st *frameState) setLocal(i int, v absVal) {
 func (st *frameState) writable(ci int) *localChunk {
 	c := st.chunks[ci]
 	if c.owner != st {
-		c = &localChunk{owner: st, vals: c.vals}
-		st.chunks[ci] = c
+		cp := st.arena.chunk(st)
+		cp.vals = c.vals
+		st.chunks[ci] = cp
+		c = cp
 	}
 	return c
 }
@@ -581,18 +671,20 @@ func (a *analyzer) runFn(fi *fnInfo) {
 	if n == 0 {
 		return
 	}
-	entry := newFrameState(proto.NumLocals, a.undefLocals)
+	a.arena.reset()
+	entry := a.arena.newFrameState(proto.NumLocals, a.undefLocals)
 	for i := 0; i < proto.NumParams && i < proto.NumLocals; i++ {
 		// Strong set, not join: missing-argument undefined is already
 		// accounted in the param cell by every call transfer, so seeding
 		// pUndef here would taint params that are always passed.
 		entry.setLocal(i, fi.params[i].get())
 	}
-	states := make([]*frameState, n)
+	states := resized(a.states, n)
+	inWork := resized(a.inWork, n)
+	a.states, a.inWork = states, inWork
 	states[0] = entry
-	work := []int{0}
-	inWork := make([]bool, n)
 	inWork[0] = true
+	work := append(a.work[:0], 0)
 	for len(work) > 0 {
 		pc := work[len(work)-1]
 		work = work[:len(work)-1]
@@ -614,4 +706,16 @@ func (a *analyzer) runFn(fi *fnInfo) {
 			break
 		}
 	}
+	a.work = work
+}
+
+// resized returns s with length n and every element zero, reusing its
+// backing array when it is large enough.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }

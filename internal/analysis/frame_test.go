@@ -108,11 +108,14 @@ func same(x, y absVal) bool { return x.leq(y) && y.leq(x) }
 
 // TestFrameStateCopyOnWrite checks that clones share chunks until one
 // side writes, that a write copies only the chunk it touches, and that a
-// merge never writes through to a state sharing the chunk.
+// merge never writes through to a state sharing the chunk. Then it resets
+// the arena and checks that the recycled states and chunks carry nothing
+// into the states built from them.
 func TestFrameStateCopyOnWrite(t *testing.T) {
 	a := &analyzer{}
+	ar := &a.arena
 	undef := filledChunk(primVal(pUndef))
-	base := newFrameState(40, undef)
+	base := ar.newFrameState(40, undef)
 	if len(base.chunks) != 2 {
 		t.Fatalf("40 locals in %d chunks, want 2", len(base.chunks))
 	}
@@ -152,5 +155,56 @@ func TestFrameStateCopyOnWrite(t *testing.T) {
 	}
 	if !same(undef.vals[3], primVal(pUndef)) {
 		t.Error("the shared fill chunk was written")
+	}
+
+	// Leave values on a stack and in owned chunks, then recycle them.
+	left.push(primVal(pStr))
+	right.push(primVal(pNull))
+	used := map[*frameState]bool{}
+	for _, st := range ar.states[:ar.nstates] {
+		used[st] = true
+	}
+	usedChunks := map[*localChunk]bool{}
+	for _, c := range ar.chunks[:ar.nchunks] {
+		usedChunks[c] = true
+	}
+	ar.reset()
+
+	fresh := ar.newFrameState(40, undef)
+	if !used[fresh] {
+		t.Fatal("the arena did not recycle a state after reset")
+	}
+	if len(fresh.stack) != 0 || len(fresh.chunks) != 2 || fresh.chunks[0] != undef || fresh.chunks[1] != undef {
+		t.Fatalf("a recycled state carried a stack of %d or chunks %v", len(fresh.stack), fresh.chunks)
+	}
+	fresh.setLocal(1, primVal(pBool))
+	fresh.setLocal(38, primVal(pBool))
+	twin := fresh.clone()
+	twin.setLocal(2, primVal(pStr))
+	for _, c := range append(fresh.chunks, twin.chunks...) {
+		if !usedChunks[c] {
+			t.Fatal("the arena did not recycle a chunk after reset")
+		}
+	}
+	for i := 0; i < 40; i++ {
+		want := primVal(pUndef)
+		if i == 1 || i == 38 {
+			want = primVal(pBool)
+		}
+		if !same(fresh.local(i), want) {
+			t.Errorf("recycled local %d = %v, want %v", i, fresh.local(i), want)
+		}
+		if i == 2 {
+			want = primVal(pStr)
+		}
+		if !same(twin.local(i), want) {
+			t.Errorf("clone of a recycled state: local %d = %v, want %v", i, twin.local(i), want)
+		}
+	}
+	if len(twin.stack) != 0 {
+		t.Errorf("clone of a recycled state has a stack of %d", len(twin.stack))
+	}
+	if twin.chunks[1] != fresh.chunks[1] || twin.chunks[0] == fresh.chunks[0] {
+		t.Error("a clone of a recycled state broke copy-on-write")
 	}
 }

@@ -49,6 +49,8 @@ type Shape struct {
 	// renderings) that may create this shape at runtime.
 	Creators map[string]bool
 
+	// offsets indexes Fields by name for layouts larger than
+	// layoutLinearMax; nil below the threshold, where lookups scan Fields.
 	offsets     map[string]int
 	transitions map[string]*Shape
 	// root caches the lineage root (the ancestor with Parent == nil; self
@@ -59,16 +61,29 @@ type Shape struct {
 // Root returns the root shape of this shape's transition lineage.
 func (s *Shape) Root() *Shape { return s.root }
 
+// layoutLinearMax is the layout size up to which property lookup scans
+// Fields instead of probing an offsets map, as objects.HiddenClass does.
+// Almost every shape stays below it, so most shapes carry no map.
+const layoutLinearMax = 8
+
 // HasField reports whether the layout contains a property.
 func (s *Shape) HasField(name string) bool {
-	_, ok := s.offsets[name]
+	_, ok := s.Offset(name)
 	return ok
 }
 
 // Offset returns the slot offset of a property in the layout.
 func (s *Shape) Offset(name string) (int, bool) {
-	off, ok := s.offsets[name]
-	return off, ok
+	if s.offsets != nil {
+		off, ok := s.offsets[name]
+		return off, ok
+	}
+	for i, f := range s.Fields {
+		if f == name {
+			return i, true
+		}
+	}
+	return 0, false
 }
 
 // NumFields returns the number of fields in the layout.
@@ -145,10 +160,12 @@ func (g *Graph) newShape(parent *Shape, fields []string) *Shape {
 		Parent:   parent,
 		Fields:   fields,
 		Creators: make(map[string]bool, 1),
-		offsets:  make(map[string]int, len(fields)),
 	}
-	for i, f := range fields {
-		s.offsets[f] = i
+	if len(fields) > layoutLinearMax {
+		s.offsets = make(map[string]int, len(fields))
+		for i, f := range fields {
+			s.offsets[f] = i
+		}
 	}
 	if parent == nil {
 		s.root = s

@@ -341,7 +341,8 @@ func TestObjSetLawsAgainstMapModel(t *testing.T) {
 
 // TestShapeSetAddDuringIteration checks that add keeps the set id-sorted
 // and duplicate-free, and that a walk over sorted() sees the set as it
-// was before the adds it makes — storeTransition relies on it.
+// was before the adds it makes — storeTransition relies on it. That holds
+// both when add appends in place and when it inserts in the middle.
 func TestShapeSetAddDuringIteration(t *testing.T) {
 	g := newGraph()
 	shapes := make([]*Shape, 12)
@@ -372,14 +373,47 @@ func TestShapeSetAddDuringIteration(t *testing.T) {
 			t.Fatalf("walk saw shape #%d at %d, want #%d", seen[i].ID, i, before[i].ID)
 		}
 	}
-	want := []int{0, 1, 2, 3, 4, 5, 7, 9, 10, 11}
-	got := ss.sorted()
-	if len(got) != len(want) {
-		t.Fatalf("set has %d shapes, want %d", len(got), len(want))
+	wantIDs(t, ss.sorted(), 0, 1, 2, 3, 4, 5, 7, 9, 10, 11)
+
+	// Adds in id order append in place once the slice has spare capacity.
+	var grow shapeSet
+	for _, i := range []int{2, 4, 7} {
+		grow.add(shapes[i])
 	}
-	for i, id := range want {
-		if got[i].ID != id {
-			t.Fatalf("shape %d is #%d, want #%d", i, got[i].ID, id)
+	held := grow.sorted()
+	if cap(held) == len(held) {
+		t.Fatalf("fixture leaves no spare capacity (len %d)", len(held))
+	}
+	var walked []*Shape
+	for _, s := range grow.sorted() {
+		walked = append(walked, s)
+		if len(walked) == 1 && !grow.add(shapes[10]) {
+			t.Fatal("add of new last shape reported no growth")
+		}
+	}
+	wantIDs(t, walked, 2, 4, 7)
+	if &grow.sorted()[0] != &held[0] {
+		t.Fatal("add of a last shape did not append in place")
+	}
+	wantIDs(t, held, 2, 4, 7)
+	wantIDs(t, grow.sorted(), 2, 4, 7, 10)
+	// A middle insert copies, leaving the appended-to array as it was.
+	appended := grow.sorted()
+	grow.add(shapes[5])
+	wantIDs(t, appended, 2, 4, 7, 10)
+	wantIDs(t, grow.sorted(), 2, 4, 5, 7, 10)
+}
+
+// wantIDs checks that set holds exactly the shapes with the given ids, in
+// order.
+func wantIDs(t *testing.T, set []*Shape, ids ...int) {
+	t.Helper()
+	if len(set) != len(ids) {
+		t.Fatalf("set has %d shapes, want %d", len(set), len(ids))
+	}
+	for i, id := range ids {
+		if set[i].ID != id {
+			t.Fatalf("shape %d is #%d, want #%d", i, set[i].ID, id)
 		}
 	}
 }

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"ricjs/internal/analysis"
@@ -84,7 +86,11 @@ func goldenInputs(t *testing.T) map[string][]*bytecode.Program {
 // match the committed listings byte for byte. Regenerate deliberately:
 //
 //	go test ./internal/analysis -run TestGoldenResults -update
-func TestGoldenResults(t *testing.T) {
+func TestGoldenResults(t *testing.T) { checkGoldenResults(t) }
+
+// checkGoldenResults compares a fresh analysis of every golden input with
+// its committed listing, rewriting the listing under -update.
+func checkGoldenResults(t *testing.T) {
 	for name, progs := range goldenInputs(t) {
 		name, progs := name, progs
 		t.Run(name, func(t *testing.T) {
@@ -142,11 +148,67 @@ func corpus(t *testing.T) []*bytecode.Program {
 // TestAnalyzeDeterministic analyzes every corpus program twice and
 // requires identical results: nothing the analysis publishes may depend
 // on map iteration order.
-func TestAnalyzeDeterministic(t *testing.T) {
+func TestAnalyzeDeterministic(t *testing.T) { checkDeterministic(t) }
+
+func checkDeterministic(t *testing.T) {
 	for _, prog := range corpus(t) {
 		first := formatResult(analysis.Analyze(prog))
 		if second := formatResult(analysis.Analyze(prog)); first != second {
 			t.Errorf("%s: two analyses differ:\n%s", prog.Script, firstDiff(second, first))
+		}
+	}
+}
+
+// TestFrameArenaPoisoned proves that nothing a runFn call builds for its
+// frames outlives the call, and that no recycled state or chunk is read
+// before it is overwritten: with every recycled stack slot and locals
+// chunk filled with ⊤ on reset, the result goldens and the determinism
+// check must still pass unchanged.
+func TestFrameArenaPoisoned(t *testing.T) {
+	if *update {
+		t.Skip("goldens are rewritten by TestGoldenResults")
+	}
+	analysis.SetPoisonFrameArena(true)
+	defer analysis.SetPoisonFrameArena(false)
+	checkGoldenResults(t)
+	checkDeterministic(t)
+}
+
+// TestAnalyzeConcurrent analyzes every golden input from 4 goroutines at
+// once, sharing the compiled programs, and requires each analysis to
+// render exactly as the sequential one: analyzers share no frame state.
+// Run it under -race.
+func TestAnalyzeConcurrent(t *testing.T) {
+	inputs := goldenInputs(t)
+	names := make([]string, 0, len(inputs))
+	want := map[string]string{}
+	for name, progs := range inputs {
+		names = append(names, name)
+		want[name] = formatResult(analysis.Analyze(progs...))
+	}
+	sort.Strings(names)
+	const workers = 4
+	got := make([]map[string]string, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		got[w] = map[string]string{}
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			// Each worker starts at a different input, so different
+			// profiles overlap in time.
+			for i := range names {
+				name := names[(i+w*len(names)/workers)%len(names)]
+				got[w][name] = formatResult(analysis.Analyze(inputs[name]...))
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w, results := range got {
+		for _, name := range names {
+			if results[name] != want[name] {
+				t.Errorf("worker %d: %s differs from the sequential analysis:\n%s", w, name, firstDiff(results[name], want[name]))
+			}
 		}
 	}
 }

@@ -309,8 +309,8 @@ func (a *analyzer) step(fi *fnInfo, pc int, st *frameState) []succ {
 		// The catch entry inherits the protected region's stack depth but
 		// joins locals from every point inside the try body; ⊤ locals
 		// over-approximate that soundly (and cover the exception slot).
-		catch := newFrameState(st.nlocals, a.topLocals)
-		catch.stack = append([]absVal(nil), st.stack...)
+		catch := a.arena.newFrameState(st.nlocals, a.topLocals)
+		catch.stack = append(catch.stack, st.stack...)
 		return append(out, succ{next, st}, succ{arg(1), catch})
 	case bytecode.OpTryPop:
 		return one()
@@ -427,7 +427,7 @@ func (a *analyzer) rootShapeOn(o *absObj, builtin string) {
 // ---- Named access ----
 
 func (a *analyzer) loadNamed(si bytecode.SiteInfo, recv absVal) absVal {
-	a.recordSite(si, recv)
+	rec := a.recordSite(si, recv)
 	if recv.top {
 		return topVal
 	}
@@ -439,16 +439,16 @@ func (a *analyzer) loadNamed(si bytecode.SiteInfo, recv absVal) absVal {
 		out = out.join(primVal(pUndef))
 	}
 	for _, o := range recv.objsSorted() {
-		out = out.join(a.loadFromObj(o, si))
+		out = out.join(a.loadFromObj(o, si.Name, rec))
 	}
 	return out
 }
 
-func (a *analyzer) loadFromObj(o *absObj, si bytecode.SiteInfo) absVal {
+// loadFromObj models a named load of name from o at the site rec.
+func (a *analyzer) loadFromObj(o *absObj, name string, rec *siteRecord) absVal {
 	if o.escaped {
 		return topVal
 	}
-	name := si.Name
 	if o.isArray && name == "length" {
 		return primVal(pNum)
 	}
@@ -456,7 +456,7 @@ func (a *analyzer) loadFromObj(o *absObj, si bytecode.SiteInfo) absVal {
 		// Loading fn.prototype materializes the default prototype object
 		// with the load site as the transition's creator (first-wins at
 		// runtime; the static set accumulates every candidate).
-		return a.fnPrototype(o, objects.Creator{Site: si.Site}.String()).get()
+		return a.fnPrototype(o, rec.creator()).get()
 	}
 	out := o.field(name).get()
 	if o.unknown != nil {
@@ -509,7 +509,7 @@ func (a *analyzer) stringProp(name string) absVal {
 }
 
 func (a *analyzer) storeNamed(si bytecode.SiteInfo, recv, v absVal) {
-	a.recordSite(si, recv)
+	rec := a.recordSite(si, recv)
 	if recv.top {
 		a.escapeVal(v)
 		return
@@ -523,7 +523,7 @@ func (a *analyzer) storeNamed(si bytecode.SiteInfo, recv, v absVal) {
 			continue // SetLen, not a property transition
 		}
 		a.upd(o.field(si.Name), v)
-		a.storeTransition(o, si.Name, objects.Creator{Site: si.Site}.String())
+		a.storeTransition(o, si.Name, rec.creator())
 	}
 }
 
@@ -582,7 +582,7 @@ func (a *analyzer) fnPrototype(o *absObj, creator string) *cell {
 // ---- Keyed access ----
 
 func (a *analyzer) loadKeyed(si bytecode.SiteInfo, recv, key absVal) absVal {
-	a.recordSite(si, recv)
+	rec := a.recordSite(si, recv)
 	if recv.top {
 		return topVal
 	}
@@ -613,12 +613,12 @@ func (a *analyzer) loadKeyed(si bytecode.SiteInfo, recv, key absVal) absVal {
 				out = out.join(allOwnFieldVals(o))
 				continue
 			}
-			out = out.join(a.anyNamedLoad(o, si, map[*absObj]bool{}))
+			out = out.join(a.anyNamedLoad(o, rec, map[*absObj]bool{}))
 			continue
 		}
 		// Named access through ToString(key) with a statically-unknown
 		// name: anything o or its chain holds may answer.
-		out = out.join(a.anyNamedLoad(o, si, map[*absObj]bool{}))
+		out = out.join(a.anyNamedLoad(o, rec, map[*absObj]bool{}))
 	}
 	return out
 }
@@ -637,8 +637,9 @@ func allOwnFieldVals(o *absObj) absVal {
 }
 
 // anyNamedLoad joins every value a named load with a statically-unknown
-// property name could produce from o or its prototype chain.
-func (a *analyzer) anyNamedLoad(o *absObj, si bytecode.SiteInfo, seen map[*absObj]bool) absVal {
+// property name could produce from o or its prototype chain, at the site
+// rec.
+func (a *analyzer) anyNamedLoad(o *absObj, rec *siteRecord, seen map[*absObj]bool) absVal {
 	if seen[o] {
 		return absVal{}
 	}
@@ -653,10 +654,10 @@ func (a *analyzer) anyNamedLoad(o *absObj, si bytecode.SiteInfo, seen map[*absOb
 	if o.isFunc {
 		// The unknown name may be "prototype", materializing the default
 		// prototype object with this site as the transition creator.
-		out = out.join(a.fnPrototype(o, objects.Creator{Site: si.Site}.String()).get())
+		out = out.join(a.fnPrototype(o, rec.creator()).get())
 	}
 	for _, p := range o.protos {
-		out = out.join(a.anyNamedLoad(p, si, seen))
+		out = out.join(a.anyNamedLoad(p, rec, seen))
 	}
 	return out
 }
