@@ -58,32 +58,6 @@ func TestMonomorphicHitPathZeroAlloc(t *testing.T) {
 	zeroAllocCall(t, "monomorphic store", storeVM, storeFn)
 }
 
-// TestQuickenedHitPathZeroAlloc pins the overlay dispatch paths to the
-// same contract: quickened loads/stores (OpLoadNamedMonoFast and
-// friends) and fused superinstructions stay allocation-free once warm —
-// the in-place rewrite happens during warm-up, so steady state runs
-// entirely on overlay opcodes.
-func TestQuickenedHitPathZeroAlloc(t *testing.T) {
-	loadVM, loadFn := benchClosureOpts(t, Options{Quicken: true, Fuse: true}, `
-		var obj = {a: 1, b: 2, c: 3};
-		function bench() {
-			var o = obj, t = 0;
-			for (var i = 0; i < 64; i = i + 1) { t = t + o.c; }
-			return t;
-		}
-		bench();`, "bench")
-	zeroAllocCall(t, "quickened load + fused loop", loadVM, loadFn)
-
-	storeVM, storeFn := benchClosureOpts(t, Options{Quicken: true, Fuse: true}, `
-		var obj = {a: 1, b: 2, c: 3};
-		function bench() {
-			for (var i = 0; i < 64; i++) { obj.b = i; }
-			return obj.b;
-		}
-		bench();`, "bench")
-	zeroAllocCall(t, "quickened store", storeVM, storeFn)
-}
-
 // TestPolymorphicHitPathZeroAlloc extends the pin to polymorphic and
 // megamorphic hits: entry-list scans and the generic stub also run
 // allocation-free once warm.

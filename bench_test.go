@@ -415,16 +415,7 @@ func BenchmarkEngineStartup(b *testing.B) {
 // function fn ready to call.
 func benchClosure(tb testing.TB, src, fn string) (*vm.VM, objects.Value) {
 	tb.Helper()
-	return benchClosureOpts(tb, Options{}, src, fn)
-}
-
-// benchClosureOpts is benchClosure with explicit engine options — the
-// quickened benchmark variants enable the bytecode overlay here. The
-// setup run already executes the benchmark function once, so its hot
-// sites are quickened (and pairs fused) before timing starts.
-func benchClosureOpts(tb testing.TB, opts Options, src, fn string) (*vm.VM, objects.Value) {
-	tb.Helper()
-	e := NewEngine(opts)
+	e := NewEngine(Options{})
 	if err := e.Run("bench.js", src); err != nil {
 		tb.Fatal(err)
 	}
@@ -462,25 +453,8 @@ func BenchmarkLoadNamedMono(b *testing.B) {
 	callN(b, v, fn)
 }
 
-// BenchmarkLoadNamedMonoQuickened is BenchmarkLoadNamedMono with the
-// bytecode overlay on: the load site dispatches OpLoadNamedMonoFast with
-// the field offset inline, skipping the site-table indirection. Compare
-// against BenchmarkLoadNamedMono for the quickening win.
-func BenchmarkLoadNamedMonoQuickened(b *testing.B) {
-	v, fn := benchClosureOpts(b, Options{Quicken: true, Fuse: true}, `
-		var obj = {a: 1, b: 2, c: 3};
-		function bench() {
-			var t = 0;
-			for (var i = 0; i < 128; i++) { t = t + obj.c; }
-			return t;
-		}
-		bench();`, "bench")
-	callN(b, v, fn)
-}
-
-// dispatchLoopSrc is a loop dense in the fused pairs: the condition
-// compiles to Lt+JumpIfFalse and the body to LoadLocal+LoadNamed, so the
-// quickened variant runs mostly superinstructions.
+// dispatchLoopSrc is a loop dominated by plain dispatch: the condition
+// compiles to Lt+JumpIfFalse and the body to LoadLocal+LoadNamed.
 const dispatchLoopSrc = `
 	var obj = {n: 3};
 	function bench() {
@@ -490,16 +464,9 @@ const dispatchLoopSrc = `
 	}
 	bench();`
 
-// BenchmarkDispatchLoop is the plain-dispatch baseline for the loop above.
+// BenchmarkDispatchLoop measures the interpreter loop above.
 func BenchmarkDispatchLoop(b *testing.B) {
 	v, fn := benchClosure(b, dispatchLoopSrc, "bench")
-	callN(b, v, fn)
-}
-
-// BenchmarkDispatchLoopQuickened measures the same loop with quickening
-// and superinstruction fusion enabled.
-func BenchmarkDispatchLoopQuickened(b *testing.B) {
-	v, fn := benchClosureOpts(b, Options{Quicken: true, Fuse: true}, dispatchLoopSrc, "bench")
 	callN(b, v, fn)
 }
 

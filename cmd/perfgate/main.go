@@ -6,13 +6,10 @@
 // unlike wall-clock timings, which perfgate deliberately ignores. The gate
 // diffs `conventionalInstructions`, `ricInstructions`, and `recordBytes`
 // per workload against the committed BENCH_baseline.json and fails on any
-// regression beyond the tolerance (default 2%). `typedFastHits` is gated
-// in the opposite direction — it counts loads the Reuse run served through
-// the typed-slot fast path, so a drop means typed-shape inference silently
-// lost coverage. `quickenedExecutions` and `fusedExecutions` are floored
-// the same way: they count dispatches served by quickened and fused
-// opcodes in a quickened conventional run, so a drop means the bytecode
-// overlay silently stopped engaging while outputs stayed correct.
+// regression beyond the tolerance (default 2%). `typedSlots` is gated in
+// the opposite direction — it counts the slot-type claims the
+// extraction-time analysis inferred, so a drop means typed-shape inference
+// silently lost coverage.
 //
 // Usage:
 //
@@ -36,10 +33,8 @@ type gated struct {
 	RICInstructions          uint64 `json:"ricInstructions"`
 	RecordBytes              uint64 `json:"recordBytes"`
 	StaticTypes              struct {
-		TypedFastHits uint64 `json:"typedFastHits"`
+		TypedSlots uint64 `json:"typedSlots"`
 	} `json:"staticTypes"`
-	QuickenedExecutions uint64 `json:"quickenedExecutions"`
-	FusedExecutions     uint64 `json:"fusedExecutions"`
 }
 
 type baseline struct {
@@ -147,7 +142,7 @@ func main() {
 			}
 		}
 	}
-	// checkFloor gates a counter where MORE is better (typed fast hits):
+	// checkFloor gates a counter where MORE is better (typed slot claims):
 	// a drop beyond the tolerance means the typed pipeline silently lost
 	// coverage, which no runtime test would catch — outputs stay correct.
 	checkFloor := func(workload, metric string, old, now uint64) {
@@ -186,9 +181,7 @@ func main() {
 		check(w.Name, "conventionalInstructions", old.ConventionalInstructions, w.ConventionalInstructions)
 		check(w.Name, "ricInstructions", old.RICInstructions, w.RICInstructions)
 		check(w.Name, "recordBytes", old.RecordBytes, w.RecordBytes)
-		checkFloor(w.Name, "typedFastHits", old.StaticTypes.TypedFastHits, w.StaticTypes.TypedFastHits)
-		checkFloor(w.Name, "quickenedExecutions", old.QuickenedExecutions, w.QuickenedExecutions)
-		checkFloor(w.Name, "fusedExecutions", old.FusedExecutions, w.FusedExecutions)
+		checkFloor(w.Name, "typedSlots", old.StaticTypes.TypedSlots, w.StaticTypes.TypedSlots)
 	}
 	for name := range byName {
 		fmt.Printf("perfgate: workload %q disappeared from the benchmark\n", name)

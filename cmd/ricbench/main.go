@@ -37,7 +37,7 @@ func main() {
 		netFaults  = flag.Bool("netfaults", false, "network chaos sweep: pooled sessions with a faulted remote record tier vs conventional runs")
 		snapshotF  = flag.Bool("snapshot", false, "compare RIC with heap-snapshot restoration (§9)")
 		traceF     = flag.Bool("trace", false, "structured IC-event totals, Initial vs Reuse run")
-		opstatsF   = flag.Bool("opstats", false, "executed-opcode and adjacent-pair dispatch histogram (superinstruction selection evidence)")
+		opstatsF   = flag.Bool("opstats", false, "executed-opcode and adjacent-pair dispatch histogram")
 		reps       = flag.Int("reps", 5, "timing repetitions per Reuse run (median reported)")
 		workloadsF = flag.String("workloads", "", "glob over workload names or kinds to measure (e.g. 'Json*', 'keyed'; default all)")
 		parallel   = flag.Int("parallel", 0, "throughput mode: serve the workload set through a SessionPool with N workers (also measures 1 worker as the scaling baseline)")
@@ -273,8 +273,8 @@ func main() {
 			os.Exit(1)
 		}
 	})
-	// The opstats section is opt-in only: it is engineering evidence for
-	// the superinstruction selection, not part of the paper's evaluation.
+	// The opstats section is opt-in only: it is engineering evidence about
+	// the interpreter, not part of the paper's evaluation.
 	if *opstatsF {
 		os_, err := bench.MeasureOpStats(bench.Options{Workloads: *workloadsF})
 		if err != nil {

@@ -9,18 +9,11 @@
 // shapes" — the claims a .ric record would carry). Predictions are listed
 // deterministically: sites in table order, hidden classes by shape id.
 //
-// With -quicken, the files are executed (jointly, sharing one VM) with
-// bytecode quickening and superinstruction fusion enabled, and the
-// listing shows the VM's live executable overlay: every rewritten opcode
-// word prints as `base-op [overlay-op]`, operands and annotations stay
-// canonical. Functions that never ran have no overlay and print plainly.
-//
 // Usage:
 //
 //	ricdis script.js [more.js ...]
 //	ricdis -sites script.js        # only the site table
 //	ricdis -analyze lib.js app.js  # site tables with shape predictions
-//	ricdis -quicken hot.js         # live quickened/fused overlay listing
 //
 // Every file is processed even when an earlier one fails; the exit status
 // is 1 if any did.
@@ -39,27 +32,21 @@ import (
 	"ricjs/internal/bytecode"
 	"ricjs/internal/objects"
 	"ricjs/internal/parser"
-	"ricjs/internal/vm"
 )
-
-// quickenMaxSteps bounds -quicken execution so a hot loop in the input
-// cannot hang the disassembler.
-const quickenMaxSteps = 10_000_000
 
 func main() {
 	sitesOnly := flag.Bool("sites", false, "print only the object access site tables")
 	analyze := flag.Bool("analyze", false, "run the static shape analysis and print per-site predictions")
-	quicken := flag.Bool("quicken", false, "execute the files with quickening+fusion and print the live overlay disassembly")
 	flag.Parse()
 	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: ricdis [-sites] [-analyze] [-quicken] script.js [more.js ...]")
+		fmt.Fprintln(os.Stderr, "usage: ricdis [-sites] [-analyze] script.js [more.js ...]")
 		os.Exit(2)
 	}
-	os.Exit(run(os.Stdout, os.Stderr, *sitesOnly, *analyze, *quicken, flag.Args()))
+	os.Exit(run(os.Stdout, os.Stderr, *sitesOnly, *analyze, flag.Args()))
 }
 
 // run is main minus the process plumbing, so the golden test can drive it.
-func run(out, errw io.Writer, sitesOnly, analyze, quicken bool, paths []string) int {
+func run(out, errw io.Writer, sitesOnly, analyze bool, paths []string) int {
 	// Compile everything first: -analyze needs the whole program, and a
 	// broken file must not hide errors in the ones after it.
 	type unit struct {
@@ -78,20 +65,6 @@ func run(out, errw io.Writer, sitesOnly, analyze, quicken bool, paths []string) 
 		units = append(units, unit{path: path, prog: prog})
 	}
 
-	// -quicken executes everything on one overlay-enabled VM first; the
-	// prints go nowhere visible (the VM buffers output), only the rewritten
-	// executable copies matter here.
-	var qvm *vm.VM
-	if quicken && len(units) > 0 {
-		qvm = vm.New(vm.Options{Quicken: true, Fuse: true, MaxSteps: quickenMaxSteps})
-		for _, u := range units {
-			if _, err := qvm.RunProgram(u.prog); err != nil {
-				fmt.Fprintf(errw, "ricdis: %s: %v\n", u.path, err)
-				failed = true
-			}
-		}
-	}
-
 	var res *analysis.Result
 	if analyze && len(units) > 0 {
 		progs := make([]*bytecode.Program, len(units))
@@ -107,15 +80,7 @@ func run(out, errw io.Writer, sitesOnly, analyze, quicken bool, paths []string) 
 	for _, u := range units {
 		u.prog.Toplevel.WalkProtos(func(p *bytecode.FuncProto) {
 			if !sitesOnly && !analyze {
-				if qvm != nil {
-					if live := qvm.ExecCode(p); live != nil {
-						fmt.Fprint(out, p.DisassembleOverlay(live))
-					} else {
-						fmt.Fprint(out, p.Disassemble())
-					}
-				} else {
-					fmt.Fprint(out, p.Disassemble())
-				}
+				fmt.Fprint(out, p.Disassemble())
 			}
 			printSites(out, p, res)
 			if !sitesOnly && !analyze {

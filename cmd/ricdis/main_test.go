@@ -17,7 +17,7 @@ var update = flag.Bool("update", false, "rewrite the golden -analyze listing")
 //	go test ./cmd/ricdis -run TestAnalyzeGolden -update
 func TestAnalyzeGolden(t *testing.T) {
 	var out, errw bytes.Buffer
-	if rc := run(&out, &errw, false, true, false, []string{"../../testdata/point.js"}); rc != 0 {
+	if rc := run(&out, &errw, false, true, []string{"../../testdata/point.js"}); rc != 0 {
 		t.Fatalf("ricdis -analyze failed (rc %d): %s", rc, errw.String())
 	}
 	if errw.Len() != 0 {
@@ -44,42 +44,5 @@ func TestAnalyzeGolden(t *testing.T) {
 	// claims.
 	if !bytes.Contains(out.Bytes(), []byte(":float")) && !bytes.Contains(out.Bytes(), []byte(":smallint")) {
 		t.Fatal("golden listing contains no typed-slot annotations")
-	}
-}
-
-// TestQuickenGolden pins the -quicken overlay listing for the same
-// fixture: the VM's in-place rewrites are deterministic for a
-// deterministic program, so the `base-op [overlay-op]` annotations are
-// byte-stable. Regenerate deliberately:
-//
-//	go test ./cmd/ricdis -run TestQuickenGolden -update
-func TestQuickenGolden(t *testing.T) {
-	var out, errw bytes.Buffer
-	if rc := run(&out, &errw, false, false, true, []string{"../../testdata/point.js"}); rc != 0 {
-		t.Fatalf("ricdis -quicken failed (rc %d): %s", rc, errw.String())
-	}
-	if errw.Len() != 0 {
-		t.Fatalf("unexpected warnings: %s", errw.String())
-	}
-	golden := filepath.Join("testdata", "point-quicken.golden")
-	if *update {
-		if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out.Bytes(), want) {
-		t.Fatalf("-quicken listing drifted from golden (rerun with -update if deliberate):\n--- got ---\n%s\n--- want ---\n%s", out.Bytes(), want)
-	}
-	// The fixture's hot loops must actually quicken and fuse — a listing
-	// with no overlay annotations would pass vacuously if the rewrite
-	// stopped engaging.
-	for _, marker := range []string{"[LoadNamedMonoFast]", "[Fused"} {
-		if !bytes.Contains(out.Bytes(), []byte(marker)) {
-			t.Fatalf("golden listing contains no %q annotation:\n%s", marker, out.Bytes())
-		}
 	}
 }

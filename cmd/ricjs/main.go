@@ -150,10 +150,6 @@ func printStats(e *ricjs.Engine) {
 		fmt.Fprintf(os.Stderr, "RIC: %d validations (%d failures), %d preloads, %d misses averted\n",
 			s.Validations, s.ValFailures, s.Preloads, s.MissesSaved)
 	}
-	if s.TypedFastHits > 0 {
-		fmt.Fprintf(os.Stderr, "typed slots: %d loads served through the typed fast path\n",
-			s.TypedFastHits)
-	}
 }
 
 func dumpRecord(path string) error {

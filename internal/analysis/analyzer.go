@@ -644,9 +644,6 @@ func blockLeaders(code []uint32) []bool {
 		case bytecode.OpJump, bytecode.OpJumpIfFalse, bytecode.OpJumpIfTrue, bytecode.OpTryPush:
 			mark(operand(pc + 1))
 			mark(next)
-		case bytecode.OpFusedLtJumpIfFalse:
-			mark(operand(pc + 2))
-			mark(next)
 		case bytecode.OpReturn, bytecode.OpReturnUndef, bytecode.OpThrow:
 			mark(next)
 		}

@@ -314,80 +314,6 @@ func (a *analyzer) step(fi *fnInfo, pc int, st *frameState) []succ {
 		return append(out, succ{next, st}, succ{arg(1), catch})
 	case bytecode.OpTryPop:
 		return one()
-
-	// ---- Runtime overlay (quickened and fused opcodes) ----
-	//
-	// The analysis runs over the immutable FuncProto.Code, which never
-	// carries these: the VM writes them only into its private executable
-	// copy. The cases delegate to the base sequence each overlay op
-	// rewrites, so the transfer stays correct for any consumer that does
-	// feed overlay code in — and the instruction-set linter proves the
-	// set is handled.
-
-	case bytecode.OpLoadNamedMonoFast, bytecode.OpLoadNamedTypedFast:
-		// Quickened OpLoadNamed: operand 1 is the baked offset, but the
-		// feedback-slot operand — and thus the site info — is unchanged.
-		recv := st.pop()
-		if si, ok := siteAt(2); ok {
-			st.push(a.loadNamed(si, recv))
-		} else {
-			st.push(topVal)
-		}
-		return one()
-	case bytecode.OpStoreNamedMonoFast:
-		v := st.pop()
-		recv := st.pop()
-		if si, ok := siteAt(2); ok {
-			a.storeNamed(si, recv, v)
-		} else {
-			a.escapeVal(v)
-			a.escapeVal(recv)
-		}
-		st.push(v)
-		return one()
-	case bytecode.OpLoadGlobalMonoFast:
-		if si, ok := siteAt(2); ok {
-			st.push(a.loadNamed(si, objVal(a.global)))
-		} else {
-			st.push(topVal)
-		}
-		return one()
-	case bytecode.OpLoadKeyedElemFast:
-		key := st.pop()
-		recv := st.pop()
-		if si, ok := siteAt(1); ok {
-			st.push(a.loadKeyed(si, recv, key))
-		} else {
-			st.push(topVal)
-		}
-		return one()
-	case bytecode.OpFusedLoadLocalLoadNamed:
-		// OpLoadLocal i, then OpLoadNamed with its site operand at word 4.
-		recv := st.local(arg(1))
-		if si, ok := siteAt(4); ok {
-			st.push(a.loadNamed(si, recv))
-		} else {
-			st.push(topVal)
-		}
-		return one()
-	case bytecode.OpFusedDupStoreNamed:
-		// OpDup, then OpStoreNamed with its site operand at word 3.
-		st.push(st.peek())
-		v := st.pop()
-		recv := st.pop()
-		if si, ok := siteAt(3); ok {
-			a.storeNamed(si, recv, v)
-		} else {
-			a.escapeVal(v)
-			a.escapeVal(recv)
-		}
-		st.push(v)
-		return one()
-	case bytecode.OpFusedLtJumpIfFalse:
-		// OpLt, then OpJumpIfFalse consuming the comparison result.
-		st.pop()
-		st.pop()
-		return append(out, succ{arg(2), st}, succ{next, st})
 	}
 
 	// Unknown opcode: degrade soundly rather than guess a stack effect.

@@ -73,17 +73,6 @@ func opValueKind(op bytecode.Op) (kind uint8, ok bool) {
 		bytecode.OpReturn, bytecode.OpReturnUndef,
 		bytecode.OpThrow, bytecode.OpTryPush, bytecode.OpTryPop:
 		return 0, false
-
-	// Runtime overlay: each quickened or fused op has the result type of
-	// the base sequence it rewrites — a load/store result flowing from the
-	// heap, so never a fixed kind. OpFusedLtJumpIfFalse consumes the
-	// comparison internally and pushes nothing.
-	case bytecode.OpLoadNamedMonoFast, bytecode.OpLoadNamedTypedFast,
-		bytecode.OpStoreNamedMonoFast, bytecode.OpLoadGlobalMonoFast,
-		bytecode.OpLoadKeyedElemFast,
-		bytecode.OpFusedLoadLocalLoadNamed, bytecode.OpFusedDupStoreNamed,
-		bytecode.OpFusedLtJumpIfFalse:
-		return 0, false
 	}
 	return 0, false
 }

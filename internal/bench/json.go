@@ -107,23 +107,16 @@ type JSONLibrary struct {
 	MissesAverted  uint64  `json:"missesAverted"`
 
 	// Typed-shape static inference: what the extraction-time analysis
-	// inferred and how often the Reuse run served the typed fast path.
+	// inferred.
 	StaticTypes JSONStaticTypes `json:"staticTypes"`
-
-	// Quickening overlay counters from a quickened conventional run.
-	// Deterministic; perfgate floors both so quickened/fused dispatch
-	// coverage cannot silently regress.
-	QuickenedExecutions uint64 `json:"quickenedExecutions"`
-	FusedExecutions     uint64 `json:"fusedExecutions"`
 }
 
-// JSONStaticTypes is one library's typed-shape summary. All four values
-// are deterministic, so perfgate gates typedFastHits exactly.
+// JSONStaticTypes is one library's typed-shape summary. All three values
+// are deterministic, so perfgate floors typedSlots exactly.
 type JSONStaticTypes struct {
-	SitesAnalyzed int    `json:"sitesAnalyzed"`
-	TypedShapes   int    `json:"typedShapes"`
-	TypedSlots    int    `json:"typedSlots"`
-	TypedFastHits uint64 `json:"typedFastHits"`
+	SitesAnalyzed int `json:"sitesAnalyzed"`
+	TypedShapes   int `json:"typedShapes"`
+	TypedSlots    int `json:"typedSlots"`
 }
 
 // JSONAverages carries the headline averages.
@@ -191,10 +184,7 @@ func BuildJSON(runs []LibraryRun, website *WebsiteRun) JSONResults {
 				SitesAnalyzed: r.StaticTypes.SitesAnalyzed,
 				TypedShapes:   r.StaticTypes.TypedShapes,
 				TypedSlots:    r.StaticTypes.TypedSlots,
-				TypedFastHits: r.StaticTypes.TypedFastHits,
 			},
-			QuickenedExecutions: r.QuickenedExecutions,
-			FusedExecutions:     r.FusedExecutions,
 		}
 		out.Libraries = append(out.Libraries, lib)
 		out.Averages.InitialMissRatePct += lib.InitialMissRatePct / n
@@ -240,9 +230,9 @@ func (r *JSONResults) AddThroughput(results []ThroughputResult) {
 	}
 }
 
-// JSONOpStats is the dispatch-histogram block (`ricbench -opstats`):
-// the executed-opcode and adjacent-pair top lists that justify the
-// superinstruction selection. Deterministic for a fixed workload set.
+// JSONOpStats is the dispatch-histogram block (`ricbench -opstats`): the
+// executed-opcode and adjacent-pair top lists. Deterministic for a fixed
+// workload set.
 type JSONOpStats struct {
 	Workloads     int             `json:"workloads"`
 	TotalExecuted uint64          `json:"totalExecuted"`
@@ -257,13 +247,11 @@ type JSONOpCount struct {
 	SharePct float64 `json:"sharePct"`
 }
 
-// JSONPairCount is one adjacent-pair row; Fused marks pairs the
-// superinstruction table already covers.
+// JSONPairCount is one adjacent-pair row.
 type JSONPairCount struct {
 	First  string `json:"first"`
 	Second string `json:"second"`
 	Count  uint64 `json:"count"`
-	Fused  bool   `json:"fused"`
 }
 
 // AddOpStats attaches the dispatch histogram to the results.
@@ -273,7 +261,7 @@ func (r *JSONResults) AddOpStats(res OpStatsResult) {
 		out.TopOps = append(out.TopOps, JSONOpCount{Op: o.Op, Count: o.Count, SharePct: o.SharePct})
 	}
 	for _, p := range res.TopPairs {
-		out.TopPairs = append(out.TopPairs, JSONPairCount{First: p.First, Second: p.Second, Count: p.Count, Fused: p.Fused})
+		out.TopPairs = append(out.TopPairs, JSONPairCount{First: p.First, Second: p.Second, Count: p.Count})
 	}
 	r.OpStats = out
 }

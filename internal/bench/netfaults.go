@@ -189,16 +189,10 @@ func runNetFaultTrial(mode faultinject.NetMode, cache *ricjs.CodeCache,
 		return trial, err
 	}
 
-	// Quickening is on in the chaos pool (the baselines above ran with it
-	// off), so every trial doubles as a quickened-vs-plain differential:
-	// the overlay must stay byte-identical through every fault mode and
-	// tier-ladder degradation too.
 	pool := ricjs.NewSessionPool(ricjs.PoolOptions{
-		Cache:   cache,
-		Store:   store,
-		Remote:  ricjs.NewRemoteTier(client, ricjs.RemoteTierOptions{WaitTimeout: 50 * time.Millisecond, PollInterval: time.Millisecond}),
-		Quicken: true,
-		Fuse:    true,
+		Cache:  cache,
+		Store:  store,
+		Remote: ricjs.NewRemoteTier(client, ricjs.RemoteTierOptions{WaitTimeout: 50 * time.Millisecond, PollInterval: time.Millisecond}),
 	})
 
 	// Two sessions per key, sequential: the first walks the tier ladder

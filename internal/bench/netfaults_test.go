@@ -2,11 +2,10 @@ package bench
 
 import "testing"
 
-// TestNetFaultSweepQuickened runs the full chaos sweep in-process so the
-// race detector sees it: the trial pools run with quickening+fusion on
-// while the baselines ran plain, making every fault mode a
-// quickened-vs-plain output differential under tier-ladder degradation.
-func TestNetFaultSweepQuickened(t *testing.T) {
+// TestNetFaultSweep runs the full chaos sweep in-process so the race
+// detector sees it: every fault mode must keep pooled outputs identical
+// to the conventional baselines under tier-ladder degradation.
+func TestNetFaultSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos sweep spins real HTTP servers; skipped in -short")
 	}

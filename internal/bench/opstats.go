@@ -19,21 +19,14 @@ type OpCount struct {
 	SharePct float64
 }
 
-// PairCount is one row of the adjacent-pair histogram. Fused marks pairs
-// the superinstruction table already covers — the histogram is the
-// selection evidence for that table, so the report shows which hot pairs
-// are captured and which remain candidates.
+// PairCount is one row of the adjacent-pair histogram.
 type PairCount struct {
 	First  string
 	Second string
 	Count  uint64
-	Fused  bool
 }
 
 // OpStatsResult aggregates the dispatch histogram over a workload set.
-// Collection runs with quickening OFF, so the counts describe canonical
-// bytecode — the distribution fusion candidates are selected from, not
-// the post-rewrite stream.
 type OpStatsResult struct {
 	Workloads int
 	Total     uint64
@@ -123,22 +116,18 @@ func MeasureOpStats(opts Options) (OpStatsResult, error) {
 		return pairs[i].b < pairs[j].b
 	})
 	for _, r := range pairs[:min(opStatsTopK, len(pairs))] {
-		_, fused := vm.FusedPair(r.a, r.b)
 		res.TopPairs = append(res.TopPairs, PairCount{
 			First:  r.a.String(),
 			Second: r.b.String(),
 			Count:  r.count,
-			Fused:  fused,
 		})
 	}
 	return res, nil
 }
 
-// ReportOpStats prints both histogram tables; the pair table is the
-// measured evidence behind the superinstruction selection, with covered
-// pairs marked.
+// ReportOpStats prints both histogram tables.
 func ReportOpStats(w io.Writer, r OpStatsResult) {
-	fmt.Fprintf(w, "Dispatch histogram — %d workloads, %d executed instructions (quickening off)\n",
+	fmt.Fprintf(w, "Dispatch histogram — %d workloads, %d executed instructions\n",
 		r.Workloads, r.Total)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "opcode\tcount\tshare")
@@ -147,15 +136,11 @@ func ReportOpStats(w io.Writer, r OpStatsResult) {
 	}
 	tw.Flush()
 	fmt.Fprintln(w)
-	fmt.Fprintln(w, "Hottest adjacent pairs (superinstruction candidates; * = fused)")
+	fmt.Fprintln(w, "Hottest adjacent pairs")
 	tw = tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "pair\tcount")
 	for _, p := range r.TopPairs {
-		mark := ""
-		if p.Fused {
-			mark = " *"
-		}
-		fmt.Fprintf(tw, "%s + %s%s\t%d\n", p.First, p.Second, mark, p.Count)
+		fmt.Fprintf(tw, "%s + %s\t%d\n", p.First, p.Second, p.Count)
 	}
 	tw.Flush()
 }

@@ -30,13 +30,6 @@ type LibraryRun struct {
 	RecordStats  RecordStats
 	StaticTypes  StaticTypeStats
 	ValidatedHCs int
-
-	// Quickening counters from a conventional run with the runtime
-	// bytecode overlay (quickening + fusion) enabled. Deterministic, so
-	// perfgate floors them: a drop means quickened or fused dispatch
-	// silently lost coverage while outputs stayed correct.
-	QuickenedExecutions uint64
-	FusedExecutions     uint64
 }
 
 // RecordStats mirrors the extraction statistics without re-exporting the
@@ -49,14 +42,12 @@ type RecordStats struct {
 	TypedSlotClaims int
 }
 
-// StaticTypeStats summarizes the typed-shape pipeline for one library:
-// what the extraction-time analysis inferred and how often the Reuse run
-// actually served loads through the typed fast path.
+// StaticTypeStats summarizes what the extraction-time typed-shape
+// analysis inferred for one library.
 type StaticTypeStats struct {
 	SitesAnalyzed int
 	TypedShapes   int
 	TypedSlots    int
-	TypedFastHits uint64
 }
 
 // InstrReduction returns the fractional dynamic-instruction reduction of
@@ -165,18 +156,6 @@ func MeasureLibrary(p workloads.Profile, opts Options) (LibraryRun, error) {
 		}
 		if i == 0 {
 			run.Conv = conv.Stats()
-			// One quickened conventional run for the overlay counters; its
-			// output doubles as a semantic check against the plain run.
-			quick := ricjs.NewEngine(ricjs.Options{Cache: cache, Quicken: true, Fuse: true})
-			if err := quick.Run(p.Script, src); err != nil {
-				return LibraryRun{}, err
-			}
-			if quick.Output() != conv.Output() {
-				return LibraryRun{}, fmt.Errorf("bench: %s: quickened output diverged from conventional", p.Name)
-			}
-			qs := quick.Stats()
-			run.QuickenedExecutions = qs.QuickenedExecutions
-			run.FusedExecutions = qs.FusedExecutions
 		}
 
 		reuse := ricjs.NewEngine(ricjs.Options{Cache: cache, Record: record})
@@ -190,7 +169,6 @@ func MeasureLibrary(p workloads.Profile, opts Options) (LibraryRun, error) {
 		if i == 0 {
 			run.RIC = reuse.Stats()
 			run.ValidatedHCs = reuse.ValidatedHCs()
-			run.StaticTypes.TypedFastHits = run.RIC.TypedFastHits
 		}
 	}
 	run.ConvTime = median(convTimes)

@@ -128,82 +128,11 @@ const (
 	// OpTryPop: ( -- ) disarms the innermost handler.
 	OpTryPop
 
-	// overlayStart separates the canonical instruction set above from the
-	// runtime-only overlay below. Overlay opcodes never appear in compiled
-	// bytecode, .ric records, or anything derived from canonical code
-	// (static analysis, riclint, golden traces): the VM writes them into
-	// its private executable copy of a function's code after the first
-	// execution proves a site monomorphic (quickening) or a hot adjacent
-	// pair is fused at copy time. De-quickening restores the canonical
-	// words from the immutable FuncProto.Code. Every overlay op must have
-	// an entry in overlayBase (enforced by the opcheck analyzer).
-	overlayStart
-
-	// OpLoadNamedMonoFast name→offset fb: (obj -- v) quickened
-	// OpLoadNamed. The first operand word is reinterpreted as the cached
-	// field offset; the feedback slot stays for guards and accounting.
-	OpLoadNamedMonoFast
-	// OpLoadNamedTypedFast name→offset fb: (obj -- v) quickened
-	// OpLoadNamed whose hidden class carries a validated slot-type claim;
-	// loads through the typed (unboxed) path.
-	OpLoadNamedTypedFast
-	// OpStoreNamedMonoFast name→offset fb: (obj v -- v) quickened
-	// OpStoreNamed overwriting an existing field.
-	OpStoreNamedMonoFast
-	// OpLoadGlobalMonoFast name→offset fb: ( -- v) quickened OpLoadGlobal.
-	OpLoadGlobalMonoFast
-	// OpLoadKeyedElemFast fb: (obj key -- v) quickened OpLoadKeyed for
-	// array element hits; operand word unchanged.
-	OpLoadKeyedElemFast
-
-	// OpFusedLoadLocalLoadNamed i _ name fb: ( -- v) superinstruction for
-	// the OpLoadLocal+OpLoadNamed pair. The fused word replaces only the
-	// first opcode word; every other word of both instructions stays in
-	// place, so jumps into the second half still dispatch the base op.
-	OpFusedLoadLocalLoadNamed
-	// OpFusedDupStoreNamed _ name fb: (obj v? -- ...) superinstruction
-	// for OpDup+OpStoreNamed.
-	OpFusedDupStoreNamed
-	// OpFusedLtJumpIfFalse _ target: (a b -- ) superinstruction for
-	// OpLt+OpJumpIfFalse (hot loop back-edges).
-	OpFusedLtJumpIfFalse
-
 	numOps
 )
 
-// overlayBase maps every runtime-overlay opcode to the canonical opcode
-// whose word it overwrites: the base op for quickened forms, the first op
-// of the pair for fused forms. De-quickening copies the canonical words
-// for overlayBase[op] back from FuncProto.Code.
-var overlayBase = map[Op]Op{
-	OpLoadNamedMonoFast:       OpLoadNamed,
-	OpLoadNamedTypedFast:      OpLoadNamed,
-	OpStoreNamedMonoFast:      OpStoreNamed,
-	OpLoadGlobalMonoFast:      OpLoadGlobal,
-	OpLoadKeyedElemFast:       OpLoadKeyed,
-	OpFusedLoadLocalLoadNamed: OpLoadLocal,
-	OpFusedDupStoreNamed:      OpDup,
-	OpFusedLtJumpIfFalse:      OpLt,
-}
-
-// Base returns the canonical opcode an overlay op rewrites (the op
-// itself when it is already canonical).
-func (o Op) Base() Op {
-	if b, ok := overlayBase[o]; ok {
-		return b
-	}
-	return o
-}
-
-// IsOverlay reports whether o is a runtime-only overlay opcode
-// (quickened or fused) that never appears in canonical compiled code.
-func (o Op) IsOverlay() bool {
-	_, ok := overlayBase[o]
-	return ok
-}
-
-// NumOps is the size of the opcode space including the runtime overlay,
-// for histogram and table sizing outside this package.
+// NumOps is the size of the opcode space, for histogram and table sizing
+// outside this package.
 const NumOps = int(numOps)
 
 // operandCounts[op] is the number of operand words following the opcode.
@@ -218,12 +147,6 @@ var operandCounts = [numOps]int{
 	OpJump: 1, OpJumpIfFalse: 1, OpJumpIfTrue: 1,
 	OpCall: 1, OpNew: 1,
 	OpTryPush: 2,
-	// Quickened forms keep their base op's instruction footprint; fused
-	// forms span both halves of the pair (nA + 1 + nB operand words), so
-	// the dispatch loop's uniform pc advance stays correct.
-	OpLoadNamedMonoFast: 2, OpLoadNamedTypedFast: 2, OpStoreNamedMonoFast: 2,
-	OpLoadGlobalMonoFast: 2, OpLoadKeyedElemFast: 1,
-	OpFusedLoadLocalLoadNamed: 4, OpFusedDupStoreNamed: 3, OpFusedLtJumpIfFalse: 2,
 }
 
 // OperandCount returns the number of operand words for an opcode.
@@ -257,12 +180,6 @@ var opNames = [numOps]string{
 	OpReturn: "Return", OpReturnUndef: "ReturnUndef",
 	OpForInKeys: "ForInKeys",
 	OpThrow:     "Throw", OpTryPush: "TryPush", OpTryPop: "TryPop",
-	OpLoadNamedMonoFast: "LoadNamedMonoFast", OpLoadNamedTypedFast: "LoadNamedTypedFast",
-	OpStoreNamedMonoFast: "StoreNamedMonoFast", OpLoadGlobalMonoFast: "LoadGlobalMonoFast",
-	OpLoadKeyedElemFast:       "LoadKeyedElemFast",
-	OpFusedLoadLocalLoadNamed: "FusedLoadLocalLoadNamed",
-	OpFusedDupStoreNamed:      "FusedDupStoreNamed",
-	OpFusedLtJumpIfFalse:      "FusedLtJumpIfFalse",
 }
 
 // String returns the opcode mnemonic.

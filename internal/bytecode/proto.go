@@ -89,28 +89,12 @@ func (p *FuncProto) FunctionName() string {
 
 // Disassemble renders the function's bytecode for tests and debugging.
 func (p *FuncProto) Disassemble() string {
-	return p.disasm(nil)
-}
-
-// DisassembleOverlay renders live executable code (a VM's quickened and
-// fused copy of p.Code) against the canonical bytecode. Structure and
-// annotations come from the canonical words — overlay rewrites never move
-// instruction boundaries — and every rewritten opcode word is shown as
-// `base-op [overlay-op]` so dumps of live code stay readable.
-func (p *FuncProto) DisassembleOverlay(code []uint32) string {
-	return p.disasm(code)
-}
-
-func (p *FuncProto) disasm(live []uint32) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "function %s params=%d locals=%d ctx=%d\n",
 		p.FunctionName(), p.NumParams, p.NumLocals, p.NumCtxSlots)
 	for pc := 0; pc < len(p.Code); {
 		op := Op(p.Code[pc])
 		fmt.Fprintf(&b, "  %4d  %s", pc, op)
-		if live != nil && pc < len(live) && live[pc] != p.Code[pc] {
-			fmt.Fprintf(&b, " [%s]", Op(live[pc]))
-		}
 		n := op.OperandCount()
 		for i := 1; i <= n; i++ {
 			fmt.Fprintf(&b, " %d", p.Code[pc+i])

@@ -193,6 +193,9 @@ func TestRebuildRejectsNonCIDescriptors(t *testing.T) {
 	if _, err := (CIDescriptor{Kind: KindKeyedNamed, Inner: KindKeyedNamed}).Rebuild(); err == nil {
 		t.Error("nested keyed descriptor must not rebuild")
 	}
+	if _, err := (CIDescriptor{Kind: KindKeyedNamed, Inner: KindLoadFromPrototype}).Rebuild(); err == nil {
+		t.Error("keyed descriptor with a context-dependent inner kind must not rebuild")
+	}
 	h, err := (CIDescriptor{Kind: KindKeyedNamed, Inner: KindLoadField, Offset: 2, Name: "k"}).Rebuild()
 	if err != nil {
 		t.Fatalf("keyed rebuild: %v", err)
@@ -203,6 +206,48 @@ func TestRebuildRejectsNonCIDescriptors(t *testing.T) {
 	}
 	if lf, ok := kn.Inner.(LoadField); !ok || lf.Offset != 2 {
 		t.Fatalf("rebuilt inner = %#v", kn.Inner)
+	}
+}
+
+// TestInsertDenormalizesHandlers pins the install-time denormalization the
+// VM's inline hit paths switch on: field handlers carry their offset,
+// array handlers need none, and every other handler stays on the general
+// path. Find returns the entry in place plus the entries scanned before it.
+func TestInsertDenormalizesHandlers(t *testing.T) {
+	_, hcs := hcChain(t, 5)
+	cases := []struct {
+		h      Handler
+		fast   FastOp
+		offset int32
+	}{
+		{LoadField{Offset: 3}, FastLoadField, 3},
+		{StoreField{Offset: 2}, FastStoreField, 2},
+		{LoadArrayLength{}, FastLoadArrayLength, 0},
+		{LoadElement{}, FastLoadElement, 0},
+		{StoreElement{}, FastNone, 0},
+	}
+	for i, c := range cases {
+		var s Slot
+		if i > 0 {
+			s.Add(hcs[0], LoadField{Offset: 0})
+		}
+		s.Add(hcs[i], c.h)
+		e, scanned := s.Find(hcs[i])
+		if e == nil || e.H != c.h || e.Fast != c.fast || e.FastOffset != c.offset {
+			t.Errorf("%T: entry %+v, want Fast %d at offset %d", c.h, e, c.fast, c.offset)
+		}
+		if want := len(s.Entries) - 1; scanned != want {
+			t.Errorf("%T: Find scanned %d entries before the match, want %d", c.h, scanned, want)
+		}
+		e.Preloaded = true
+		if !s.Entries[len(s.Entries)-1].Preloaded {
+			t.Errorf("%T: Find returned a copy, not the entry in place", c.h)
+		}
+	}
+	var s Slot
+	s.Add(hcs[0], LoadField{Offset: 0})
+	if e, scanned := s.Find(hcs[1]); e != nil || scanned != 1 {
+		t.Fatalf("Find of an uncached class = (%+v, %d), want (nil, 1)", e, scanned)
 	}
 }
 

@@ -114,14 +114,9 @@ const (
 	FastStoreField
 	// FastLoadArrayLength reads the receiver's array length.
 	FastLoadArrayLength
-	// FastLoadFieldTyped reads the receiver's own field at FastOffset
-	// through the typed-slot path: the hidden class carries a verified
-	// static type for the slot, so the read skips the boxed value's
-	// dynamic type dispatch (and SmallInt slots unbox to int32).
-	FastLoadFieldTyped
 	// FastLoadElement reads an array element at the (dynamic) integer key;
-	// the keyed-load dispatch and its quickened form use it to recognize
-	// the element hit without a handler type-switch.
+	// the keyed-load dispatch uses it to recognize the element hit without
+	// a handler type-switch.
 	FastLoadElement
 )
 
@@ -265,17 +260,6 @@ func (s *Slot) insert(hc *objects.HiddenClass, h Handler, preloaded bool) {
 	}
 	e := Entry{HC: hc, H: h, Preloaded: preloaded}
 	e.Fast, e.FastOffset = fastFor(h)
-	if e.Fast == FastLoadField {
-		// Upgrade to the typed path when the hidden class carries a
-		// verified static type for the slot: the load then switches on the
-		// claim instead of the boxed value's dynamic kind. The dispatch
-		// reads the claim from the hidden class at hit time — not a copy
-		// captured here — so a claim the store path deoptimized is dead the
-		// instant it is cleared, with no entry invalidation needed.
-		if t := hc.SlotType(int(e.FastOffset)); objects.ValidSlotTag(t) {
-			e.Fast = FastLoadFieldTyped
-		}
-	}
 	s.Entries = append(s.Entries, e)
 	switch len(s.Entries) {
 	case 1:

@@ -2,10 +2,6 @@
 // exhaustively everywhere it must be: every bytecode.Op constant needs a
 // disassembly mnemonic (an opNames entry), a dispatch case in the VM
 // interpreter, and a transfer-function case in the static shape analysis.
-// Runtime-overlay opcodes — those declared after the overlayStart sentinel
-// (quickened and fused forms) — additionally need an overlayBase entry
-// mapping them to a declared canonical opcode, so de-quickening always has
-// canonical words to restore.
 //
 // A new opcode that misses any of the three still compiles: the VM would
 // hit its default "unknown opcode" panic only when the op executes, the
@@ -36,12 +32,10 @@ var dispatchPkgs = []string{"vm", "analysis"}
 // lives in the closure, so independent runs (tests) do not share facts.
 func NewAnalyzer() *analysis.Analyzer {
 	c := &checker{
-		ops:     map[string]token.Pos{},
-		named:   map[string]bool{},
-		overlay: map[string]bool{},
-		baseOf:  map[string]string{},
-		cases:   map[string]map[string]bool{},
-		sawPkg:  map[string]bool{},
+		ops:    map[string]token.Pos{},
+		named:  map[string]bool{},
+		cases:  map[string]map[string]bool{},
+		sawPkg: map[string]bool{},
 	}
 	return &analysis.Analyzer{
 		Name: "opcheck",
@@ -53,12 +47,10 @@ func NewAnalyzer() *analysis.Analyzer {
 }
 
 type checker struct {
-	ops     map[string]token.Pos       // Op constants declared in package bytecode
-	named   map[string]bool            // ops with an opNames entry
-	overlay map[string]bool            // ops declared after the overlayStart sentinel
-	baseOf  map[string]string          // overlayBase entries: overlay op -> base op
-	cases   map[string]map[string]bool // package name -> ops with a case label
-	sawPkg  map[string]bool            // package names analyzed
+	ops    map[string]token.Pos       // Op constants declared in package bytecode
+	named  map[string]bool            // ops with an opNames entry
+	cases  map[string]map[string]bool // package name -> ops with a case label
+	sawPkg map[string]bool            // package names analyzed
 }
 
 func (c *checker) run(pass *analysis.Pass) (interface{}, error) {
@@ -103,7 +95,6 @@ func (c *checker) collectOps(pass *analysis.Pass) {
 				continue
 			}
 			inOps := false
-			inOverlay := false
 			for _, spec := range gd.Specs {
 				vs, ok := spec.(*ast.ValueSpec)
 				if !ok {
@@ -117,14 +108,8 @@ func (c *checker) collectOps(pass *analysis.Pass) {
 					continue
 				}
 				for _, name := range vs.Names {
-					if name.Name == "overlayStart" {
-						inOverlay = true
-					}
 					if strings.HasPrefix(name.Name, "Op") {
 						c.ops[name.Name] = name.Pos()
-						if inOverlay {
-							c.overlay[name.Name] = true
-						}
 					}
 				}
 			}
@@ -135,37 +120,17 @@ func (c *checker) collectOps(pass *analysis.Pass) {
 				return true
 			}
 			for i, nm := range vs.Names {
-				if i >= len(vs.Values) {
+				if i >= len(vs.Values) || nm.Name != "opNames" {
 					continue
 				}
-				switch nm.Name {
-				case "opNames":
-					cl, ok := vs.Values[i].(*ast.CompositeLit)
-					if !ok {
-						continue
-					}
-					for _, elt := range cl.Elts {
-						if kv, ok := elt.(*ast.KeyValueExpr); ok {
-							if id, ok := kv.Key.(*ast.Ident); ok {
-								c.named[id.Name] = true
-							}
-						}
-					}
-				case "overlayBase":
-					// The de-quicken mapping: overlay op -> canonical base op.
-					cl, ok := vs.Values[i].(*ast.CompositeLit)
-					if !ok {
-						continue
-					}
-					for _, elt := range cl.Elts {
-						kv, ok := elt.(*ast.KeyValueExpr)
-						if !ok {
-							continue
-						}
-						key, kok := kv.Key.(*ast.Ident)
-						val, vok := kv.Value.(*ast.Ident)
-						if kok && vok {
-							c.baseOf[key.Name] = val.Name
+				cl, ok := vs.Values[i].(*ast.CompositeLit)
+				if !ok {
+					continue
+				}
+				for _, elt := range cl.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							c.named[id.Name] = true
 						}
 					}
 				}
@@ -207,50 +172,6 @@ func (c *checker) end() []analysis.Diagnostic {
 				})
 			}
 		}
-		// Runtime-overlay ops (declared after the overlayStart sentinel)
-		// additionally need a de-quicken mapping to a canonical base op:
-		// without it the VM cannot restore the canonical words when a
-		// quickened guard fails, and Base()/IsOverlay() misclassify the op.
-		if c.overlay[op] {
-			base, ok := c.baseOf[op]
-			switch {
-			case !ok:
-				ds = append(ds, analysis.Diagnostic{
-					Pos:     c.ops[op],
-					Message: op + " is a runtime overlay op but has no overlayBase de-quicken mapping",
-				})
-			case !c.opKnown(base):
-				ds = append(ds, analysis.Diagnostic{
-					Pos:     c.ops[op],
-					Message: op + " de-quickens to " + base + ", which is not a declared opcode",
-				})
-			case c.overlay[base]:
-				ds = append(ds, analysis.Diagnostic{
-					Pos:     c.ops[op],
-					Message: op + " de-quickens to " + base + ", which is itself an overlay op — the mapping must reach a canonical opcode",
-				})
-			}
-		}
-	}
-	// Stale overlayBase keys: an entry for something that is not a declared
-	// overlay op is dead weight that would mask a future omission.
-	baseKeys := make([]string, 0, len(c.baseOf))
-	for op := range c.baseOf {
-		baseKeys = append(baseKeys, op)
-	}
-	sort.Strings(baseKeys)
-	for _, op := range baseKeys {
-		if !c.overlay[op] {
-			ds = append(ds, analysis.Diagnostic{
-				Pos:     c.ops[op],
-				Message: "overlayBase maps " + op + ", which is not declared after the overlayStart sentinel",
-			})
-		}
 	}
 	return ds
-}
-
-func (c *checker) opKnown(name string) bool {
-	_, ok := c.ops[name]
-	return ok
 }

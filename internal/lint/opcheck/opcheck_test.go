@@ -120,90 +120,6 @@ func transfer(op bytecode.Op) {
 	}
 }
 
-func TestOpcheckOverlayRules(t *testing.T) {
-	// OpNopFast is declared after the overlayStart sentinel but has no
-	// overlayBase entry; OpHaltFast maps to an undeclared op; the stale
-	// OpGone key maps a non-overlay op. All three must be diagnosed.
-	msgs := runOn(t, map[string]string{
-		"bytecode": `package bytecode
-type Op uint32
-const (
-	OpNop Op = iota
-	OpHalt
-	overlayStart
-	OpNopFast
-	OpHaltFast
-	numOps
-)
-var opNames = [numOps]string{OpNop: "Nop", OpHalt: "Halt", OpNopFast: "NopFast", OpHaltFast: "HaltFast"}
-var overlayBase = map[Op]Op{OpHaltFast: OpMissing, OpHalt: OpNop}
-`,
-		"vm": `package vm
-import "ricjs/internal/bytecode"
-func step(op bytecode.Op) {
-	switch op {
-	case bytecode.OpNop, bytecode.OpHalt, bytecode.OpNopFast, bytecode.OpHaltFast:
-	}
-}
-`,
-		"analysis": `package analysis
-import "ricjs/internal/bytecode"
-func transfer(op bytecode.Op) {
-	switch op {
-	case bytecode.OpNop, bytecode.OpHalt, bytecode.OpNopFast, bytecode.OpHaltFast:
-	}
-}
-`,
-	})
-	want := []string{
-		`OpNopFast is a runtime overlay op but has no overlayBase de-quicken mapping`,
-		`OpHaltFast de-quickens to OpMissing, which is not a declared opcode`,
-		`overlayBase maps OpHalt, which is not declared after the overlayStart sentinel`,
-	}
-	all := strings.Join(msgs, "\n")
-	for _, w := range want {
-		if !strings.Contains(all, w) {
-			t.Errorf("missing diagnostic %q in:\n%s", w, all)
-		}
-	}
-}
-
-func TestOpcheckOverlayClean(t *testing.T) {
-	msgs := runOn(t, map[string]string{
-		"bytecode": `package bytecode
-type Op uint32
-const (
-	OpNop Op = iota
-	OpHalt
-	overlayStart
-	OpNopFast
-	numOps
-)
-var opNames = [numOps]string{OpNop: "Nop", OpHalt: "Halt", OpNopFast: "NopFast"}
-var overlayBase = map[Op]Op{OpNopFast: OpNop}
-`,
-		"vm": `package vm
-import "ricjs/internal/bytecode"
-func step(op bytecode.Op) {
-	switch op {
-	case bytecode.OpNop, bytecode.OpHalt, bytecode.OpNopFast:
-	}
-}
-`,
-		"analysis": `package analysis
-import "ricjs/internal/bytecode"
-func transfer(op bytecode.Op) {
-	switch op {
-	case bytecode.OpNop, bytecode.OpHalt, bytecode.OpNopFast:
-	}
-}
-`,
-	})
-	if len(msgs) != 0 {
-		t.Fatalf("clean overlay packages produced diagnostics: %v", msgs)
-	}
-}
-
 func TestOpcheckMissingPackages(t *testing.T) {
 	msgs := runOn(t, map[string]string{"bytecode": goodBytecode})
 	all := strings.Join(msgs, "\n")

@@ -6,8 +6,8 @@
 //
 // opValueKind degrades safely — its fallthrough returns "no fixed kind" —
 // so a missing case never produces an unsound claim, only a silently
-// weaker one: the slot fed by the new opcode would stay untyped and the
-// typed fast path would never fire for it. That is exactly the kind of
+// weaker one: the slot fed by the new opcode would stay untyped and no
+// record would ever claim a type for it. That is exactly the kind of
 // quiet precision loss that survives every runtime test; this analyzer
 // turns it into a CI failure, mirroring the opcheck rule for the main
 // transfer switch.

@@ -90,12 +90,6 @@ type HiddenClass struct {
 
 	dictionary bool // marks the shared dictionary-mode class
 
-	// slotTypes holds optional static type tags per slot offset (a "typed
-	// shape"). nil, or shorter than fields, means the remaining slots are
-	// untyped (SlotTypeNone). Tags are applied by the reuse path from
-	// verified .ric typed-shape claims; they are advisory for dispatch
-	// specialization and never affect stored values.
-	slotTypes []SlotType
 }
 
 // newHC allocates a hidden class with a fresh simulated address. The
@@ -194,53 +188,6 @@ func (h *HiddenClass) OffsetID(id symtab.ID) (int, bool) {
 		}
 	}
 	return 0, false
-}
-
-// SlotType returns the static type tag for a slot offset, or SlotTypeNone
-// when the slot is untyped (or the offset is out of range).
-func (h *HiddenClass) SlotType(offset int) SlotType {
-	if offset < 0 || offset >= len(h.slotTypes) {
-		return SlotTypeNone
-	}
-	return h.slotTypes[offset]
-}
-
-// SetSlotType tags a slot with a static type claim. Out-of-range offsets
-// and invalid tags are ignored: tags are an optimization hint layered on a
-// validated hidden class, never a way to corrupt one.
-func (h *HiddenClass) SetSlotType(offset int, t SlotType) {
-	if offset < 0 || offset >= len(h.fields) || !ValidSlotTag(t) {
-		return
-	}
-	if h.slotTypes == nil {
-		h.slotTypes = make([]SlotType, len(h.fields))
-	} else if len(h.slotTypes) < len(h.fields) {
-		grown := make([]SlotType, len(h.fields))
-		copy(grown, h.slotTypes)
-		h.slotTypes = grown
-	}
-	h.slotTypes[offset] = t
-}
-
-// ClearSlotType drops the type claim on a slot. The store path uses it to
-// deoptimize a claim a concrete value violated (possible only when the
-// claim came from a lying or stale record): once cleared, every typed read
-// of the slot falls back to the generic boxed read.
-func (h *HiddenClass) ClearSlotType(offset int) {
-	if offset >= 0 && offset < len(h.slotTypes) {
-		h.slotTypes[offset] = SlotTypeNone
-	}
-}
-
-// TypedSlotCount returns the number of slots carrying a type tag.
-func (h *HiddenClass) TypedSlotCount() int {
-	n := 0
-	for _, t := range h.slotTypes {
-		if t != SlotTypeNone {
-			n++
-		}
-	}
-	return n
 }
 
 // TransitionTo returns the existing transition target for adding the named

@@ -91,39 +91,7 @@ func (o *Object) Proto() *Object {
 func (o *Object) Slot(offset int) Value { return o.slots[offset] }
 
 // SetSlot overwrites the value at an in-object slot offset.
-func (o *Object) SetSlot(offset int, v Value) {
-	o.checkClaim(offset, v)
-	o.slots[offset] = v
-}
-
-// checkClaim guards the typed-shape soundness invariant at every slot
-// write: a claim the incoming value violates is cleared from the hidden
-// class before the store lands, so no typed read ever observes a value
-// outside a live claim. Claims computed by the static analysis are sound
-// and never trip this; only a lying or stale record can, and it degrades
-// to the generic boxed read instead of serving a wrong unboxed one.
-func (o *Object) checkClaim(offset int, v Value) {
-	if t := o.hc.SlotType(offset); t != SlotTypeNone && !t.Admits(v) {
-		o.hc.ClearSlotType(offset)
-	}
-}
-
-// TypedSlot reads a slot backed by a verified static type claim, skipping
-// the boxed value's dynamic kind dispatch: number claims read the raw
-// float directly and rebox it, and SmallInt claims additionally normalize
-// through int32 — exact, by the claim, since the slot only ever holds
-// integral int32-range numbers. The result is identical to Slot whenever
-// the claim holds, which the typed-shape differential gate asserts.
-func (o *Object) TypedSlot(offset int, t SlotType) Value {
-	switch t {
-	case SlotTypeSmallInt:
-		return Num(float64(int32(o.slots[offset].num)))
-	case SlotTypeFloat:
-		return Num(o.slots[offset].num)
-	default:
-		return o.slots[offset]
-	}
-}
+func (o *Object) SetSlot(offset int, v Value) { o.slots[offset] = v }
 
 // GetOwn looks up an own named property without touching the prototype
 // chain. For fast-mode objects it consults the hidden-class layout; for
@@ -271,7 +239,6 @@ func (o *Object) AddOwnID(s *Space, id symtab.ID, name string, v Value, creator 
 	next, created = o.hc.TransitionID(s, id, creator)
 	o.hc = next
 	o.slots = append(o.slots, v)
-	o.checkClaim(len(o.slots)-1, v)
 	return next, created
 }
 
@@ -302,7 +269,6 @@ func (o *Object) SetNamedID(s *Space, id symtab.ID, name string, v Value, creato
 func (o *Object) ApplyTransition(next *HiddenClass, v Value) {
 	o.slots = append(o.slots, v)
 	o.hc = next
-	o.checkClaim(len(o.slots)-1, v)
 }
 
 // Delete removes an own property. Deleting from a fast-mode object demotes

@@ -146,13 +146,6 @@ type Counters struct {
 	staticFiltered uint64 // record preloads skipped on static evidence
 	staticDead     uint64 // gauge: sites the analysis proved unreachable
 	staticRisk     uint64 // gauge: sites the analysis flags as megamorphic risk
-
-	typedFastHits uint64 // monomorphic hits served by a typed-slot handler
-
-	quickens       uint64 // instruction words rewritten to a quickened op
-	dequickens     uint64 // quickened words restored to their base op
-	quickenedExecs uint64 // executions served by a quickened opcode
-	fusedExecs     uint64 // executions served by a fused superinstruction
 }
 
 // Charge adds n abstract instructions to the current category.
@@ -243,31 +236,6 @@ func (c *Counters) StaticSiteFlags(dead, risk uint64) {
 	c.staticRisk = risk
 }
 
-// TypedFastHit records a monomorphic IC hit served through the typed-slot
-// fast path (the dynamic type check was skipped on the strength of a
-// static slot-type claim). It is a gauge alongside the ordinary hit
-// accounting: the typed path charges exactly what the untyped hit does,
-// so instruction counts stay byte-identical with and without claims.
-func (c *Counters) TypedFastHit() { c.typedFastHits++ }
-
-// Quicken records one instruction word rewritten to a quickened opcode in
-// the VM's private executable code copy. Like the de-quicken, execution
-// gauges below it charges no abstract instructions: quickening is a
-// runtime overlay that must leave the paper's Pin-style accounting
-// byte-identical with and without it.
-func (c *Counters) Quicken() { c.quickens++ }
-
-// Dequicken records one quickened word restored to its canonical base op
-// (the IC slot left the monomorphic state or a guard failed).
-func (c *Counters) Dequicken() { c.dequickens++ }
-
-// QuickenedExecution records one access served by a quickened opcode.
-func (c *Counters) QuickenedExecution() { c.quickenedExecs++ }
-
-// FusedExecution records one execution of a fused superinstruction
-// (which covers both halves of the pair).
-func (c *Counters) FusedExecution() { c.fusedExecs++ }
-
 // Degrade records that the engine abandoned a reuse run because of a
 // record-attributable failure and retried conventionally (record-free).
 func (c *Counters) Degrade() { c.degradedRuns++ }
@@ -318,20 +286,6 @@ type Snapshot struct {
 	StaticFilteredPreloads uint64
 	StaticDeadSites        uint64
 	StaticMegamorphicRisk  uint64
-
-	// TypedFastHits counts monomorphic hits served by the typed-slot fast
-	// path (zero when no typed-shape claims were applied).
-	TypedFastHits uint64
-
-	// Quickens/Dequickens count instruction-word rewrites in the VM's
-	// private executable code copy; QuickenedExecutions/FusedExecutions
-	// count accesses served by quickened and fused opcodes. All four are
-	// zero unless quickening/fusion was enabled; none affect instruction
-	// accounting.
-	Quickens            uint64
-	Dequickens          uint64
-	QuickenedExecutions uint64
-	FusedExecutions     uint64
 }
 
 // Snapshot captures the current statistics.
@@ -357,11 +311,6 @@ func (c *Counters) Snapshot() Snapshot {
 		StaticFilteredPreloads: c.staticFiltered,
 		StaticDeadSites:        c.staticDead,
 		StaticMegamorphicRisk:  c.staticRisk,
-		TypedFastHits:          c.typedFastHits,
-		Quickens:               c.quickens,
-		Dequickens:             c.dequickens,
-		QuickenedExecutions:    c.quickenedExecs,
-		FusedExecutions:        c.fusedExecs,
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"sort"
 
 	"ricjs/internal/ic"
@@ -19,7 +20,7 @@ import (
 //	label string
 //	flags (bit 0: includes globals)
 //	script string table (count, strings)
-//	symbol table (count, strings)                  — v4 and later
+//	symbol table (count, strings)
 //	hidden class count
 //	deps: per HCID: count × (siteRef, accessKind, nameRef,
 //	                         handlerKind, offset, nameRef, innerKind)
@@ -27,12 +28,10 @@ import (
 //	builtin TOAST: count × (nameRef, id)
 //	rejected sites: count × siteRef
 //	typed shapes: count × (hcid, claimCount × (offset, typeTag byte))
-//	                                               — v5 only
 //	CRC32-IEEE of everything above (4 bytes little-endian)
 //
 // A siteRef is (scriptIdx, line, col). A nameRef is a varint index into
-// the record-local symbol table in versions 4+, and an inline
-// length-prefixed string in version 3. Map-ordered sections are sorted so
+// the record-local symbol table. Map-ordered sections are sorted so
 // encoding is deterministic; the typed-shape section is sorted by hidden
 // class id, then slot offset.
 //
@@ -48,24 +47,14 @@ import (
 // range (⊤, ⊥, or unknown values) are rejected at decode, so a record can
 // never smuggle a claim the lattice cannot express.
 //
-// Version 3 records (names inline at each use, no symbol table) and
-// version 4 records (symbol table, no typed shapes) still decode; Encode
-// always emits version 5. Records in older formats (version bytes 1 and 2
-// carried no checksum) are rejected as unsupported: persisted IC state is
-// a pure cache, so the correct recovery is quarantine-and-regenerate,
-// never a compatibility shim.
+// Decode accepts only the current version. Records in any other format
+// are rejected as unsupported: persisted IC state is a pure cache, so the
+// correct recovery is quarantine-and-regenerate, never a compatibility
+// shim.
 var recordTag = []byte("RICREC")
 
-// recordVersion is the current wire-format version byte.
+// recordVersion is the wire-format version byte.
 const recordVersion = 5
-
-// recordVersionV4 is the previous format, still accepted by Decode: it
-// differs from v5 only in carrying no typed-shape claims section.
-const recordVersionV4 = 4
-
-// recordVersionV3 is the format before the record-local symbol table,
-// still accepted by Decode: it carries names inline at each use.
-const recordVersionV3 = 3
 
 // recordTrailerLen is the length of the CRC32 trailer.
 const recordTrailerLen = 4
@@ -261,18 +250,41 @@ func (r *Record) Encode() []byte {
 
 type decoder struct {
 	buf   *bytes.Reader
-	ver   byte
 	names []string
-	// syms/symIDs mirror the v4 record-local symbol table: each persisted
+	// syms/symIDs mirror the record-local symbol table: each persisted
 	// name, interned into the process-global symtab exactly once at table
-	// load ("" keeps the None sentinel, matching keyed sites). Empty for
-	// v3 records, which carry names inline.
+	// load ("" keeps the None sentinel, matching keyed sites).
 	syms   []string
 	symIDs []symtab.ID
 }
 
 func (d *decoder) uvarint() (uint64, error) { return binary.ReadUvarint(d.buf) }
 func (d *decoder) varint() (int64, error)   { return binary.ReadVarint(d.buf) }
+
+// bounded reads one integer — zigzag-encoded when signed, plain otherwise —
+// and rejects it unless lo <= v <= hi. Every value the decoder narrows to
+// a fixed-width record field is read through here, so an out-of-range wire
+// integer is an error instead of a silently truncated field.
+func (d *decoder) bounded(signed bool, lo, hi int64) (int64, error) {
+	if signed {
+		v, err := d.varint()
+		if err != nil {
+			return 0, err
+		}
+		if v < lo || v > hi {
+			return 0, fmt.Errorf("ric: value %d out of range [%d, %d]", v, lo, hi)
+		}
+		return v, nil
+	}
+	u, err := d.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if u > uint64(hi) || int64(u) < lo {
+		return 0, fmt.Errorf("ric: value %d out of range [%d, %d]", u, lo, hi)
+	}
+	return int64(u), nil
+}
 
 // plausibleCount rejects section counts that could not possibly fit in the
 // remaining input (every element is at least one byte), so a corrupt count
@@ -299,17 +311,10 @@ func (d *decoder) str() (string, error) {
 	return string(b), nil
 }
 
-// name reads a nameRef: a symbol-table index in v4, an inline string in
-// v3. The returned ID follows the slot convention — None for the empty
-// name (keyed sites), an interned ID otherwise.
+// name reads a nameRef, a symbol-table index. The returned ID follows the
+// slot convention — None for the empty name (keyed sites), an interned ID
+// otherwise.
 func (d *decoder) name() (string, symtab.ID, error) {
-	if d.ver == recordVersionV3 {
-		s, err := d.str()
-		if err != nil || s == "" {
-			return s, symtab.None, err
-		}
-		return s, symtab.Intern(s), nil
-	}
 	idx, err := d.uvarint()
 	if err != nil {
 		return "", symtab.None, err
@@ -328,11 +333,11 @@ func (d *decoder) site() (source.Site, error) {
 	if idx >= uint64(len(d.names)) {
 		return source.Site{}, fmt.Errorf("ric: script index %d out of range", idx)
 	}
-	line, err := d.uvarint()
+	line, err := d.bounded(false, 0, math.MaxUint32)
 	if err != nil {
 		return source.Site{}, err
 	}
-	col, err := d.uvarint()
+	col, err := d.bounded(false, 0, math.MaxUint32)
 	if err != nil {
 		return source.Site{}, err
 	}
@@ -351,16 +356,15 @@ func Decode(data []byte) (*Record, error) {
 		return nil, fmt.Errorf("ric: bad record magic")
 	}
 	ver := data[len(recordTag)]
-	if ver != recordVersion && ver != recordVersionV4 && ver != recordVersionV3 {
-		return nil, fmt.Errorf("ric: unsupported record format version %d (want %d, %d or %d)",
-			ver, recordVersion, recordVersionV4, recordVersionV3)
+	if ver != recordVersion {
+		return nil, fmt.Errorf("ric: unsupported record format version %d (want %d)", ver, recordVersion)
 	}
 	body := data[:len(data)-recordTrailerLen]
 	stored := binary.LittleEndian.Uint32(data[len(data)-recordTrailerLen:])
 	if sum := crc32.ChecksumIEEE(body); sum != stored {
 		return nil, fmt.Errorf("ric: checksum mismatch (stored %#08x, computed %#08x)", stored, sum)
 	}
-	d := &decoder{buf: bytes.NewReader(body[len(recordTag)+1:]), ver: ver}
+	d := &decoder{buf: bytes.NewReader(body[len(recordTag)+1:])}
 	r := &Record{
 		SiteTOAST:     make(map[source.Site][]Pair),
 		BuiltinTOAST:  make(map[string]int32),
@@ -392,28 +396,26 @@ func Decode(data []byte) (*Record, error) {
 		d.names = append(d.names, s)
 	}
 
-	if ver >= recordVersionV4 {
-		nSyms, err := d.uvarint()
+	nSyms, err := d.uvarint()
+	if err != nil {
+		return nil, fmt.Errorf("ric: symbol table: %w", err)
+	}
+	if err := d.plausibleCount(nSyms, "symbol table"); err != nil {
+		return nil, err
+	}
+	d.syms = make([]string, 0, nSyms)
+	d.symIDs = make([]symtab.ID, 0, nSyms)
+	for i := uint64(0); i < nSyms; i++ {
+		s, err := d.str()
 		if err != nil {
 			return nil, fmt.Errorf("ric: symbol table: %w", err)
 		}
-		if err := d.plausibleCount(nSyms, "symbol table"); err != nil {
-			return nil, err
+		id := symtab.None
+		if s != "" {
+			id = symtab.Intern(s)
 		}
-		d.syms = make([]string, 0, nSyms)
-		d.symIDs = make([]symtab.ID, 0, nSyms)
-		for i := uint64(0); i < nSyms; i++ {
-			s, err := d.str()
-			if err != nil {
-				return nil, fmt.Errorf("ric: symbol table: %w", err)
-			}
-			id := symtab.None
-			if s != "" {
-				id = symtab.Intern(s)
-			}
-			d.syms = append(d.syms, s)
-			d.symIDs = append(d.symIDs, id)
-		}
+		d.syms = append(d.syms, s)
+		d.symIDs = append(d.symIDs, id)
 	}
 
 	hcCount, err := d.uvarint()
@@ -439,24 +441,23 @@ func Decode(data []byte) (*Record, error) {
 			if err != nil {
 				return nil, fmt.Errorf("ric: deps[%d]: %w", i, err)
 			}
-			accessKind, err := d.uvarint()
+			accessKind, err := d.bounded(false, 0, math.MaxUint8)
 			if err != nil {
 				return nil, fmt.Errorf("ric: deps[%d]: %w", i, err)
 			}
 			// Name resolution against the live symbol table happens exactly
-			// once — per table entry in v4, per occurrence in v3; every later
-			// preload comparison is an integer compare. Keyed sites persist
-			// an empty name and keep the None ID, matching the slots the VM
-			// registers for them.
+			// once per table entry; every later preload comparison is an
+			// integer compare. Keyed sites persist an empty name and keep
+			// the None ID, matching the slots the VM registers for them.
 			siteName, nameID, err := d.name()
 			if err != nil {
 				return nil, fmt.Errorf("ric: deps[%d]: %w", i, err)
 			}
-			kind, err := d.uvarint()
+			kind, err := d.bounded(false, 0, math.MaxUint8)
 			if err != nil {
 				return nil, fmt.Errorf("ric: deps[%d]: %w", i, err)
 			}
-			off, err := d.varint()
+			off, err := d.bounded(true, math.MinInt32, math.MaxInt32)
 			if err != nil {
 				return nil, fmt.Errorf("ric: deps[%d]: %w", i, err)
 			}
@@ -464,7 +465,7 @@ func Decode(data []byte) (*Record, error) {
 			if err != nil {
 				return nil, fmt.Errorf("ric: deps[%d]: %w", i, err)
 			}
-			inner, err := d.uvarint()
+			inner, err := d.bounded(false, 0, math.MaxUint8)
 			if err != nil {
 				return nil, fmt.Errorf("ric: deps[%d]: %w", i, err)
 			}
@@ -501,11 +502,11 @@ func Decode(data []byte) (*Record, error) {
 		}
 		var pairs []Pair
 		for j := uint64(0); j < nPairs; j++ {
-			in, err := d.varint()
+			in, err := d.bounded(true, math.MinInt32, math.MaxInt32)
 			if err != nil {
 				return nil, fmt.Errorf("ric: site TOAST: %w", err)
 			}
-			out, err := d.varint()
+			out, err := d.bounded(true, math.MinInt32, math.MaxInt32)
 			if err != nil {
 				return nil, fmt.Errorf("ric: site TOAST: %w", err)
 			}
@@ -526,7 +527,7 @@ func Decode(data []byte) (*Record, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ric: builtin TOAST: %w", err)
 		}
-		id, err := d.uvarint()
+		id, err := d.bounded(false, 0, math.MaxInt32)
 		if err != nil {
 			return nil, fmt.Errorf("ric: builtin TOAST: %w", err)
 		}
@@ -548,43 +549,41 @@ func Decode(data []byte) (*Record, error) {
 		r.RejectedSites[site] = true
 	}
 
-	if ver >= recordVersion {
-		nTyped, err := d.uvarint()
+	nTyped, err := d.uvarint()
+	if err != nil {
+		return nil, fmt.Errorf("ric: typed shapes: %w", err)
+	}
+	if err := d.plausibleCount(nTyped, "typed shapes"); err != nil {
+		return nil, err
+	}
+	for i := uint64(0); i < nTyped; i++ {
+		id, err := d.bounded(false, 0, math.MaxInt32)
 		if err != nil {
 			return nil, fmt.Errorf("ric: typed shapes: %w", err)
 		}
-		if err := d.plausibleCount(nTyped, "typed shapes"); err != nil {
+		nClaims, err := d.uvarint()
+		if err != nil {
+			return nil, fmt.Errorf("ric: typed shapes[%d]: %w", id, err)
+		}
+		if err := d.plausibleCount(nClaims, "typed shape claims"); err != nil {
 			return nil, err
 		}
-		for i := uint64(0); i < nTyped; i++ {
-			id, err := d.uvarint()
-			if err != nil {
-				return nil, fmt.Errorf("ric: typed shapes: %w", err)
-			}
-			nClaims, err := d.uvarint()
+		claims := make([]SlotClaim, 0, nClaims)
+		for j := uint64(0); j < nClaims; j++ {
+			off, err := d.bounded(false, 0, math.MaxInt32)
 			if err != nil {
 				return nil, fmt.Errorf("ric: typed shapes[%d]: %w", id, err)
 			}
-			if err := d.plausibleCount(nClaims, "typed shape claims"); err != nil {
-				return nil, err
+			tag, err := d.buf.ReadByte()
+			if err != nil {
+				return nil, fmt.Errorf("ric: typed shapes[%d]: %w", id, err)
 			}
-			claims := make([]SlotClaim, 0, nClaims)
-			for j := uint64(0); j < nClaims; j++ {
-				off, err := d.uvarint()
-				if err != nil {
-					return nil, fmt.Errorf("ric: typed shapes[%d]: %w", id, err)
-				}
-				tag, err := d.buf.ReadByte()
-				if err != nil {
-					return nil, fmt.Errorf("ric: typed shapes[%d]: %w", id, err)
-				}
-				if !objects.ValidSlotTag(objects.SlotType(tag)) {
-					return nil, fmt.Errorf("ric: typed shapes[%d]: invalid slot type tag %d", id, tag)
-				}
-				claims = append(claims, SlotClaim{Offset: int32(off), Type: objects.SlotType(tag)})
+			if !objects.ValidSlotTag(objects.SlotType(tag)) {
+				return nil, fmt.Errorf("ric: typed shapes[%d]: invalid slot type tag %d", id, tag)
 			}
-			r.TypedSlots[int32(id)] = claims
+			claims = append(claims, SlotClaim{Offset: int32(off), Type: objects.SlotType(tag)})
 		}
+		r.TypedSlots[int32(id)] = claims
 	}
 
 	if d.buf.Len() != 0 {

@@ -59,10 +59,8 @@ type DepEntry struct {
 
 // SlotClaim is one typed-shape claim of an HCVT row: the slot at Offset of
 // the row's hidden class only ever holds values of Type. Claims are
-// computed by the static value-type analysis at extraction, verified
-// offline by riclint (VerifyTyped), and applied to the live hidden class
-// when the row validates in a Reuse run, upgrading its monomorphic load
-// sites to the typed fast path.
+// computed by the static value-type analysis at extraction and verified
+// offline by riclint (VerifyTyped).
 type SlotClaim struct {
 	Offset int32
 	Type   objects.SlotType

@@ -59,6 +59,16 @@ func NewReuser(rec *Record, prof *profiler.Counters, slotFor func(source.Site) *
 	}
 }
 
+// ValidatedClass returns the live hidden class validated for HCID id in
+// this run, or nil when the row is out of range or not validated. Tests
+// use it to map a record's rows back to the classes the run built.
+func (r *Reuser) ValidatedClass(id int32) *objects.HiddenClass {
+	if id < 0 || int(id) >= len(r.hcs) {
+		return nil
+	}
+	return r.hcs[id]
+}
+
 // SetSlotResolver installs the site-to-slot resolver; needed because the
 // VM and its hooks reference each other.
 func (r *Reuser) SetSlotResolver(fn func(source.Site) *ic.Slot) { r.slotFor = fn }
@@ -181,14 +191,6 @@ func (r *Reuser) validate(creator objects.Creator, id int32, hc *objects.HiddenC
 	r.addr[id] = hc.Addr()
 	r.valid[id] = true
 	r.hcs[id] = hc
-	// Apply the row's typed-shape claims before preloading dependents, so
-	// load-site entries installed from here on upgrade to the typed fast
-	// path. Claims are advisory for correctness: the store path clears any
-	// claim a concrete value ever violates (possible only with a lying
-	// record), and the typed dispatch reads the live claim.
-	for _, c := range r.rec.TypedSlots[id] {
-		hc.SetSlotType(int(c.Offset), c.Type)
-	}
 	if r.prof != nil {
 		r.prof.Validate()
 	}

@@ -2,8 +2,6 @@ package ric
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -140,58 +138,25 @@ func TestVerifyTypedRejectsClaimOnMissingSlot(t *testing.T) {
 // could alias future lattice elements).
 func TestDecodeRejectsBadTypeTag(t *testing.T) {
 	for _, tag := range []byte{0 /* ⊤ */, 7 /* ⊥ */, 200} {
-		var b bytes.Buffer
-		b.Write(recordTag)
-		b.WriteByte(recordVersion)
-		uv := func(v uint64) {
-			var tmp [binary.MaxVarintLen64]byte
-			b.Write(tmp[:binary.PutUvarint(tmp[:], v)])
-		}
-		uv(0) // label: empty string
-		uv(0) // flags
-		uv(0) // script table: empty
-		uv(0) // symbol table: empty
-		uv(1) // one hidden class
-		uv(0) // ... with no dependents
-		uv(0) // site TOAST: empty
-		uv(0) // builtin TOAST: empty
-		uv(0) // rejected sites: empty
-		uv(1) // one typed shape
-		uv(0) // ... HCID 0
-		uv(1) // ... one claim
-		uv(0) // ... at offset 0
-		b.WriteByte(tag)
-		var trailer [recordTrailerLen]byte
-		binary.LittleEndian.PutUint32(trailer[:], crc32.ChecksumIEEE(b.Bytes()))
-		b.Write(trailer[:])
-		if _, err := Decode(b.Bytes()); err == nil {
+		data := wireRecord(func(w *wireWriter) {
+			w.str("") // label
+			w.uv(0)   // flags
+			w.uv(0)   // script table: empty
+			w.uv(0)   // symbol table: empty
+			w.uv(1)   // one hidden class
+			w.uv(0)   // ... with no dependents
+			w.uv(0)   // site TOAST: empty
+			w.uv(0)   // builtin TOAST: empty
+			w.uv(0)   // rejected sites: empty
+			w.uv(1)   // one typed shape
+			w.uv(0)   // ... HCID 0
+			w.uv(1)   // ... one claim
+			w.uv(0)   // ... at offset 0
+			w.WriteByte(tag)
+		})
+		if _, err := Decode(data); err == nil {
 			t.Fatalf("type tag %d was accepted", tag)
 		}
-	}
-}
-
-// TestReuseAppliesTypedClaims runs the full pipeline: an Initial run's
-// record carries typed claims; a Reuse run validates the hidden classes,
-// applies the claims, and serves monomorphic loads through the typed fast
-// path — with output identical to a conventional run.
-func TestReuseAppliesTypedClaims(t *testing.T) {
-	rec, _ := extractTypedPointRecord(t)
-	if rec.Stats.TypedSlotClaims == 0 {
-		t.Fatal("record carries no typed claims")
-	}
-	conventional := vm.New(vm.Options{})
-	if _, err := conventional.RunProgram(compileSrc(t, "lib.js", pointFixtureSrc)); err != nil {
-		t.Fatal(err)
-	}
-	v2, _ := reuseRun(t, pointFixtureSrc, rec)
-	if got, want := v2.Output(), conventional.Output(); got != want {
-		t.Fatalf("typed reuse run diverged: %q vs %q", got, want)
-	}
-	if hits := v2.Prof.Snapshot().TypedFastHits; hits == 0 {
-		t.Fatal("reuse run served no typed fast hits despite claims in the record")
-	}
-	if hits := conventional.Prof.Snapshot().TypedFastHits; hits != 0 {
-		t.Fatalf("conventional run recorded %d typed hits", hits)
 	}
 }
 

@@ -162,16 +162,6 @@ const (
 	// completion (wall-clock, not deterministic).
 	EvLoadComplete
 
-	// EvQuicken is one instruction word rewritten to a quickened opcode in
-	// the VM's private executable code copy; N is the code offset. Only
-	// emitted when quickening is enabled, so golden traces (which run with
-	// it off) never contain it.
-	EvQuicken
-	// EvDequicken is a quickened instruction word restored to its
-	// canonical base op (IC slot left the monomorphic state, or a
-	// quickened guard failed); N is the code offset.
-	EvDequicken
-
 	// NumTypes is the number of event types (array sizing).
 	NumTypes
 )
@@ -218,8 +208,6 @@ var typeNames = [NumTypes]string{
 	EvPoolSnapshotError:   "pool-snapshot-error",
 	EvLoadArrival:         "load-arrival",
 	EvLoadComplete:        "load-complete",
-	EvQuicken:             "quicken",
-	EvDequicken:           "dequicken",
 }
 
 // String returns the stable wire name of the event type. These names are

@@ -115,15 +115,6 @@ func (vm *VM) loadNamed(objVal objects.Value, slot *ic.Slot) (objects.Value, err
 			vm.emit(trace.EvICHit, slot.Site, slot.Name, int64(idx))
 			return o.Slot(int(e.FastOffset)), nil
 		}
-		if e.Fast == ic.FastLoadFieldTyped && !e.Preloaded {
-			// Typed denormalized hit (LoadNamedTypedFast when the inline
-			// dispatch path is bypassed, e.g. under a site observer):
-			// identical accounting, typed-slot read.
-			vm.Prof.Hit(idx, false)
-			vm.Prof.TypedFastHit()
-			vm.emit(trace.EvICHit, slot.Site, slot.Name, int64(idx))
-			return o.TypedSlot(int(e.FastOffset), hc.SlotType(int(e.FastOffset))), nil
-		}
 		if vm.staleProtoHandler(e.H) {
 			// A prototype in some chain changed shape since this handler
 			// was generated; evict it and take the miss path, which will

@@ -53,33 +53,33 @@ type Options struct {
 	SiteObserver func(site source.Site, kind ic.AccessKind, hc *objects.HiddenClass)
 	// StoreObserver, when set, is invoked after every named-property
 	// store or layout transition script execution performs, with the
-	// receiver in its post-store state. The typed-shape differential
+	// receiver in its post-store state. The typed-shape soundness
 	// gate uses it to assert that no concrete store ever places a value
 	// violating a claimed slot type. Setting it routes stores through
 	// the runtime helper (like SiteObserver does for all IC accesses),
 	// which performs identical accounting to the inline paths.
 	StoreObserver func(o *objects.Object)
-	// Quicken enables bytecode quickening: after an inline monomorphic
-	// hit, the instruction word is rewritten in place — in this VM's
-	// private executable copy of the code, never in the shared canonical
-	// bytecode — to a specialized opcode carrying the fast offset inline.
-	// Quickened code validates its guards on every execution and
-	// de-quickens back to the base op the moment a guard fails, so it can
-	// never observe stale IC state. Abstract instruction accounting,
-	// program output, and traces (except the quicken/de-quicken events
-	// and gauges) are byte-identical with and without it.
-	Quicken bool
-	// Fuse enables superinstruction fusion: at code-copy materialization,
-	// the hottest adjacent opcode pairs (selected by the ricbench -opstats
-	// histogram) are rewritten into single fused opcodes. Only the first
-	// opcode word of a pair is overwritten and pairs whose second half is
-	// a jump target are left unfused, so every branch still lands on a
-	// valid instruction. Accounting is identical to the unfused pair.
-	Fuse bool
 	// CollectOpStats enables the executed-opcode and adjacent-pair
 	// histogram (ricbench -opstats). Deterministic: it counts dispatched
 	// opcodes in the abstract accounting layer, not wall-clock samples.
 	CollectOpStats bool
+}
+
+// OpStats is the executed-opcode and adjacent-pair histogram collected by
+// Options.CollectOpStats (ricbench -opstats). Counts come from the
+// dispatch loop itself — the same points the abstract accounting layer
+// charges — so they are deterministic for a deterministic program. Pairs
+// is a flat [NumOps][NumOps] matrix indexed a*NumOps+b, counting b
+// dispatched at exactly the offset a fell through to (taken jumps break
+// the chain).
+type OpStats struct {
+	Ops   [bytecode.NumOps]uint64
+	Pairs [bytecode.NumOps * bytecode.NumOps]uint64
+}
+
+// Pair returns the count of the adjacent pair (a, b).
+func (s *OpStats) Pair(a, b bytecode.Op) uint64 {
+	return s.Pairs[int(a)*bytecode.NumOps+int(b)]
 }
 
 // VM is one engine execution context: heap, globals, feedback vectors,
@@ -144,15 +144,6 @@ type VM struct {
 	steps     uint64
 	callStack []string
 
-	// quicken/fuse mirror Options; execCode holds this VM's private
-	// executable copy of each function's bytecode, materialized lazily
-	// when either is enabled. Canonical FuncProto.Code — shared across
-	// VMs via the code cache and snapshots — is never written, which is
-	// the whole race-freedom argument: all rewrites land in per-VM copies
-	// owned by this single-threaded isolate.
-	quicken  bool
-	fuse     bool
-	execCode map[*bytecode.FuncProto][]uint32
 	// opStats, when non-nil, accumulates the executed-opcode and
 	// adjacent-pair histogram at dispatch (one predictable branch per
 	// instruction when disabled, like tracing).
@@ -202,11 +193,6 @@ func New(opts Options) *VM {
 		maxSteps:         opts.MaxSteps,
 		builtinObjByName: make(map[string]*objects.Object),
 		builtinNameByObj: make(map[*objects.Object]string),
-		quicken:          opts.Quicken,
-		fuse:             opts.Fuse,
-	}
-	if opts.Quicken || opts.Fuse {
-		vm.execCode = make(map[*bytecode.FuncProto][]uint32)
 	}
 	if opts.CollectOpStats {
 		vm.opStats = &OpStats{}
@@ -230,6 +216,9 @@ func New(opts Options) *VM {
 	vm.tr = opts.Trace
 	return vm
 }
+
+// OpStats returns the VM's histogram, or nil when collection is disabled.
+func (vm *VM) OpStats() *OpStats { return vm.opStats }
 
 // Trace returns the VM's trace buffer (nil when tracing is disabled).
 func (vm *VM) Trace() *trace.Buffer { return vm.tr }
@@ -469,12 +458,8 @@ func (vm *VM) CallFunction(fn objects.Value, this objects.Value, args []objects.
 
 // frame is one activation record.
 type frame struct {
-	proto *bytecode.FuncProto
-	vec   *ic.Vector
-	// code is the instruction stream exec dispatches on: proto.Code
-	// normally, the VM's private quickenable copy when quickening or
-	// fusion is enabled.
-	code   []uint32
+	proto  *bytecode.FuncProto
+	vec    *ic.Vector
 	locals []objects.Value
 	stack  []objects.Value
 	ctx    *objects.Context
@@ -510,10 +495,6 @@ func (vm *VM) runFunction(proto *bytecode.FuncProto, closure *objects.Context, t
 	f := vm.acquireFrame(proto.NumLocals)
 	f.proto = proto
 	f.vec = vec
-	f.code = proto.Code
-	if vm.execCode != nil {
-		f.code = vm.execCodeFor(proto)
-	}
 	f.this = this
 	f.ctx = closure
 	for i := 0; i < proto.NumParams && i < len(args); i++ {
@@ -563,7 +544,6 @@ func (vm *VM) releaseFrame(f *frame) {
 	f.tries = f.tries[:0]
 	f.proto = nil
 	f.vec = nil
-	f.code = nil
 	f.ctx = nil
 	f.this = objects.Value{}
 	vm.framePool = append(vm.framePool, f)
@@ -590,7 +570,7 @@ func (f *frame) peek() objects.Value { return f.stack[len(f.stack)-1] }
 // frame pool retains the (possibly regrown) backing array; nothing reads
 // f.stack while exec runs.
 func (vm *VM) exec(f *frame) (objects.Value, error) {
-	code := f.code
+	code := f.proto.Code
 	consts := f.proto.Consts
 	names := f.proto.Names
 	locals := f.locals
@@ -673,9 +653,6 @@ func (vm *VM) exec(f *frame) (objects.Value, error) {
 					if vm.tr != nil {
 						vm.tr.Emit(trace.EvICHit, slot.Site, slot.Name, int64(idx))
 					}
-					if vm.quicken && slot.State == ic.Monomorphic {
-						vm.quickenAt(code, pc, bytecode.OpLoadGlobalMonoFast, uint32(e.FastOffset), slot)
-					}
 					stack = append(stack, o.Slot(int(e.FastOffset)))
 					pc += 3
 					continue
@@ -709,40 +686,14 @@ func (vm *VM) exec(f *frame) (objects.Value, error) {
 			slot := f.vec.Slot(int(code[pc+2]))
 			obj := stack[len(stack)-1]
 			if o := obj.Obj(); o != nil && vm.siteObs == nil && slot.State != ic.Megamorphic && !o.IsDictionary() {
-				if e, idx := slot.Find(o.HC()); e != nil && !e.Preloaded {
-					if e.Fast == ic.FastLoadField {
-						prof.Hit(idx, false)
-						if vm.tr != nil {
-							vm.tr.Emit(trace.EvICHit, slot.Site, slot.Name, int64(idx))
-						}
-						if vm.quicken && slot.State == ic.Monomorphic {
-							vm.quickenAt(code, pc, bytecode.OpLoadNamedMonoFast, uint32(e.FastOffset), slot)
-						}
-						stack[len(stack)-1] = o.Slot(int(e.FastOffset))
-						pc += 3
-						continue
+				if e, idx := slot.Find(o.HC()); e != nil && e.Fast == ic.FastLoadField && !e.Preloaded {
+					prof.Hit(idx, false)
+					if vm.tr != nil {
+						vm.tr.Emit(trace.EvICHit, slot.Site, slot.Name, int64(idx))
 					}
-					if e.Fast == ic.FastLoadFieldTyped {
-						// LoadNamedTypedFast: the slot carries a verified
-						// static type, so the read switches on the claim
-						// instead of the boxed value's dynamic kind. The
-						// claim is read live from the hidden class so a
-						// store-path deopt takes effect immediately.
-						// Accounting is identical to the untyped hit — the
-						// typed counter is a separate gauge — so
-						// instruction counts and traces stay byte-identical.
-						prof.Hit(idx, false)
-						prof.TypedFastHit()
-						if vm.tr != nil {
-							vm.tr.Emit(trace.EvICHit, slot.Site, slot.Name, int64(idx))
-						}
-						if vm.quicken && slot.State == ic.Monomorphic {
-							vm.quickenAt(code, pc, bytecode.OpLoadNamedTypedFast, uint32(e.FastOffset), slot)
-						}
-						stack[len(stack)-1] = o.TypedSlot(int(e.FastOffset), o.HC().SlotType(int(e.FastOffset)))
-						pc += 3
-						continue
-					}
+					stack[len(stack)-1] = o.Slot(int(e.FastOffset))
+					pc += 3
+					continue
 				}
 			}
 			var v objects.Value
@@ -764,9 +715,6 @@ func (vm *VM) exec(f *frame) (objects.Value, error) {
 					prof.Hit(idx, false)
 					if vm.tr != nil {
 						vm.tr.Emit(trace.EvICHit, slot.Site, slot.Name, int64(idx))
-					}
-					if vm.quicken && slot.State == ic.Monomorphic {
-						vm.quickenAt(code, pc, bytecode.OpStoreNamedMonoFast, uint32(e.FastOffset), slot)
 					}
 					o.SetSlot(int(e.FastOffset), v)
 					vm.maybeInvalidateCtorHCID(o, slot.NameID)
@@ -794,9 +742,6 @@ func (vm *VM) exec(f *frame) (objects.Value, error) {
 						prof.Hit(0, false)
 						if vm.tr != nil {
 							vm.tr.Emit(trace.EvICHit, slot.Site, slot.Name, 0)
-						}
-						if vm.quicken {
-							vm.quickenAt(code, pc, bytecode.OpLoadKeyedElemFast, code[pc+1], slot)
 						}
 						stack = stack[:len(stack)-2]
 						stack = append(stack, o.Elem(idx))
@@ -1077,255 +1022,6 @@ func (vm *VM) exec(f *frame) (objects.Value, error) {
 			})
 		case bytecode.OpTryPop:
 			f.tries = f.tries[:len(f.tries)-1]
-
-		// ---- Runtime overlay: quickened opcodes ----
-		//
-		// Each quickened case validates every guard its base inline path
-		// checks — plus offset equality against the inline-baked operand,
-		// which subsumes any way the cached entry could have gone stale
-		// (polymorphic promotion and eviction change State or the entry,
-		// dictionary demotion swaps the hidden class, a re-monomorphized
-		// slot changes the offset). On a pass it performs exactly the base
-		// path's accounting; on any failure it de-quickens the word back
-		// to the canonical base op and re-dispatches it at the same pc,
-		// un-counting this dispatch so instruction counts and step budgets
-		// stay byte-identical with quickening off.
-		case bytecode.OpLoadNamedMonoFast:
-			slot := f.vec.Slot(int(code[pc+2]))
-			obj := stack[len(stack)-1]
-			if o := obj.Obj(); o != nil && vm.siteObs == nil && slot.State == ic.Monomorphic {
-				if e := &slot.Entries[0]; e.HC == o.HC() && e.Fast == ic.FastLoadField &&
-					e.FastOffset == int32(code[pc+1]) && !e.Preloaded {
-					prof.Hit(0, false)
-					if vm.tr != nil {
-						vm.tr.Emit(trace.EvICHit, slot.Site, slot.Name, 0)
-					}
-					prof.QuickenedExecution()
-					stack[len(stack)-1] = o.Slot(int(code[pc+1]))
-					pc += 3
-					continue
-				}
-			}
-			vm.dequickenAt(f, code, pc, slot)
-			ops--
-			if maxSteps > 0 {
-				vm.steps--
-			}
-			continue
-		case bytecode.OpLoadNamedTypedFast:
-			slot := f.vec.Slot(int(code[pc+2]))
-			obj := stack[len(stack)-1]
-			if o := obj.Obj(); o != nil && vm.siteObs == nil && slot.State == ic.Monomorphic {
-				if e := &slot.Entries[0]; e.HC == o.HC() && e.Fast == ic.FastLoadFieldTyped &&
-					e.FastOffset == int32(code[pc+1]) && !e.Preloaded {
-					// The claim is still read live from the hidden class, so
-					// a ClearSlotType deopt neutralizes the typed read here
-					// exactly as it does on the base typed path — no
-					// de-quicken needed for claim changes.
-					prof.Hit(0, false)
-					prof.TypedFastHit()
-					if vm.tr != nil {
-						vm.tr.Emit(trace.EvICHit, slot.Site, slot.Name, 0)
-					}
-					prof.QuickenedExecution()
-					stack[len(stack)-1] = o.TypedSlot(int(code[pc+1]), o.HC().SlotType(int(code[pc+1])))
-					pc += 3
-					continue
-				}
-			}
-			vm.dequickenAt(f, code, pc, slot)
-			ops--
-			if maxSteps > 0 {
-				vm.steps--
-			}
-			continue
-		case bytecode.OpStoreNamedMonoFast:
-			slot := f.vec.Slot(int(code[pc+2]))
-			v := stack[len(stack)-1]
-			obj := stack[len(stack)-2]
-			if o := obj.Obj(); o != nil && vm.siteObs == nil && vm.storeObs == nil && slot.State == ic.Monomorphic &&
-				!(o.IsArray() && slot.NameID == symtab.SymLength) {
-				if e := &slot.Entries[0]; e.HC == o.HC() && e.Fast == ic.FastStoreField &&
-					e.FastOffset == int32(code[pc+1]) && !e.Preloaded {
-					prof.Hit(0, false)
-					if vm.tr != nil {
-						vm.tr.Emit(trace.EvICHit, slot.Site, slot.Name, 0)
-					}
-					prof.QuickenedExecution()
-					o.SetSlot(int(code[pc+1]), v)
-					vm.maybeInvalidateCtorHCID(o, slot.NameID)
-					stack[len(stack)-2] = v
-					stack = stack[:len(stack)-1]
-					pc += 3
-					continue
-				}
-			}
-			vm.dequickenAt(f, code, pc, slot)
-			ops--
-			if maxSteps > 0 {
-				vm.steps--
-			}
-			continue
-		case bytecode.OpLoadGlobalMonoFast:
-			slot := f.vec.Slot(int(code[pc+2]))
-			if o := vm.global; vm.siteObs == nil && slot.State == ic.Monomorphic {
-				if e := &slot.Entries[0]; e.HC == o.HC() && e.Fast == ic.FastLoadField &&
-					e.FastOffset == int32(code[pc+1]) && !e.Preloaded {
-					prof.Hit(0, false)
-					if vm.tr != nil {
-						vm.tr.Emit(trace.EvICHit, slot.Site, slot.Name, 0)
-					}
-					prof.QuickenedExecution()
-					stack = append(stack, o.Slot(int(code[pc+1])))
-					pc += 3
-					continue
-				}
-			}
-			vm.dequickenAt(f, code, pc, slot)
-			ops--
-			if maxSteps > 0 {
-				vm.steps--
-			}
-			continue
-		case bytecode.OpLoadKeyedElemFast:
-			slot := f.vec.Slot(int(code[pc+1]))
-			key := stack[len(stack)-1]
-			obj := stack[len(stack)-2]
-			if o := obj.Obj(); o != nil && vm.siteObs == nil && slot.State == ic.Monomorphic {
-				if idx, isIndex := arrayIndex(key); isIndex && o.IsArray() {
-					if e := &slot.Entries[0]; e.HC == o.HC() && e.Fast == ic.FastLoadElement && !e.Preloaded {
-						prof.Hit(0, false)
-						if vm.tr != nil {
-							vm.tr.Emit(trace.EvICHit, slot.Site, slot.Name, 0)
-						}
-						prof.QuickenedExecution()
-						stack = stack[:len(stack)-2]
-						stack = append(stack, o.Elem(idx))
-						pc += 2
-						continue
-					}
-				}
-			}
-			vm.dequickenAt(f, code, pc, slot)
-			ops--
-			if maxSteps > 0 {
-				vm.steps--
-			}
-			continue
-
-		// ---- Runtime overlay: fused superinstructions ----
-		//
-		// A fused case inlines both halves of the pair. The second half
-		// charges its own op (ops++) and takes its own step-budget check,
-		// so accounting and LimitError points are identical to the
-		// unfused sequence. Fused halves never quicken further, and the
-		// fusion pass never fuses a pair whose second half is a jump
-		// target, so these words are only ever read by this case.
-		case bytecode.OpFusedLoadLocalLoadNamed:
-			prof.FusedExecution()
-			stack = append(stack, locals[code[pc+1]])
-			ops++
-			if maxSteps > 0 {
-				vm.steps++
-				if vm.steps > maxSteps {
-					f.stack = stack
-					prof.Charge(ops * profiler.CostOp)
-					return objects.Undefined(), &LimitError{Limit: "step budget"}
-				}
-			}
-			slot := f.vec.Slot(int(code[pc+4]))
-			obj := stack[len(stack)-1]
-			if o := obj.Obj(); o != nil && vm.siteObs == nil && slot.State != ic.Megamorphic && !o.IsDictionary() {
-				if e, idx := slot.Find(o.HC()); e != nil && !e.Preloaded {
-					if e.Fast == ic.FastLoadField {
-						prof.Hit(idx, false)
-						if vm.tr != nil {
-							vm.tr.Emit(trace.EvICHit, slot.Site, slot.Name, int64(idx))
-						}
-						stack[len(stack)-1] = o.Slot(int(e.FastOffset))
-						pc += 5
-						continue
-					}
-					if e.Fast == ic.FastLoadFieldTyped {
-						prof.Hit(idx, false)
-						prof.TypedFastHit()
-						if vm.tr != nil {
-							vm.tr.Emit(trace.EvICHit, slot.Site, slot.Name, int64(idx))
-						}
-						stack[len(stack)-1] = o.TypedSlot(int(e.FastOffset), o.HC().SlotType(int(e.FastOffset)))
-						pc += 5
-						continue
-					}
-				}
-			}
-			var v objects.Value
-			v, err = vm.loadNamed(obj, slot)
-			if err == nil {
-				stack[len(stack)-1] = v
-			} else {
-				stack = stack[:len(stack)-1]
-			}
-		case bytecode.OpFusedDupStoreNamed:
-			prof.FusedExecution()
-			stack = append(stack, stack[len(stack)-1])
-			ops++
-			if maxSteps > 0 {
-				vm.steps++
-				if vm.steps > maxSteps {
-					f.stack = stack
-					prof.Charge(ops * profiler.CostOp)
-					return objects.Undefined(), &LimitError{Limit: "step budget"}
-				}
-			}
-			slot := f.vec.Slot(int(code[pc+3]))
-			v := stack[len(stack)-1]
-			obj := stack[len(stack)-2]
-			if o := obj.Obj(); o != nil && vm.siteObs == nil && vm.storeObs == nil && slot.State != ic.Megamorphic &&
-				!o.IsDictionary() && !(o.IsArray() && slot.NameID == symtab.SymLength) {
-				if e, idx := slot.Find(o.HC()); e != nil && e.Fast == ic.FastStoreField && !e.Preloaded {
-					prof.Hit(idx, false)
-					if vm.tr != nil {
-						vm.tr.Emit(trace.EvICHit, slot.Site, slot.Name, int64(idx))
-					}
-					o.SetSlot(int(e.FastOffset), v)
-					vm.maybeInvalidateCtorHCID(o, slot.NameID)
-					stack[len(stack)-2] = v
-					stack = stack[:len(stack)-1]
-					pc += 4
-					continue
-				}
-			}
-			stack = stack[:len(stack)-2]
-			err = vm.storeNamed(obj, v, slot)
-			if err == nil {
-				stack = append(stack, v)
-			}
-		case bytecode.OpFusedLtJumpIfFalse:
-			prof.FusedExecution()
-			b, a := stack[len(stack)-1], stack[len(stack)-2]
-			stack = stack[:len(stack)-2]
-			var cond bool
-			if a.IsString() && b.IsString() {
-				cond = a.Str() < b.Str()
-			} else {
-				cond = a.ToNumber() < b.ToNumber()
-			}
-			ops++
-			if maxSteps > 0 {
-				vm.steps++
-				if vm.steps > maxSteps {
-					// The unfused run would abort at the JumpIfFalse
-					// dispatch with the comparison result still pushed.
-					stack = append(stack, objects.Bool(cond))
-					f.stack = stack
-					prof.Charge(ops * profiler.CostOp)
-					return objects.Undefined(), &LimitError{Limit: "step budget"}
-				}
-			}
-			if !cond {
-				pc = int(code[pc+2])
-				continue
-			}
 
 		default:
 			f.stack = stack

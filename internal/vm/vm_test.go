@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ricjs/internal/bytecode"
+	"ricjs/internal/objects"
 	"ricjs/internal/parser"
 )
 
@@ -503,4 +504,93 @@ func TestGlobalFunctions(t *testing.T) {
 		print(parseInt('42.9'), parseFloat('2.5'), isNaN('x'), isNaN(1));
 		print(String(12), Number('8') + 1, new Object().toString());
 	`, "42 2.5 true false\n12 9 [object Object]\n")
+}
+
+// compileFor compiles src under the script name, failing the test on error.
+func compileFor(t *testing.T, script, src string) *bytecode.Program {
+	t.Helper()
+	ast, err := parser.Parse(script, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := bytecode.Compile(ast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
+// runScript executes src on v, failing the test on error.
+func runScript(t *testing.T, v *VM, src string) {
+	t.Helper()
+	if _, err := v.RunProgram(compileFor(t, "test.js", src)); err != nil {
+		t.Fatalf("run %q: %v", src, err)
+	}
+}
+
+// TestOpStatsCollection checks the dispatch-loop histogram: opcode counts
+// accumulate, adjacent pairs are counted only on fall-through, and a VM
+// without collection reports nil.
+func TestOpStatsCollection(t *testing.T) {
+	v := New(Options{AddressSeed: 1, CollectOpStats: true})
+	runScript(t, v, `
+		function g(o) { var t = o.a; return t; }
+		var r = g({a: 1}) + g({a: 2});
+		print(r);
+	`)
+	if got := v.Output(); got != "3\n" {
+		t.Fatalf("output %q, want %q", got, "3\n")
+	}
+	s := v.OpStats()
+	if s == nil {
+		t.Fatal("CollectOpStats VM returned nil OpStats")
+	}
+	if s.Ops[bytecode.OpLoadLocal] == 0 || s.Ops[bytecode.OpLoadNamed] == 0 {
+		t.Fatalf("opcode counts missing: LoadLocal=%d LoadNamed=%d",
+			s.Ops[bytecode.OpLoadLocal], s.Ops[bytecode.OpLoadNamed])
+	}
+	// g's body dispatches `o.a` right after loading the local, twice.
+	if got := s.Pair(bytecode.OpLoadLocal, bytecode.OpLoadNamed); got < 2 {
+		t.Fatalf("Pair(LoadLocal, LoadNamed) = %d, want >= 2", got)
+	}
+	if plain := New(Options{AddressSeed: 1}); plain.OpStats() != nil {
+		t.Fatal("plain VM reported a non-nil OpStats")
+	}
+}
+
+// TestBadOpcodeThrows pins the dispatch loop's default case: an opcode
+// outside the instruction set raises a catchable VM error, it does not
+// crash the interpreter.
+func TestBadOpcodeThrows(t *testing.T) {
+	proto := &bytecode.FuncProto{
+		Name:   "<main>",
+		Script: "bad.js",
+		Code:   []uint32{9999},
+	}
+	_, err := New(Options{AddressSeed: 1}).RunProgram(&bytecode.Program{Script: "bad.js", Toplevel: proto})
+	if err == nil || !strings.Contains(err.Error(), "bad opcode") {
+		t.Fatalf("bad opcode produced %v, want a bad-opcode error", err)
+	}
+}
+
+// A store observer sees every named store with the receiver in its
+// post-store state — the feed the differential soundness gate runs on.
+func TestStoreObserverSeesConstructorStores(t *testing.T) {
+	var seen int
+	v := New(Options{AddressSeed: 1, StoreObserver: func(o *objects.Object) { seen++ }})
+	prog := compileFor(t, "lib.js", `
+		function Point(x, y) { this.x = x; this.y = y; }
+		var a = new Point(1, 2);
+		var b = new Point(3, 4);
+		a.x = 9;
+	`)
+	if _, err := v.RunProgram(prog); err != nil {
+		t.Fatal(err)
+	}
+	// 2 constructors × 2 field stores + 1 reassignment + global/prototype
+	// bookkeeping stores; the exact total would over-pin implementation
+	// details, but the five script-visible stores are a hard floor.
+	if seen < 5 {
+		t.Errorf("observer saw %d stores, want >= 5", seen)
+	}
 }

@@ -228,8 +228,8 @@ func emitDict(b *strings.Builder, r *rng, p Profile) {
 	fmt.Fprintf(b, "\tfunction dfast(e) { return e.k0 + e.k%d; }\n", n-1)
 	fmt.Fprintf(b, "\tfor (var dg = 0; dg < %d; dg++) acc += dfast(fast);\n", p.ReadLoops)
 	// Delete demotion poisons the whole Entry lineage for typed-shape
-	// inference (any Entry might go dictionary), so the typed fast path
-	// needs a companion that is never deleted: a tally whose float slot
+	// inference (any Entry might go dictionary), so typed-shape claims
+	// need a companion that is never deleted: a tally whose float slot
 	// keeps its claim and whose reads contrast with the generic lookups.
 	b.WriteString("\tfunction DTally(seed) { this.total = seed * 0.5; this.n = seed; }\n")
 	b.WriteString("\tvar tally = new DTally(3);\n")

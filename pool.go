@@ -64,14 +64,6 @@ type PoolOptions struct {
 	// a pool-unique session ID and the record key's cache-shard index, and
 	// returned in SessionResult.Trace. Zero disables tracing.
 	TraceCapacity int
-	// Quicken enables bytecode quickening in every session's VM. Compiled
-	// code stays shared and immutable across sessions — each VM overlays a
-	// private executable copy — so sessions never observe each other's
-	// quickening and results are byte-identical with it off.
-	Quicken bool
-	// Fuse enables superinstruction fusion in every session's VM, under
-	// the same private-copy isolation as Quicken.
-	Fuse bool
 }
 
 // SessionScript is one script of a session's workload.
@@ -260,8 +252,6 @@ type SessionPool struct {
 	includeGlobals bool
 	maxSteps       uint64
 	traceCap       int
-	quicken        bool
-	fuse           bool
 	sessionSeq     atomic.Uint64
 	shards         []recordShard
 	snapshots      sync.Map // key → *poolSnapshot, written once per key
@@ -310,8 +300,6 @@ func NewSessionPool(opts PoolOptions) *SessionPool {
 		includeGlobals: opts.IncludeGlobals,
 		maxSteps:       opts.MaxSteps,
 		traceCap:       opts.TraceCapacity,
-		quicken:        opts.Quicken,
-		fuse:           opts.Fuse,
 		shards:         make([]recordShard, n),
 	}
 	for i := range p.shards {
@@ -675,8 +663,6 @@ func (p *SessionPool) serveSnapshot(req SessionRequest, ev *poolEvents, tr *trac
 		RandSeed:    req.RandSeed,
 		MaxSteps:    p.maxSteps,
 		Trace:       tr,
-		Quicken:     p.quicken,
-		Fuse:        p.fuse,
 	})
 	if err := eng.RestoreSnapshot(ps.snap, ps.sources); err != nil {
 		p.stats.SnapshotError()
@@ -812,8 +798,6 @@ func (p *SessionPool) runSession(req SessionRequest, rec *Record, mode SessionMo
 		RandSeed:       req.RandSeed,
 		MaxSteps:       p.maxSteps,
 		Trace:          tr,
-		Quicken:        p.quicken,
-		Fuse:           p.fuse,
 	})
 	for _, s := range req.Scripts {
 		if err := eng.Run(s.Name, s.Src); err != nil {

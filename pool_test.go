@@ -120,70 +120,6 @@ func TestSessionPoolStress(t *testing.T) {
 	}
 }
 
-// TestSessionPoolQuickenedStress proves quickening isolation under the
-// pool: many concurrent sessions share one code cache (so the canonical
-// compiled []uint32 for each key is a single shared object) with
-// quickening and fusion on, and every session's output must still be
-// byte-identical to a sequential quickening-off run. Each VM quickens a
-// private executable copy, so under -race this also proves sessions never
-// observe each other's rewrites. Every session must actually execute
-// quickened instructions, or the isolation claim is vacuous.
-func TestSessionPoolQuickenedStress(t *testing.T) {
-	const (
-		nkeys    = 4
-		sessions = 40
-	)
-	want := sequentialOutputs(t, nkeys)
-
-	cache := ricjs.NewCodeCache()
-	pool := ricjs.NewSessionPool(ricjs.PoolOptions{
-		Cache:         cache,
-		WaitForRecord: true,
-		Quicken:       true,
-		Fuse:          true,
-	})
-	results := make([]*ricjs.SessionResult, sessions)
-	errs := make([]error, sessions)
-	keys := make([]string, sessions)
-
-	var wg sync.WaitGroup
-	for s := 0; s < sessions; s++ {
-		key, script, src := poolLib(s % nkeys)
-		keys[s] = key
-		wg.Add(1)
-		go func(s int, req ricjs.SessionRequest) {
-			defer wg.Done()
-			results[s], errs[s] = pool.Serve(req)
-		}(s, ricjs.SessionRequest{
-			Key:     key,
-			Scripts: []ricjs.SessionScript{{Name: script, Src: src}},
-		})
-	}
-	wg.Wait()
-
-	var quickened uint64
-	for s := 0; s < sessions; s++ {
-		if errs[s] != nil {
-			t.Fatalf("session %d: %v", s, errs[s])
-		}
-		res := results[s]
-		if res.Output != want[keys[s]] {
-			t.Fatalf("session %d (%s): quickened output %q, quickening-off sequential run produced %q",
-				s, keys[s], res.Output, want[keys[s]])
-		}
-		if res.Stats.QuickenedExecutions == 0 {
-			t.Fatalf("session %d (%s) executed no quickened instructions", s, keys[s])
-		}
-		quickened += res.Stats.QuickenedExecutions
-	}
-	if quickened == 0 {
-		t.Fatal("no session quickened anything")
-	}
-	if stats := pool.Stats(); stats.DegradedSessions != 0 {
-		t.Fatalf("DegradedSessions = %d, want 0", stats.DegradedSessions)
-	}
-}
-
 // TestSessionPoolNoWaitRunsConventionally covers the other single-flight
 // policy: contenders that find extraction in flight proceed record-free
 // instead of blocking, and still never duplicate the extraction.

@@ -157,17 +157,6 @@ type Options struct {
 	// excluded, and a degradation resets the buffer alongside the fresh
 	// profiler so the two stay reconcilable.
 	Trace *trace.Buffer
-	// Quicken enables bytecode quickening: monomorphic IC sites rewrite
-	// their instruction word, in the VM's private executable copy of the
-	// code, to a fast form carrying the cached field offset inline. A
-	// runtime-only overlay — compiled bytecode, records, analysis, and
-	// traces all see canonical opcodes, and abstract instruction counts are
-	// identical with it on or off.
-	Quicken bool
-	// Fuse enables superinstruction fusion: the hottest adjacent opcode
-	// pairs (measured by ricbench -opstats) dispatch as one fused opcode in
-	// the VM's private code copy. Accounting-neutral like Quicken.
-	Fuse bool
 	// CollectOpStats makes the VM count executed opcodes and adjacent
 	// opcode pairs (the ricbench -opstats histogram). Deterministic for a
 	// deterministic program; costs one array update per dispatch.
@@ -214,8 +203,6 @@ const (
 	EvPreloadApplied   = trace.EvPreloadApplied
 	EvPreloadRejected  = trace.EvPreloadRejected
 	EvPreloadFiltered  = trace.EvPreloadFiltered
-	EvQuicken          = trace.EvQuicken
-	EvDequicken        = trace.EvDequicken
 	EvDegrade          = trace.EvDegrade
 	EvPoolSession      = trace.EvPoolSession
 	EvPoolAcquireHit   = trace.EvPoolAcquireHit
@@ -334,8 +321,6 @@ func NewEngine(opts Options) *Engine {
 		MaxSteps:       opts.MaxSteps,
 		RandSeed:       opts.RandSeed,
 		Trace:          opts.Trace,
-		Quicken:        opts.Quicken,
-		Fuse:           opts.Fuse,
 		CollectOpStats: opts.CollectOpStats,
 	})
 	if e.reuser != nil {
@@ -502,8 +487,6 @@ func (e *Engine) degrade(cause *EngineError) {
 		MaxSteps:       e.opts.MaxSteps,
 		RandSeed:       e.opts.RandSeed,
 		Trace:          e.opts.Trace,
-		Quicken:        e.opts.Quicken,
-		Fuse:           e.opts.Fuse,
 		CollectOpStats: e.opts.CollectOpStats,
 	})
 	e.vm.Prof.Degrade()
@@ -549,9 +532,8 @@ func (e *Engine) Degraded() (bool, *EngineError) {
 // ExtractRecord runs the extraction phase (paper §5.2.1) over the engine's
 // accumulated IC state, then attaches typed-shape claims computed by the
 // static value-type analysis of the session's scripts (the .ric v5
-// section): a Reuse run applies them to validated hidden classes,
-// upgrading monomorphic load sites to the typed fast path. Call it after
-// the Initial run completes; the engine is not modified.
+// section), which riclint re-verifies offline. Call it after the Initial
+// run completes; the engine is not modified.
 func (e *Engine) ExtractRecord(label string) *Record {
 	rec := ric.Extract(e.vm, label, ric.Config{IncludeGlobals: e.opts.IncludeGlobals})
 	// Analyze the session jointly, exactly as the static prefilter does:
