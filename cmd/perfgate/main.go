@@ -38,27 +38,7 @@ type gated struct {
 }
 
 type baseline struct {
-	Workloads []gated       `json:"workloads"`
-	Load      *loadBaseline `json:"load,omitempty"`
-}
-
-// loadBaseline is the committed throughput floor for the open-loop load
-// harness (`ricbench -load`). Unlike the exact counters above this is a
-// wall-clock number, so it is gated as a conservative floor, not a diff:
-// the measured sessions/sec must not drop below it. The committed floor is
-// deliberately far under healthy throughput — it exists to catch the read
-// path growing a lock or sessions serializing, which cuts throughput by
-// integer factors, not percents.
-type loadBaseline struct {
-	SessionsPerSecFloor float64 `json:"sessionsPerSecFloor"`
-}
-
-// loadBlock is the slice of the ricbench `load` JSON block the gate reads.
-type loadBlock struct {
-	SessionsPerSec    float64 `json:"sessionsPerSec"`
-	Failures          int     `json:"failures"`
-	OutputMismatches  int     `json:"outputMismatches"`
-	ShardLockAcquires uint64  `json:"shardLockAcquires"`
+	Workloads []gated `json:"workloads"`
 }
 
 func main() {
@@ -68,9 +48,8 @@ func main() {
 	flag.Parse()
 
 	var bench struct {
-		Libraries []gated    `json:"libraries"`
-		Load      *loadBlock `json:"load,omitempty"`
-		Errors    []string   `json:"errors,omitempty"`
+		Libraries []gated  `json:"libraries"`
+		Errors    []string `json:"errors,omitempty"`
 	}
 	if err := json.NewDecoder(io.LimitReader(os.Stdin, 16<<20)).Decode(&bench); err != nil {
 		fmt.Fprintln(os.Stderr, "perfgate: reading ricbench JSON from stdin:", err)
@@ -83,18 +62,6 @@ func main() {
 	current := baseline{Workloads: bench.Libraries}
 
 	if *write {
-		// The throughput floor is hand-tuned (it gates a wall-clock number
-		// conservatively), so -write preserves a committed floor; a fresh
-		// baseline seeds it at a quarter of the measured rate.
-		if data, err := os.ReadFile(*baselinePath); err == nil {
-			var old baseline
-			if json.Unmarshal(data, &old) == nil && old.Load != nil {
-				current.Load = old.Load
-			}
-		}
-		if current.Load == nil && bench.Load != nil && bench.Load.SessionsPerSec > 0 {
-			current.Load = &loadBaseline{SessionsPerSecFloor: bench.Load.SessionsPerSec / 4}
-		}
 		data, err := json.MarshalIndent(current, "", "  ")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "perfgate:", err)
@@ -188,28 +155,6 @@ func main() {
 		regressions++
 	}
 
-	// Throughput floor: only checked when the input carries a load block
-	// (i.e. ricbench ran with -load) and the baseline commits a floor.
-	switch {
-	case base.Load == nil || base.Load.SessionsPerSecFloor <= 0:
-		// No committed floor; nothing to gate.
-	case bench.Load == nil:
-		fmt.Println("perfgate: note: baseline has a throughput floor but input has no load block (run ricbench with -load); floor not checked")
-	default:
-		lb := bench.Load
-		if lb.Failures > 0 || lb.OutputMismatches > 0 {
-			fmt.Printf("perfgate: REGRESSION load: %d failed sessions, %d output mismatches\n", lb.Failures, lb.OutputMismatches)
-			regressions++
-		}
-		if lb.SessionsPerSec < base.Load.SessionsPerSecFloor {
-			fmt.Printf("perfgate: REGRESSION load sessionsPerSec %.2f below floor %.2f\n",
-				lb.SessionsPerSec, base.Load.SessionsPerSecFloor)
-			regressions++
-		} else {
-			fmt.Printf("perfgate: load sessionsPerSec %.2f >= floor %.2f\n",
-				lb.SessionsPerSec, base.Load.SessionsPerSecFloor)
-		}
-	}
 	for _, e := range bench.Errors {
 		fmt.Printf("perfgate: REGRESSION ricbench reported error: %s\n", e)
 		regressions++

@@ -40,15 +40,6 @@ func main() {
 		opstatsF   = flag.Bool("opstats", false, "executed-opcode and adjacent-pair dispatch histogram")
 		reps       = flag.Int("reps", 5, "timing repetitions per Reuse run (median reported)")
 		workloadsF = flag.String("workloads", "", "glob over workload names or kinds to measure (e.g. 'Json*', 'keyed'; default all)")
-		parallel   = flag.Int("parallel", 0, "throughput mode: serve the workload set through a SessionPool with N workers (also measures 1 worker as the scaling baseline)")
-		sessions   = flag.Int("sessions", 0, "sessions per throughput measurement (default 8 per library)")
-		loadF      = flag.Bool("load", false, "open-loop load mode: seeded Poisson/Zipf session traffic through a SessionPool, reporting latency percentiles and throughput")
-		loadSess   = flag.Int("load-sessions", 0, "sessions per load run (default 1000)")
-		loadRate   = flag.Float64("load-rate", 0, "mean arrival rate, sessions/sec (default 200)")
-		loadSeed   = flag.Uint64("load-seed", 1, "seed for the load schedule (arrivals and key choice)")
-		loadZipf   = flag.Float64("load-zipf", 0, "Zipf skew exponent over the key universe (default 1.1)")
-		loadCold   = flag.Int("load-cold", 8, "progen-generated cold keys appended to the 7 libraries (0 disables)")
-		loadWarm   = flag.Bool("load-warmstart", false, "serve load sessions by snapshot restore where the workload permits")
 		format     = flag.String("format", "text", "output format: text or json (json runs the full evaluation)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -90,34 +81,6 @@ func main() {
 		}()
 	}
 
-	loadConfig := func() bench.LoadConfig {
-		cold := *loadCold
-		if cold == 0 {
-			cold = -1 // LoadConfig normalizes 0 to the default; <0 disables
-		}
-		return bench.LoadConfig{
-			Seed:      *loadSeed,
-			Sessions:  *loadSess,
-			Rate:      *loadRate,
-			ZipfS:     *loadZipf,
-			ColdKeys:  cold,
-			WarmStart: *loadWarm,
-		}
-	}
-
-	measureThroughput := func() []bench.ThroughputResult {
-		counts := []int{1}
-		if *parallel > 1 {
-			counts = append(counts, *parallel)
-		}
-		results, err := bench.MeasureThroughputScaling(counts, *sessions)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ricbench:", err)
-			os.Exit(1)
-		}
-		return results
-	}
-
 	if *format == "json" {
 		// The core evaluation failing emits nothing (plus a nonzero exit);
 		// a failed optional block lands in the document's `errors` field
@@ -136,25 +99,6 @@ func main() {
 		}
 		res := bench.BuildJSON(runs, &wr)
 		exit := 0
-		if *parallel > 0 {
-			counts := []int{1}
-			if *parallel > 1 {
-				counts = append(counts, *parallel)
-			}
-			results, terr := bench.MeasureThroughputScaling(counts, *sessions)
-			if terr != nil {
-				res.Errors = append(res.Errors, "throughput: "+terr.Error())
-				exit = 1
-			} else {
-				res.AddThroughput(results)
-				for _, t := range results {
-					if t.Failures > 0 {
-						res.Errors = append(res.Errors, fmt.Sprintf("throughput: %d of %d sessions failed at %d workers", t.Failures, t.Sessions, t.Workers))
-						exit = 1
-					}
-				}
-			}
-		}
 		if *opstatsF {
 			os, oerr := bench.MeasureOpStats(bench.Options{Workloads: *workloadsF})
 			if oerr != nil {
@@ -162,19 +106,6 @@ func main() {
 				exit = 1
 			} else {
 				res.AddOpStats(os)
-			}
-		}
-		if *loadF {
-			lr, lerr := bench.MeasureLoad(loadConfig())
-			if lerr != nil {
-				res.Errors = append(res.Errors, "load: "+lerr.Error())
-				exit = 1
-			} else {
-				res.AddLoad(lr)
-				if lr.Failures > 0 || lr.OutputMismatches > 0 {
-					res.Errors = append(res.Errors, fmt.Sprintf("load: %d of %d sessions failed, %d output mismatches", lr.Failures, lr.Arrivals, lr.OutputMismatches))
-					exit = 1
-				}
 			}
 		}
 		var buf bytes.Buffer
@@ -198,7 +129,7 @@ func main() {
 
 	all := !(*fig1 || *fig5 || *table1 || *table4 || *fig8 || *fig9 ||
 		*overheads || *websites || *ablation || *snapshotF || *faults ||
-		*netFaults || *traceF || *opstatsF || *parallel > 0 || *loadF)
+		*netFaults || *traceF || *opstatsF)
 
 	needRuns := all || *fig5 || *table1 || *table4 || *fig8 || *fig9 || *overheads
 	var runs []bench.LibraryRun
@@ -294,25 +225,5 @@ func main() {
 		}
 		bench.ReportTraces(os.Stdout, runs)
 		fmt.Println()
-	}
-	// Throughput mode is opt-in only (never part of `all`): it needs an
-	// explicit worker count to be meaningful.
-	if *parallel > 0 {
-		bench.ReportThroughput(os.Stdout, measureThroughput())
-		fmt.Println()
-	}
-	// Load mode is opt-in only: an open-loop run takes Sessions/Rate
-	// seconds of wall time by construction.
-	if *loadF {
-		lr, err := bench.MeasureLoad(loadConfig())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ricbench:", err)
-			os.Exit(1)
-		}
-		bench.ReportLoad(os.Stdout, lr)
-		fmt.Println()
-		if lr.Failures > 0 || lr.OutputMismatches > 0 {
-			os.Exit(1)
-		}
 	}
 }

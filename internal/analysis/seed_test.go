@@ -11,9 +11,8 @@ import (
 // static graph and the VM's real startup environment. seed() mirrors a
 // throwaway VM, so the two can only diverge if startup stops being
 // deterministic or the mirror logic rots — either of which would silently
-// invalidate every builtin-anchored prediction (riclint layer 3/4 and the
-// reuser's static prefilter all resolve builtin TOAST entries through this
-// table). Any drift is a hard failure here, not a subtle misprediction in
+// invalidate every builtin-anchored prediction (riclint layers 3/4 resolve
+// builtin TOAST entries through this table). Any drift is a hard failure here, not a subtle misprediction in
 // production.
 func TestSeedMirrorsLiveBuiltinGraph(t *testing.T) {
 	res := Analyze() // no programs: the result is exactly the seeded graph

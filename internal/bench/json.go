@@ -11,67 +11,15 @@ import (
 // JSONResults is the machine-readable form of a full evaluation, consumed
 // by plotting scripts or CI regression checks.
 type JSONResults struct {
-	Libraries  []JSONLibrary    `json:"libraries"`
-	Averages   JSONAverages     `json:"averages"`
-	Website    *JSONWebsite     `json:"website,omitempty"`
-	Throughput []JSONThroughput `json:"throughput,omitempty"`
-	Load       *JSONLoad        `json:"load,omitempty"`
-	OpStats    *JSONOpStats     `json:"opStats,omitempty"`
-	Paper      JSONPaperAnchors `json:"paper"`
+	Libraries []JSONLibrary    `json:"libraries"`
+	Averages  JSONAverages     `json:"averages"`
+	Website   *JSONWebsite     `json:"website,omitempty"`
+	OpStats   *JSONOpStats     `json:"opStats,omitempty"`
+	Paper     JSONPaperAnchors `json:"paper"`
 	// Errors lists measurements that failed after the core evaluation
-	// succeeded (e.g. one throughput load level). The document is still
+	// succeeded (e.g. the opstats block). The document is still
 	// complete and parseable; ricbench exits nonzero when it is non-empty.
 	Errors []string `json:"errors,omitempty"`
-}
-
-// JSONLoad carries one open-loop load measurement: the seeded
-// Poisson/Zipf schedule's knobs, latency percentiles, and the pool-level
-// counters the gate and the lock-freedom check read.
-type JSONLoad struct {
-	Seed              uint64  `json:"seed"`
-	Sessions          int     `json:"sessions"`
-	ArrivalRatePerSec float64 `json:"arrivalRatePerSec"`
-	ZipfS             float64 `json:"zipfS"`
-	ColdKeys          int     `json:"coldKeys"`
-	WarmStart         bool    `json:"warmStart"`
-
-	Served           int     `json:"served"`
-	Failures         int     `json:"failures"`
-	OutputMismatches int     `json:"outputMismatches"`
-	ElapsedMs        float64 `json:"elapsedMs"`
-	SessionsPerSec   float64 `json:"sessionsPerSec"`
-
-	P50Ms  float64 `json:"p50Ms"`
-	P90Ms  float64 `json:"p90Ms"`
-	P99Ms  float64 `json:"p99Ms"`
-	P999Ms float64 `json:"p999Ms"`
-	MaxMs  float64 `json:"maxMs"`
-
-	ReuseHits         uint64  `json:"reuseHits"`
-	Extractions       uint64  `json:"extractions"`
-	ConventionalRuns  uint64  `json:"conventionalRuns"`
-	ShardLockAcquires uint64  `json:"shardLockAcquires"`
-	SnapshotCaptures  uint64  `json:"snapshotCaptures"`
-	SnapshotRestores  uint64  `json:"snapshotRestores"`
-	RestoreP50Ms      float64 `json:"restoreP50Ms"`
-
-	Errors []string `json:"errors,omitempty"`
-}
-
-// JSONThroughput carries one session-pool throughput measurement, so
-// BENCH_*.json files track scaling across PRs.
-type JSONThroughput struct {
-	Workers            int     `json:"workers"`
-	Sessions           int     `json:"sessions"`
-	Failures           int     `json:"failures"`
-	ElapsedMs          float64 `json:"elapsedMs"`
-	SessionsPerSec     float64 `json:"sessionsPerSec"`
-	RecordsDecoded     uint64  `json:"recordsDecoded"`
-	Extractions        uint64  `json:"extractions"`
-	ExtractionsDeduped uint64  `json:"extractionsDeduped"`
-	ReuseHits          uint64  `json:"reuseHits"`
-	DegradedSessions   uint64  `json:"degradedSessions"`
-	SpeedupVsFirst     float64 `json:"speedupVsFirst"`
 }
 
 // JSONLibrary carries one library's measurements across the three runs.
@@ -203,33 +151,6 @@ func BuildJSON(runs []LibraryRun, website *WebsiteRun) JSONResults {
 	return out
 }
 
-// AddThroughput attaches session-pool throughput measurements to the
-// results; the baseline for the speedup column is the first row with a
-// nonzero rate, so a degenerate zero-elapsed first row cannot turn every
-// later speedup into 0.00x.
-func (r *JSONResults) AddThroughput(results []ThroughputResult) {
-	base := speedupBase(results)
-	for _, t := range results {
-		speedup := 0.0
-		if base > 0 {
-			speedup = t.SessionsPerSec / base
-		}
-		r.Throughput = append(r.Throughput, JSONThroughput{
-			Workers:            t.Workers,
-			Sessions:           t.Sessions,
-			Failures:           t.Failures,
-			ElapsedMs:          msDuration(t.Elapsed),
-			SessionsPerSec:     t.SessionsPerSec,
-			RecordsDecoded:     t.Pool.RecordsDecoded(),
-			Extractions:        t.Pool.Extractions,
-			ExtractionsDeduped: t.Pool.DedupedExtractions,
-			ReuseHits:          t.Pool.ReuseHits,
-			DegradedSessions:   t.Pool.DegradedSessions,
-			SpeedupVsFirst:     speedup,
-		})
-	}
-}
-
 // JSONOpStats is the dispatch-histogram block (`ricbench -opstats`): the
 // executed-opcode and adjacent-pair top lists. Deterministic for a fixed
 // workload set.
@@ -266,43 +187,13 @@ func (r *JSONResults) AddOpStats(res OpStatsResult) {
 	r.OpStats = out
 }
 
-// AddLoad attaches an open-loop load measurement to the results.
-func (r *JSONResults) AddLoad(res LoadResult) {
-	r.Load = &JSONLoad{
-		Seed:              res.Config.Seed,
-		Sessions:          res.Arrivals,
-		ArrivalRatePerSec: res.Config.Rate,
-		ZipfS:             res.Config.ZipfS,
-		ColdKeys:          res.Config.ColdKeys,
-		WarmStart:         res.Config.WarmStart,
-		Served:            res.Served,
-		Failures:          res.Failures,
-		OutputMismatches:  res.OutputMismatches,
-		ElapsedMs:         msDuration(res.Elapsed),
-		SessionsPerSec:    res.SessionsPerSec,
-		P50Ms:             msDuration(res.Latency.Percentile(50)),
-		P90Ms:             msDuration(res.Latency.Percentile(90)),
-		P99Ms:             msDuration(res.Latency.Percentile(99)),
-		P999Ms:            msDuration(res.Latency.Percentile(99.9)),
-		MaxMs:             msDuration(res.Latency.Max()),
-		ReuseHits:         res.Pool.ReuseHits,
-		Extractions:       res.Pool.Extractions,
-		ConventionalRuns:  res.Pool.ConventionalRuns,
-		ShardLockAcquires: res.Pool.ShardLockAcquires,
-		SnapshotCaptures:  res.Pool.SnapshotCaptures,
-		SnapshotRestores:  res.Pool.SnapshotRestores,
-		RestoreP50Ms:      msDuration(res.Restore.Percentile(50)),
-		Errors:            res.Errors,
-	}
-}
-
 // WriteJSON emits the results as indented JSON.
 func WriteJSON(w io.Writer, runs []LibraryRun, website *WebsiteRun) error {
 	return EncodeJSON(w, BuildJSON(runs, website))
 }
 
 // EncodeJSON emits an assembled result set as indented JSON; use it with
-// BuildJSON + AddThroughput when the evaluation includes optional blocks.
+// BuildJSON + AddOpStats when the evaluation includes optional blocks.
 func EncodeJSON(w io.Writer, res JSONResults) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

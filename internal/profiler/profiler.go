@@ -141,11 +141,6 @@ type Counters struct {
 	handlersCI   uint64 // of handlersMade, how many are context-independent
 	allocations  uint64
 	degradedRuns uint64 // reuse runs abandoned in favour of conventional retries
-
-	// Static-analysis feed (Reuse runs with a prefilter attached).
-	staticFiltered uint64 // record preloads skipped on static evidence
-	staticDead     uint64 // gauge: sites the analysis proved unreachable
-	staticRisk     uint64 // gauge: sites the analysis flags as megamorphic risk
 }
 
 // Charge adds n abstract instructions to the current category.
@@ -221,21 +216,6 @@ func (c *Counters) HandlerMade(contextIndependent bool) {
 	}
 }
 
-// StaticFiltered records one dependent-site preload the reuser skipped
-// because the static shape analysis proved it useless: the site is
-// unreachable, vanished from the analyzed program, or can never observe
-// the validated hidden class.
-func (c *Counters) StaticFiltered() { c.staticFiltered++ }
-
-// StaticSiteFlags records the static analysis verdict over the analyzed
-// program: how many access sites are provably unreachable and how many
-// carry megamorphic risk. These are gauges, not accumulators — re-analysis
-// after a later script load replaces the previous totals.
-func (c *Counters) StaticSiteFlags(dead, risk uint64) {
-	c.staticDead = dead
-	c.staticRisk = risk
-}
-
 // Degrade records that the engine abandoned a reuse run because of a
 // record-attributable failure and retried conventionally (record-free).
 func (c *Counters) Degrade() { c.degradedRuns++ }
@@ -278,14 +258,6 @@ type Snapshot struct {
 	// completing conventionally instead. 0 or 1: an engine degrades at
 	// most once and then stays conventional.
 	DegradedRuns uint64
-
-	// StaticFilteredPreloads counts record preloads skipped on static
-	// evidence; StaticDeadSites and StaticMegamorphicRisk report the
-	// analysis verdict over the analyzed program (zero when no static
-	// prefilter is attached).
-	StaticFilteredPreloads uint64
-	StaticDeadSites        uint64
-	StaticMegamorphicRisk  uint64
 }
 
 // Snapshot captures the current statistics.
@@ -307,10 +279,6 @@ func (c *Counters) Snapshot() Snapshot {
 		HandlersContextIndep: c.handlersCI,
 		Allocations:          c.allocations,
 		DegradedRuns:         c.degradedRuns,
-
-		StaticFilteredPreloads: c.staticFiltered,
-		StaticDeadSites:        c.staticDead,
-		StaticMegamorphicRisk:  c.staticRisk,
 	}
 }
 

@@ -1,7 +1,6 @@
 package ric
 
 import (
-	"ricjs/internal/analysis"
 	"ricjs/internal/ic"
 	"ricjs/internal/objects"
 	"ricjs/internal/profiler"
@@ -36,10 +35,6 @@ type Reuser struct {
 	// permanently rejected), so ReplayPreloads after later script loads
 	// only retries dependents whose sites were not yet registered.
 	done [][]bool
-
-	// static, when set, pre-filters preloads against the analysis
-	// predictions (see SetAnalysis).
-	static *analysis.Result
 }
 
 var _ vm.Hooks = (*Reuser)(nil)
@@ -89,32 +84,6 @@ func (r *Reuser) emit(t trace.Type, site source.Site, name string, n int64) {
 	if r.tr != nil {
 		r.tr.Emit(t, site, name, n)
 	}
-}
-
-// SetAnalysis feeds a static shape analysis into the reuse pipeline.
-// Subsequent preloads are pre-filtered: a dependent whose site the
-// analysis proved unreachable, no longer finds in the program, or whose
-// predicted hidden-class set excludes the validated class is marked done
-// without touching its ICVector slot — by the soundness invariant such a
-// preload could never serve a hit. The analysis verdict (dead and
-// megamorphic-risk site counts) is published through the profiler so it
-// shows up in Stats(). Call after Attach (the profiler must be wired);
-// calling again after a later script load replaces the previous result.
-func (r *Reuser) SetAnalysis(res *analysis.Result) {
-	r.static = res
-	if res == nil || r.prof == nil {
-		return
-	}
-	var dead, risk uint64
-	for _, p := range res.Sites() {
-		if p.Dead {
-			dead++
-		}
-		if p.MegamorphicRisk {
-			risk++
-		}
-	}
-	r.prof.StaticSiteFlags(dead, risk)
 }
 
 // Validated reports whether an HCID has been validated in this run (for
@@ -211,21 +180,6 @@ func (r *Reuser) preloadDeps(id int32, hc *objects.HiddenClass) {
 	for j, dep := range deps {
 		if r.done[id][j] {
 			continue
-		}
-		if r.static != nil && !r.static.GlobalTop() && r.static.Covered(dep.Site.Script) {
-			pred := r.static.At(dep.Site)
-			if pred == nil || pred.Dead || !pred.Covers(hc) {
-				// Statically useless: the site is gone, unreachable, or can
-				// never observe this class. Filtering it here saves the slot
-				// lookup and handler rebuild; correctness is unaffected
-				// because such a preload could never match at runtime.
-				r.done[id][j] = true
-				if r.prof != nil {
-					r.prof.StaticFiltered()
-				}
-				r.emit(trace.EvPreloadFiltered, dep.Site, dep.Name, int64(id))
-				continue
-			}
 		}
 		var slot *ic.Slot
 		if r.slotFor != nil {

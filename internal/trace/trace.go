@@ -75,9 +75,6 @@ const (
 	// kind/name mismatch, handler rebuild or semantic-fit failure, or a
 	// slot already populated/megamorphic.
 	EvPreloadRejected
-	// EvPreloadFiltered is one dependent-site preload skipped on static
-	// shape-analysis evidence (dead, stale, or shape-incompatible site).
-	EvPreloadFiltered
 	// EvDegrade is the engine abandoning reuse for a conventional retry;
 	// the event's Name carries the failing phase (decode, validate,
 	// preload, execute).
@@ -153,15 +150,6 @@ const (
 	// normal reuse run.
 	EvPoolSnapshotError
 
-	// EvLoadArrival is one session arriving at the open-loop load
-	// generator's scheduled instant; N is the scheduled offset from the
-	// run's start in microseconds (deterministic for a fixed seed).
-	EvLoadArrival
-	// EvLoadComplete is a load-generated session completing; N is the
-	// measured latency in microseconds from the scheduled arrival to
-	// completion (wall-clock, not deterministic).
-	EvLoadComplete
-
 	// NumTypes is the number of event types (array sizing).
 	NumTypes
 )
@@ -180,7 +168,6 @@ var typeNames = [NumTypes]string{
 	EvValidateFail:     "validate-fail",
 	EvPreloadApplied:   "preload-applied",
 	EvPreloadRejected:  "preload-rejected",
-	EvPreloadFiltered:  "preload-static-filtered",
 	EvDegrade:          "degrade",
 	EvPoolSession:      "pool-session",
 	EvPoolAcquireHit:   "pool-acquire-hit",
@@ -206,13 +193,11 @@ var typeNames = [NumTypes]string{
 	EvPoolSnapshotCapture: "pool-snapshot-capture",
 	EvPoolSnapshotRestore: "pool-snapshot-restore",
 	EvPoolSnapshotError:   "pool-snapshot-error",
-	EvLoadArrival:         "load-arrival",
-	EvLoadComplete:        "load-complete",
 }
 
 // String returns the stable wire name of the event type. These names are
 // the contract of the exporters and the golden-trace files; do not reuse
-// or renumber them.
+// or rename them. The numeric values never leave the process.
 func (t Type) String() string {
 	if int(t) < len(typeNames) && typeNames[t] != "" {
 		return typeNames[t]

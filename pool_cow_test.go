@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ricjs"
+	"ricjs/internal/workloads"
 )
 
 // TestSessionPoolHotReadPathLockFree is the lock-freedom acceptance check
@@ -150,11 +151,23 @@ func TestSessionPoolCOWPublishStress(t *testing.T) {
 
 // TestSessionPoolSnapshotWarmStart covers the snapshot warm-start tier:
 // the extraction owner captures a heap snapshot, an opted-in warm session
-// is served by restore (no execution, no output), an opted-out session
-// still runs byte-identically, and a warm request whose scripts differ
-// from the captured ones falls back to execution.
+// is served by restore (no execution, no output), concurrent warm sessions
+// all restore from the one shared snapshot, an opted-out session still
+// runs byte-identically, and a warm request whose scripts differ from the
+// captured ones falls back to execution. It runs over a synthetic library
+// and a real workload library.
 func TestSessionPoolSnapshotWarmStart(t *testing.T) {
 	key, script, src := poolLib(1)
+	lib := workloads.Profiles[0]
+	for _, in := range []struct{ key, script, src string }{
+		{key, script, src},
+		{lib.Name, lib.Script, lib.Source()},
+	} {
+		t.Run(in.key, func(t *testing.T) { warmStartPool(t, in.key, in.script, in.src) })
+	}
+}
+
+func warmStartPool(t *testing.T, key, script, src string) {
 	req := ricjs.SessionRequest{
 		Key:     key,
 		Scripts: []ricjs.SessionScript{{Name: script, Src: src}},
@@ -188,6 +201,33 @@ func TestSessionPoolSnapshotWarmStart(t *testing.T) {
 		t.Fatalf("SnapshotRestores = %d, want 1", got)
 	}
 
+	// Concurrent warm sessions share the one captured snapshot; under
+	// -race this proves restore never writes to it.
+	const concurrent = 8
+	var wg sync.WaitGroup
+	modes := make([]ricjs.SessionMode, concurrent)
+	errs := make([]error, concurrent)
+	for i := 0; i < concurrent; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res, err := pool.Serve(warmReq)
+			if errs[i] = err; err == nil {
+				modes[i] = res.Mode
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i := 0; i < concurrent; i++ {
+		if errs[i] != nil || modes[i] != ricjs.SessionSnapshot {
+			t.Fatalf("concurrent warm session %d: mode %v, err %v; want snapshot", i, modes[i], errs[i])
+		}
+	}
+	if st := pool.Stats(); st.SnapshotRestores != 1+concurrent || st.SnapshotErrors != 0 {
+		t.Fatalf("SnapshotRestores = %d, SnapshotErrors = %d; want %d and 0",
+			st.SnapshotRestores, st.SnapshotErrors, 1+concurrent)
+	}
+
 	// Opting out still executes, byte-identically to the Initial run.
 	cold, err := pool.Serve(req)
 	if err != nil {
@@ -217,7 +257,7 @@ func TestSessionPoolSnapshotWarmStart(t *testing.T) {
 	if !strings.Contains(other.Output, "extra") {
 		t.Fatalf("mismatched warm session did not execute its own scripts: %q", other.Output)
 	}
-	if got := pool.Stats().SnapshotRestores; got != 1 {
-		t.Fatalf("SnapshotRestores = %d after mismatch, want still 1", got)
+	if got := pool.Stats().SnapshotRestores; got != 1+concurrent {
+		t.Fatalf("SnapshotRestores = %d after mismatch, want still %d", got, 1+concurrent)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ricjs"
+	"ricjs/internal/workloads"
 )
 
 // poolLib renders a small library keyed by an index: distinct constructor
@@ -47,46 +48,79 @@ func sequentialOutputs(t *testing.T, nkeys int) map[string]string {
 // sessions over >= 4 shared record keys, exactly one extraction per cold
 // key (single-flight, verified by pool stats), and byte-identical
 // per-session output to a sequential conventional run. Run under -race it
-// also proves the shared decoded records are data-race free.
+// also proves the shared decoded records are data-race free. It runs over
+// two key sets: six synthetic libraries, and the full workload set
+// (libraries plus the regime zoo), whose keyed, dictionary-mode and
+// prototype-dispatch records the synthetic set never extracts.
 func TestSessionPoolStress(t *testing.T) {
-	const (
-		nkeys    = 6
-		sessions = 48
-	)
-	want := sequentialOutputs(t, nkeys)
+	var synthetic, zoo []ricjs.SessionRequest
+	for i := 0; i < 6; i++ {
+		key, script, src := poolLib(i)
+		synthetic = append(synthetic, ricjs.SessionRequest{
+			Key:     key,
+			Scripts: []ricjs.SessionScript{{Name: script, Src: src}},
+		})
+	}
+	for _, p := range workloads.Profiles {
+		zoo = append(zoo, ricjs.SessionRequest{
+			Key:     p.Name,
+			Scripts: []ricjs.SessionScript{{Name: p.Script, Src: p.Source()}},
+		})
+	}
+	for _, tc := range []struct {
+		name     string
+		keys     []ricjs.SessionRequest
+		sessions int
+	}{
+		{"synthetic", synthetic, 48},
+		{"workloads", zoo, 3 * len(zoo)},
+	} {
+		t.Run(tc.name, func(t *testing.T) { stressPool(t, tc.keys, tc.sessions) })
+	}
+}
+
+// stressPool serves sessions concurrently, round-robin over keys, through
+// one fresh pool and checks single-flight extraction and output identity.
+func stressPool(t *testing.T, keys []ricjs.SessionRequest, sessions int) {
+	nkeys := len(keys)
+	want := make(map[string]string, nkeys)
+	for _, req := range keys {
+		eng := ricjs.NewEngine(ricjs.Options{})
+		for _, sc := range req.Scripts {
+			if err := eng.Run(sc.Name, sc.Src); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want[req.Key] = eng.Output()
+	}
 
 	pool := ricjs.NewSessionPool(ricjs.PoolOptions{WaitForRecord: true})
 	results := make([]*ricjs.SessionResult, sessions)
 	errs := make([]error, sessions)
-	keys := make([]string, sessions)
 
 	var wg sync.WaitGroup
 	for s := 0; s < sessions; s++ {
-		key, script, src := poolLib(s % nkeys)
-		keys[s] = key
 		wg.Add(1)
-		go func(s int, req ricjs.SessionRequest) {
+		go func(s int) {
 			defer wg.Done()
-			results[s], errs[s] = pool.Serve(req)
-		}(s, ricjs.SessionRequest{
-			Key:     key,
-			Scripts: []ricjs.SessionScript{{Name: script, Src: src}},
-		})
+			results[s], errs[s] = pool.Serve(keys[s%nkeys])
+		}(s)
 	}
 	wg.Wait()
 
 	initials := 0
 	for s := 0; s < sessions; s++ {
+		key := keys[s%nkeys].Key
 		if errs[s] != nil {
 			t.Fatalf("session %d: %v", s, errs[s])
 		}
 		res := results[s]
-		if res.Output != want[keys[s]] {
+		if res.Output != want[key] {
 			t.Fatalf("session %d (%s): output %q, sequential run produced %q",
-				s, keys[s], res.Output, want[keys[s]])
+				s, key, res.Output, want[key])
 		}
 		if res.Degraded {
-			t.Fatalf("session %d (%s) degraded", s, keys[s])
+			t.Fatalf("session %d (%s) degraded", s, key)
 		}
 		if res.Mode == ricjs.SessionInitial {
 			initials++
@@ -94,22 +128,22 @@ func TestSessionPoolStress(t *testing.T) {
 	}
 
 	stats := pool.Stats()
-	if stats.Sessions != sessions {
+	if stats.Sessions != uint64(sessions) {
 		t.Fatalf("Sessions = %d, want %d", stats.Sessions, sessions)
 	}
-	if stats.Extractions != nkeys {
+	if stats.Extractions != uint64(nkeys) {
 		t.Fatalf("Extractions = %d, want exactly %d (single-flight)", stats.Extractions, nkeys)
 	}
 	if initials != nkeys {
 		t.Fatalf("%d SessionInitial results, want %d", initials, nkeys)
 	}
-	if stats.ReuseHits != sessions-nkeys {
+	if stats.ReuseHits != uint64(sessions-nkeys) {
 		t.Fatalf("ReuseHits = %d, want %d (every non-extractor reuses)", stats.ReuseHits, sessions-nkeys)
 	}
 	if stats.ConventionalRuns != 0 {
 		t.Fatalf("ConventionalRuns = %d, want 0 with WaitForRecord", stats.ConventionalRuns)
 	}
-	if stats.RecordsDecoded() != nkeys {
+	if stats.RecordsDecoded() != uint64(nkeys) {
 		t.Fatalf("RecordsDecoded = %d, want %d (one decode per key)", stats.RecordsDecoded(), nkeys)
 	}
 	if got := pool.CachedRecords(); got != nkeys {

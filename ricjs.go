@@ -144,12 +144,6 @@ type Options struct {
 	// runs are reproducible; pass distinct seeds to model real-world
 	// nondeterminism across sessions (e.g. the §9 snapshot hazard).
 	RandSeed uint64
-	// StaticPrefilter runs the static shape analysis over every script the
-	// engine loads and feeds the result to the reuser: preloads for sites
-	// the analysis proves dead, stale, or unable to observe the validated
-	// class are skipped, and Stats() reports the dead/megamorphic-risk
-	// site counts. No effect in conventional (record-free) runs.
-	StaticPrefilter bool
 	// Trace receives structured IC events (hits, misses, handler installs,
 	// validations, preloads, degradations) when non-nil; see NewTrace. A nil
 	// Trace disables tracing at near-zero cost. The buffer's event stream
@@ -202,7 +196,6 @@ const (
 	EvValidateFail     = trace.EvValidateFail
 	EvPreloadApplied   = trace.EvPreloadApplied
 	EvPreloadRejected  = trace.EvPreloadRejected
-	EvPreloadFiltered  = trace.EvPreloadFiltered
 	EvDegrade          = trace.EvDegrade
 	EvPoolSession      = trace.EvPoolSession
 	EvPoolAcquireHit   = trace.EvPoolAcquireHit
@@ -256,10 +249,6 @@ type Engine struct {
 	reuser *ric.Reuser
 	rec    *Record
 	opts   Options
-
-	// progs accumulates compiled programs for the static prefilter; the
-	// analysis is re-run jointly whenever a new script joins the session.
-	progs []*bytecode.Program
 
 	// lastAnalysis is the joint analysis ExtractRecord computed for the
 	// typed-shape claims, kept for StaticTypeStats reporting.
@@ -386,22 +375,6 @@ func (e *Engine) Run(name, src string) error {
 				RecordAttributable: true,
 				Err:                verr,
 			})
-		}
-	}
-	if e.reuser != nil && e.opts.StaticPrefilter {
-		seen := false
-		for _, p := range e.progs {
-			if p == prog {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			e.progs = append(e.progs, prog)
-			// Analyze the whole session jointly: scripts share the global
-			// object and each other's constructors, so per-script analysis
-			// would widen cross-script receivers to ⊤.
-			e.reuser.SetAnalysis(analysis.Analyze(e.progs...))
 		}
 	}
 	err = e.runScript(name, prog)
@@ -536,8 +509,9 @@ func (e *Engine) Degraded() (bool, *EngineError) {
 // run completes; the engine is not modified.
 func (e *Engine) ExtractRecord(label string) *Record {
 	rec := ric.Extract(e.vm, label, ric.Config{IncludeGlobals: e.opts.IncludeGlobals})
-	// Analyze the session jointly, exactly as the static prefilter does:
-	// scripts share the global object and each other's constructors.
+	// Analyze the session jointly: scripts share the global object and
+	// each other's constructors, so per-script analysis would widen
+	// cross-script receivers to ⊤.
 	var progs []*bytecode.Program
 	seen := make(map[*bytecode.Program]bool)
 	for _, h := range e.history {

@@ -153,7 +153,6 @@ func reconcile(t *testing.T, label string, s Stats, sum *trace.Summary) {
 		{"HandlersMade", s.HandlersMade, sum.Count(trace.EvHandlerInstall) + sum.Count(trace.EvHandlerInstallCI)},
 		{"HandlersContextIndep", s.HandlersContextIndep, sum.Count(trace.EvHandlerInstallCI)},
 		{"DegradedRuns", s.DegradedRuns, sum.Count(trace.EvDegrade)},
-		{"StaticFilteredPreloads", s.StaticFilteredPreloads, sum.Count(trace.EvPreloadFiltered)},
 	}
 	for _, c := range checks {
 		if c.counter != c.events {
