@@ -8,6 +8,15 @@ set -eu
 
 cd "$(dirname "$0")"
 
+echo "== gofmt =="
+# Every Go file, the nested benchmark/ module included, must be gofmt-clean.
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+  echo "ci.sh: gofmt needed on:" >&2
+  echo "$unformatted" >&2
+  exit 1
+fi
+
 echo "== go vet =="
 go vet ./...
 

@@ -192,7 +192,7 @@ func runNetFaultTrial(mode faultinject.NetMode, cache *ricjs.CodeCache,
 	pool := ricjs.NewSessionPool(ricjs.PoolOptions{
 		Cache:  cache,
 		Store:  store,
-		Remote: ricjs.NewRemoteTier(client, ricjs.RemoteTierOptions{WaitTimeout: 50 * time.Millisecond, PollInterval: time.Millisecond}),
+		Remote: ricjs.NewRemoteTier(client, ricjs.RemoteTierOptions{}),
 	})
 
 	// Two sessions per key, sequential: the first walks the tier ladder

@@ -1,69 +1,27 @@
 package profiler
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"ricjs/internal/trace"
+)
 
 // PoolCounters aggregates statistics across the many concurrent sessions a
 // ricjs.SessionPool serves. Unlike Counters — which is per-engine and
 // single-threaded like a JavaScript isolate — PoolCounters is updated from
 // many goroutines at once, so every field is atomic.
+//
+// Every pool outcome is a trace event type, and the counters are indexed
+// by it: the pool records an outcome with one Note call, the same call
+// that queues the event for the session's trace, so the two can never
+// drift apart. ShardLockAcquires is the one counter with no event.
 type PoolCounters struct {
-	sessions     atomic.Uint64
-	reuseHits    atomic.Uint64
-	extractions  atomic.Uint64
-	storeLoads   atomic.Uint64
-	storeErrors  atomic.Uint64
-	deduped      atomic.Uint64
-	waited       atomic.Uint64
-	conventional atomic.Uint64
-	degraded     atomic.Uint64
-
-	shardLocks       atomic.Uint64
-	snapshotCaptures atomic.Uint64
-	snapshotRestores atomic.Uint64
-	snapshotErrors   atomic.Uint64
-
-	quarantined     atomic.Uint64
-	remoteHits      atomic.Uint64
-	remoteMisses    atomic.Uint64
-	remoteErrors    atomic.Uint64
-	remotePublishes atomic.Uint64
-	remoteWaits     atomic.Uint64
-	remoteDegraded  atomic.Uint64
+	events     [trace.NumTypes]atomic.Uint64
+	shardLocks atomic.Uint64
 }
 
-// Session records one session entering the pool.
-func (p *PoolCounters) Session() { p.sessions.Add(1) }
-
-// ReuseHit records a session served a decoded record from the shared
-// in-memory cache (no disk read, no decode, no extraction).
-func (p *PoolCounters) ReuseHit() { p.reuseHits.Add(1) }
-
-// Extraction records a cold key whose record was produced by an Initial
-// run; under single-flight discipline there is exactly one per cold key.
-func (p *PoolCounters) Extraction() { p.extractions.Add(1) }
-
-// StoreLoad records a record decoded from the backing RecordStore on a
-// cold key (one decode, then shared by every later session).
-func (p *PoolCounters) StoreLoad() { p.storeLoads.Add(1) }
-
-// StoreError records a best-effort backing-store operation (load on cold
-// key, save after extraction) that failed; sessions proceed regardless.
-func (p *PoolCounters) StoreError() { p.storeErrors.Add(1) }
-
-// Deduped records a session that found extraction for its key already in
-// flight and therefore did not start its own (the single-flight saving).
-func (p *PoolCounters) Deduped() { p.deduped.Add(1) }
-
-// Waited records a deduped session that blocked for the in-flight record
-// instead of proceeding conventionally.
-func (p *PoolCounters) Waited() { p.waited.Add(1) }
-
-// Conventional records a session that ran record-free (extraction in
-// flight elsewhere, or the extraction it waited for failed).
-func (p *PoolCounters) Conventional() { p.conventional.Add(1) }
-
-// Degraded records a session whose engine abandoned reuse mid-run.
-func (p *PoolCounters) Degraded() { p.degraded.Add(1) }
+// Note records one pool outcome of event type t.
+func (p *PoolCounters) Note(t trace.Type) { p.events[t].Add(1) }
 
 // ShardLock records a record-cache read that had to take a shard mutex —
 // only cold keys (entry installation) do; the warm read path resolves
@@ -72,98 +30,56 @@ func (p *PoolCounters) Degraded() { p.degraded.Add(1) }
 // check of the load harness.
 func (p *PoolCounters) ShardLock() { p.shardLocks.Add(1) }
 
-// SnapshotCapture records an Initial run's heap snapshot captured for
-// snapshot warm starts.
-func (p *PoolCounters) SnapshotCapture() { p.snapshotCaptures.Add(1) }
-
-// SnapshotRestore records a session served by restoring a captured heap
-// snapshot instead of executing its scripts.
-func (p *PoolCounters) SnapshotRestore() { p.snapshotRestores.Add(1) }
-
-// SnapshotError records a failed best-effort snapshot operation (capture
-// of unrepresentable state, or a restore that fell back to execution).
-func (p *PoolCounters) SnapshotError() { p.snapshotErrors.Add(1) }
-
-// Quarantined records a corrupt stored record set aside (.ric.bad)
-// during a pool session's store load. Without this counter a fleet
-// silently eating quarantined records is invisible at pool level.
-func (p *PoolCounters) Quarantined() { p.quarantined.Add(1) }
-
-// RemoteHit records a record served by the remote record service.
-func (p *PoolCounters) RemoteHit() { p.remoteHits.Add(1) }
-
-// RemoteMiss records the remote service answering "no record" for a key.
-func (p *PoolCounters) RemoteMiss() { p.remoteMisses.Add(1) }
-
-// RemoteError records a failed remote-tier operation (timeout, refused
-// connection, torn/corrupt payload, or a breaker short-circuit).
-func (p *PoolCounters) RemoteError() { p.remoteErrors.Add(1) }
-
-// RemotePublish records an extracted record published to the remote
-// service for the rest of the fleet.
-func (p *PoolCounters) RemotePublish() { p.remotePublishes.Add(1) }
-
-// RemoteWait records a session that waited on another node's in-flight
-// extraction (this node lost the cluster claim).
-func (p *PoolCounters) RemoteWait() { p.remoteWaits.Add(1) }
-
-// RemoteDegraded records a session that fell off the remote tier and
-// continued down the local ladder; at most one per session.
-func (p *PoolCounters) RemoteDegraded() { p.remoteDegraded.Add(1) }
-
-// PoolSnapshot is an immutable copy of a pool's aggregate statistics.
+// PoolSnapshot is an immutable copy of a pool's aggregate statistics. Each
+// field but ShardLockAcquires counts the pool trace event named in its
+// comment.
 type PoolSnapshot struct {
-	// Sessions is the number of sessions served.
+	// Sessions is the number of sessions served (EvPoolSession).
 	Sessions uint64
-	// ReuseHits counts sessions served a record from the shared cache.
+	// ReuseHits counts sessions served a record from the shared cache
+	// (EvPoolAcquireHit).
 	ReuseHits uint64
-	// Extractions counts Initial runs that produced a record (exactly one
-	// per cold key under single-flight).
+	// Extractions counts Initial runs that produced a record, exactly one
+	// per cold key under single-flight (EvPoolExtract).
 	Extractions uint64
-	// StoreLoads counts records decoded from the backing store.
+	// StoreLoads counts records decoded from the backing store
+	// (EvPoolStoreLoad).
 	StoreLoads uint64
-	// StoreErrors counts failed best-effort backing-store operations.
+	// StoreErrors counts failed best-effort backing-store operations
+	// (EvPoolStoreError).
 	StoreErrors uint64
 	// DedupedExtractions counts sessions that skipped extraction because
-	// one was already in flight for their key.
+	// one was already in flight for their key (EvPoolDedup).
 	DedupedExtractions uint64
-	// WaitedSessions counts deduped sessions that blocked for the record.
-	WaitedSessions uint64
-	// ConventionalRuns counts sessions that ran record-free.
+	// ConventionalRuns counts sessions that ran record-free
+	// (EvPoolConventional).
 	ConventionalRuns uint64
-	// DegradedSessions counts sessions whose engine degraded mid-run.
+	// DegradedSessions counts sessions whose engine degraded mid-run
+	// (EvPoolDegraded).
 	DegradedSessions uint64
 	// ShardLockAcquires counts record-cache reads that took a shard mutex
 	// (cold-key entry installation only). The warm read path is lock-free
 	// — an all-hot run keeps this at 0.
 	ShardLockAcquires uint64
-	// SnapshotCaptures counts Initial-run heap snapshots captured for
-	// warm starts.
-	SnapshotCaptures uint64
-	// SnapshotRestores counts sessions served by snapshot restore instead
-	// of script execution.
-	SnapshotRestores uint64
-	// SnapshotErrors counts failed best-effort snapshot operations.
-	SnapshotErrors uint64
 	// QuarantinedRecords counts corrupt stored records quarantined during
-	// pool store loads (renamed to .ric.bad, key treated as cold).
+	// pool store loads, renamed to .ric.bad with the key treated as cold
+	// (EvPoolQuarantine).
 	QuarantinedRecords uint64
-	// RemoteHits counts records served by the remote record service.
+	// RemoteHits counts records served by the remote record service
+	// (EvPoolRemoteHit).
 	RemoteHits uint64
 	// RemoteMisses counts remote lookups the service answered with "no
-	// record" (cold fleet cache).
+	// record", a cold fleet cache (EvPoolRemoteMiss).
 	RemoteMisses uint64
 	// RemoteErrors counts failed remote-tier operations, including breaker
-	// short-circuits.
+	// short-circuits (EvPoolRemoteError).
 	RemoteErrors uint64
-	// RemotePublishes counts extracted records published to the service.
+	// RemotePublishes counts extracted records published to the service
+	// (EvPoolRemotePublish).
 	RemotePublishes uint64
-	// RemoteWaits counts sessions that waited on a peer node's extraction.
-	RemoteWaits uint64
 	// RemoteDegradedSessions counts sessions that fell off the remote tier
-	// (service error or peer extraction that never arrived) and continued
-	// down the ladder — the counter that makes a dead or partitioned
-	// record server visible.
+	// and continued down the ladder — the counter that makes a dead or
+	// partitioned record server visible (EvPoolRemoteDegraded).
 	RemoteDegradedSessions uint64
 }
 
@@ -175,27 +91,23 @@ func (s PoolSnapshot) RecordsDecoded() uint64 { return s.StoreLoads + s.Extracti
 // Snapshot captures the current aggregate statistics. It may be called
 // while sessions are still running; each field is individually coherent.
 func (p *PoolCounters) Snapshot() PoolSnapshot {
+	n := func(t trace.Type) uint64 { return p.events[t].Load() }
 	return PoolSnapshot{
-		Sessions:           p.sessions.Load(),
-		ReuseHits:          p.reuseHits.Load(),
-		Extractions:        p.extractions.Load(),
-		StoreLoads:         p.storeLoads.Load(),
-		StoreErrors:        p.storeErrors.Load(),
-		DedupedExtractions: p.deduped.Load(),
-		WaitedSessions:     p.waited.Load(),
-		ConventionalRuns:   p.conventional.Load(),
-		DegradedSessions:   p.degraded.Load(),
+		Sessions:           n(trace.EvPoolSession),
+		ReuseHits:          n(trace.EvPoolAcquireHit),
+		Extractions:        n(trace.EvPoolExtract),
+		StoreLoads:         n(trace.EvPoolStoreLoad),
+		StoreErrors:        n(trace.EvPoolStoreError),
+		DedupedExtractions: n(trace.EvPoolDedup),
+		ConventionalRuns:   n(trace.EvPoolConventional),
+		DegradedSessions:   n(trace.EvPoolDegraded),
 
 		ShardLockAcquires:      p.shardLocks.Load(),
-		SnapshotCaptures:       p.snapshotCaptures.Load(),
-		SnapshotRestores:       p.snapshotRestores.Load(),
-		SnapshotErrors:         p.snapshotErrors.Load(),
-		QuarantinedRecords:     p.quarantined.Load(),
-		RemoteHits:             p.remoteHits.Load(),
-		RemoteMisses:           p.remoteMisses.Load(),
-		RemoteErrors:           p.remoteErrors.Load(),
-		RemotePublishes:        p.remotePublishes.Load(),
-		RemoteWaits:            p.remoteWaits.Load(),
-		RemoteDegradedSessions: p.remoteDegraded.Load(),
+		QuarantinedRecords:     n(trace.EvPoolQuarantine),
+		RemoteHits:             n(trace.EvPoolRemoteHit),
+		RemoteMisses:           n(trace.EvPoolRemoteMiss),
+		RemoteErrors:           n(trace.EvPoolRemoteError),
+		RemotePublishes:        n(trace.EvPoolRemotePublish),
+		RemoteDegradedSessions: n(trace.EvPoolRemoteDegraded),
 	}
 }

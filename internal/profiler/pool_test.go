@@ -3,6 +3,8 @@ package profiler
 import (
 	"sync"
 	"testing"
+
+	"ricjs/internal/trace"
 )
 
 func TestPoolCountersConcurrent(t *testing.T) {
@@ -15,16 +17,16 @@ func TestPoolCountersConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				p.Session()
-				p.ReuseHit()
+				p.Note(trace.EvPoolSession)
+				p.Note(trace.EvPoolAcquireHit)
 				if i%10 == 0 {
-					p.Extraction()
-					p.StoreLoad()
-					p.Deduped()
-					p.Waited()
-					p.Conventional()
-					p.Degraded()
-					p.StoreError()
+					p.Note(trace.EvPoolExtract)
+					p.Note(trace.EvPoolStoreLoad)
+					p.Note(trace.EvPoolDedup)
+					p.Note(trace.EvPoolConventional)
+					p.Note(trace.EvPoolDegraded)
+					p.Note(trace.EvPoolStoreError)
+					p.ShardLock()
 				}
 			}
 		}()
@@ -44,9 +46,9 @@ func TestPoolCountersConcurrent(t *testing.T) {
 		"StoreLoads":         s.StoreLoads,
 		"StoreErrors":        s.StoreErrors,
 		"DedupedExtractions": s.DedupedExtractions,
-		"WaitedSessions":     s.WaitedSessions,
 		"ConventionalRuns":   s.ConventionalRuns,
 		"DegradedSessions":   s.DegradedSessions,
+		"ShardLockAcquires":  s.ShardLockAcquires,
 	} {
 		if got != sparse {
 			t.Fatalf("%s = %d, want %d", name, got, sparse)

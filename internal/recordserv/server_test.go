@@ -172,7 +172,7 @@ func TestServerRequestValidation(t *testing.T) {
 		{"GET", "/nope", http.StatusNotFound},
 		{"GET", "/v1/records/", http.StatusBadRequest},
 		{"PATCH", "/v1/records/k", http.StatusMethodNotAllowed},
-		{"POST", "/v1/claims/k", http.StatusBadRequest},            // no owner
+		{"POST", "/v1/claims/k", http.StatusBadRequest}, // no owner
 		{"POST", "/v1/claims/k?owner=a&ttl=bogus", http.StatusBadRequest},
 		{"PUT", "/v1/claims/k?owner=a", http.StatusMethodNotAllowed},
 	} {

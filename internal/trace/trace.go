@@ -91,15 +91,12 @@ const (
 	// EvPoolDedup is a session that found extraction for its key already
 	// in flight and did not start its own.
 	EvPoolDedup
-	// EvPoolWait is a deduped session that blocked for the in-flight
-	// record instead of proceeding conventionally.
-	EvPoolWait
 	// EvPoolConventional is a session that ran record-free.
 	EvPoolConventional
 	// EvPoolExtract is an Initial run's record extraction on a cold key.
 	EvPoolExtract
 	// EvPoolPublish is a record publication into the shared cache; Name
-	// says where the record came from ("extract" or "store").
+	// says where the record came from ("extract", "store" or "remote").
 	EvPoolPublish
 	// EvPoolAbandon is an owned cache entry settled without a record
 	// (failed extraction; the key stays retryable).
@@ -130,25 +127,10 @@ const (
 	// EvPoolRemotePublish is an extracted record published to the remote
 	// record service for the rest of the fleet.
 	EvPoolRemotePublish
-	// EvPoolRemoteWait is a session waiting on another node's in-flight
-	// extraction (cluster-level single-flight; this node lost the claim).
-	EvPoolRemoteWait
 	// EvPoolRemoteDegraded is a session falling off the remote tier — the
-	// service erred, timed out, or a peer's extraction never arrived —
-	// and continuing down the ladder (local store → extract →
-	// conventional). At most one per session.
+	// service erred or timed out — and continuing down the ladder (local
+	// store → extract → conventional). At most one per session.
 	EvPoolRemoteDegraded
-
-	// EvPoolSnapshotCapture is an Initial run's heap snapshot captured for
-	// snapshot warm starts (PoolOptions.SnapshotWarmStart).
-	EvPoolSnapshotCapture
-	// EvPoolSnapshotRestore is a session served by restoring a captured
-	// heap snapshot instead of executing its scripts.
-	EvPoolSnapshotRestore
-	// EvPoolSnapshotError is a failed best-effort snapshot operation: a
-	// capture of unrepresentable state, or a restore that fell back to a
-	// normal reuse run.
-	EvPoolSnapshotError
 
 	// NumTypes is the number of event types (array sizing).
 	NumTypes
@@ -173,7 +155,6 @@ var typeNames = [NumTypes]string{
 	EvPoolAcquireHit:   "pool-acquire-hit",
 	EvPoolAcquireOwn:   "pool-acquire-own",
 	EvPoolDedup:        "pool-dedup",
-	EvPoolWait:         "pool-wait",
 	EvPoolConventional: "pool-conventional",
 	EvPoolExtract:      "pool-extract",
 	EvPoolPublish:      "pool-publish",
@@ -187,12 +168,7 @@ var typeNames = [NumTypes]string{
 	EvPoolRemoteMiss:     "pool-remote-miss",
 	EvPoolRemoteError:    "pool-remote-error",
 	EvPoolRemotePublish:  "pool-remote-publish",
-	EvPoolRemoteWait:     "pool-remote-wait",
 	EvPoolRemoteDegraded: "pool-remote-degraded",
-
-	EvPoolSnapshotCapture: "pool-snapshot-capture",
-	EvPoolSnapshotRestore: "pool-snapshot-restore",
-	EvPoolSnapshotError:   "pool-snapshot-error",
 }
 
 // String returns the stable wire name of the event type. These names are

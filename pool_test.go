@@ -49,8 +49,8 @@ func sequentialOutputs(t *testing.T, nkeys int) map[string]string {
 // key (single-flight, verified by pool stats), and byte-identical
 // per-session output to a sequential conventional run. Run under -race it
 // also proves the shared decoded records are data-race free. It runs over
-// two key sets: six synthetic libraries, and the full workload set
-// (libraries plus the regime zoo), whose keyed, dictionary-mode and
+// three key sets: four and six synthetic libraries, and the full workload
+// set (libraries plus the regime zoo), whose keyed, dictionary-mode and
 // prototype-dispatch records the synthetic set never extracts.
 func TestSessionPoolStress(t *testing.T) {
 	var synthetic, zoo []ricjs.SessionRequest
@@ -72,6 +72,7 @@ func TestSessionPoolStress(t *testing.T) {
 		keys     []ricjs.SessionRequest
 		sessions int
 	}{
+		{"fourkeys", synthetic[:4], 32},
 		{"synthetic", synthetic, 48},
 		{"workloads", zoo, 3 * len(zoo)},
 	} {
@@ -81,6 +82,9 @@ func TestSessionPoolStress(t *testing.T) {
 
 // stressPool serves sessions concurrently, round-robin over keys, through
 // one fresh pool and checks single-flight extraction and output identity.
+// A session that finds its key's extraction in flight runs conventionally,
+// so how the rest split between reuse and conventional runs depends on
+// scheduling; every session must still be counted by exactly one mode.
 func stressPool(t *testing.T, keys []ricjs.SessionRequest, sessions int) {
 	nkeys := len(keys)
 	want := make(map[string]string, nkeys)
@@ -94,7 +98,7 @@ func stressPool(t *testing.T, keys []ricjs.SessionRequest, sessions int) {
 		want[req.Key] = eng.Output()
 	}
 
-	pool := ricjs.NewSessionPool(ricjs.PoolOptions{WaitForRecord: true})
+	pool := ricjs.NewSessionPool(ricjs.PoolOptions{})
 	results := make([]*ricjs.SessionResult, sessions)
 	errs := make([]error, sessions)
 
@@ -137,11 +141,13 @@ func stressPool(t *testing.T, keys []ricjs.SessionRequest, sessions int) {
 	if initials != nkeys {
 		t.Fatalf("%d SessionInitial results, want %d", initials, nkeys)
 	}
-	if stats.ReuseHits != uint64(sessions-nkeys) {
-		t.Fatalf("ReuseHits = %d, want %d (every non-extractor reuses)", stats.ReuseHits, sessions-nkeys)
+	if total := stats.Extractions + stats.ReuseHits + stats.ConventionalRuns; total != uint64(sessions) {
+		t.Fatalf("extractions(%d) + reuse(%d) + conventional(%d) = %d, want %d",
+			stats.Extractions, stats.ReuseHits, stats.ConventionalRuns, total, sessions)
 	}
-	if stats.ConventionalRuns != 0 {
-		t.Fatalf("ConventionalRuns = %d, want 0 with WaitForRecord", stats.ConventionalRuns)
+	if stats.ConventionalRuns != stats.DedupedExtractions {
+		t.Fatalf("ConventionalRuns = %d, DedupedExtractions = %d: only contenders of an in-flight extraction may run conventionally",
+			stats.ConventionalRuns, stats.DedupedExtractions)
 	}
 	if stats.RecordsDecoded() != uint64(nkeys) {
 		t.Fatalf("RecordsDecoded = %d, want %d (one decode per key)", stats.RecordsDecoded(), nkeys)
@@ -151,58 +157,6 @@ func stressPool(t *testing.T, keys []ricjs.SessionRequest, sessions int) {
 	}
 	if stats.DegradedSessions != 0 {
 		t.Fatalf("DegradedSessions = %d, want 0", stats.DegradedSessions)
-	}
-}
-
-// TestSessionPoolNoWaitRunsConventionally covers the other single-flight
-// policy: contenders that find extraction in flight proceed record-free
-// instead of blocking, and still never duplicate the extraction.
-func TestSessionPoolNoWaitRunsConventionally(t *testing.T) {
-	const (
-		nkeys    = 4
-		sessions = 32
-	)
-	want := sequentialOutputs(t, nkeys)
-
-	pool := ricjs.NewSessionPool(ricjs.PoolOptions{})
-	results := make([]*ricjs.SessionResult, sessions)
-	errs := make([]error, sessions)
-	keys := make([]string, sessions)
-
-	var wg sync.WaitGroup
-	for s := 0; s < sessions; s++ {
-		key, script, src := poolLib(s % nkeys)
-		keys[s] = key
-		wg.Add(1)
-		go func(s int, req ricjs.SessionRequest) {
-			defer wg.Done()
-			results[s], errs[s] = pool.Serve(req)
-		}(s, ricjs.SessionRequest{
-			Key:     key,
-			Scripts: []ricjs.SessionScript{{Name: script, Src: src}},
-		})
-	}
-	wg.Wait()
-
-	for s := 0; s < sessions; s++ {
-		if errs[s] != nil {
-			t.Fatalf("session %d: %v", s, errs[s])
-		}
-		if results[s].Output != want[keys[s]] {
-			t.Fatalf("session %d (%s): output %q, want %q", s, keys[s], results[s].Output, want[keys[s]])
-		}
-	}
-	stats := pool.Stats()
-	if stats.Extractions != nkeys {
-		t.Fatalf("Extractions = %d, want exactly %d (single-flight)", stats.Extractions, nkeys)
-	}
-	if stats.WaitedSessions != 0 {
-		t.Fatalf("WaitedSessions = %d, want 0 without WaitForRecord", stats.WaitedSessions)
-	}
-	// Every session is accounted for by exactly one serving mode.
-	if total := stats.Extractions + stats.ReuseHits + stats.ConventionalRuns; total != sessions {
-		t.Fatalf("extractions(%d) + reuse(%d) + conventional(%d) = %d, want %d",
-			stats.Extractions, stats.ReuseHits, stats.ConventionalRuns, total, sessions)
 	}
 }
 

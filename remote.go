@@ -8,21 +8,12 @@ import (
 )
 
 // RemoteTierOptions configures how a SessionPool uses the distributed
-// record service. The zero value of every field has a sane default.
+// record service. The zero value has a sane default.
 type RemoteTierOptions struct {
 	// ClaimTTL is the extraction lease this node requests on a cold key
 	// (default recordserv.DefaultClaimTTL). If this process dies
 	// mid-extraction, the lease expires and another node takes over.
 	ClaimTTL time.Duration
-	// WaitTimeout bounds how long a session waits for another node's
-	// in-flight extraction before degrading to a conventional run
-	// (default 2s). Only consulted when the pool's WaitForRecord is set.
-	WaitTimeout time.Duration
-	// PollInterval is how often a waiting session revalidates the key
-	// against the service (default 50ms).
-	PollInterval time.Duration
-	// Sleep injects the wait clock for tests (default time.Sleep).
-	Sleep func(time.Duration)
 }
 
 // RemoteTier adapts a recordserv.Client into the SessionPool's top
@@ -35,9 +26,6 @@ type RemoteTierOptions struct {
 type RemoteTier struct {
 	c        *recordserv.Client
 	claimTTL time.Duration
-	waitFor  time.Duration
-	poll     time.Duration
-	sleep    func(time.Duration)
 }
 
 // NewRemoteTier wraps a record-service client for use as a pool tier.
@@ -45,22 +33,7 @@ func NewRemoteTier(client *recordserv.Client, opts RemoteTierOptions) *RemoteTie
 	if opts.ClaimTTL <= 0 {
 		opts.ClaimTTL = recordserv.DefaultClaimTTL
 	}
-	if opts.WaitTimeout <= 0 {
-		opts.WaitTimeout = 2 * time.Second
-	}
-	if opts.PollInterval <= 0 {
-		opts.PollInterval = 50 * time.Millisecond
-	}
-	if opts.Sleep == nil {
-		opts.Sleep = time.Sleep
-	}
-	return &RemoteTier{
-		c:        client,
-		claimTTL: opts.ClaimTTL,
-		waitFor:  opts.WaitTimeout,
-		poll:     opts.PollInterval,
-		sleep:    opts.Sleep,
-	}
+	return &RemoteTier{c: client, claimTTL: opts.ClaimTTL}
 }
 
 // DialRemoteTier is the one-line constructor: a default client for the
@@ -127,27 +100,6 @@ func (r *RemoteTier) release(key string) { _ = r.c.Release(key) }
 func (r *RemoteTier) publishRecord(key string, rec *Record) bool {
 	_, err := r.c.Publish(key, rec.Encode())
 	return err == nil
-}
-
-// awaitPublication polls for another node's in-flight extraction until it
-// lands or the wait budget runs out. ETag revalidation makes the polls
-// cheap: until the publication, each is a 404; after it, one transfer.
-func (r *RemoteTier) awaitPublication(key string) (*Record, remoteOutcome) {
-	deadline := time.Now().Add(r.waitFor)
-	for {
-		rec, outcome := r.fetch(key)
-		if rec != nil {
-			return rec, remoteHit
-		}
-		if outcome == remoteError && !r.c.Available() {
-			// Breaker open: the service is gone, no point polling it.
-			return nil, remoteError
-		}
-		if !time.Now().Before(deadline) {
-			return nil, outcome
-		}
-		r.sleep(r.poll)
-	}
 }
 
 // available reports whether the client's breaker admits requests.

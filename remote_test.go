@@ -120,10 +120,7 @@ func TestRemotePartitionMidRun(t *testing.T) {
 
 	client := fleetClient(t, baseURL, "partitioned-node")
 	pool := ricjs.NewSessionPool(ricjs.PoolOptions{
-		Remote: ricjs.NewRemoteTier(client, ricjs.RemoteTierOptions{
-			WaitTimeout:  50 * time.Millisecond,
-			PollInterval: time.Millisecond,
-		}),
+		Remote: ricjs.NewRemoteTier(client, ricjs.RemoteTierOptions{}),
 	})
 	serve := func(i int) *ricjs.SessionResult {
 		key, script, src := poolLib(i)
@@ -173,9 +170,10 @@ func TestRemotePartitionMidRun(t *testing.T) {
 // TestSessionPoolStoreFaultsUnderRace drives concurrent pooled sessions
 // against a store whose reads and renames both fail: every session must
 // complete with byte-identical output, each key must extract exactly once
-// (the retryable-key discipline survives store failure), and the failures
-// must be counted. Run under -race this also proves the fault paths are
-// data-race free.
+// (the retryable-key discipline survives store failure), every session
+// must be counted by exactly one serving mode, and the failures must be
+// counted. Run under -race this also proves the fault paths are data-race
+// free.
 func TestSessionPoolStoreFaultsUnderRace(t *testing.T) {
 	const (
 		nkeys    = 4
@@ -191,7 +189,7 @@ func TestSessionPoolStoreFaultsUnderRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := ricjs.NewSessionPool(ricjs.PoolOptions{Store: store, WaitForRecord: true})
+	pool := ricjs.NewSessionPool(ricjs.PoolOptions{Store: store})
 
 	results := make([]*ricjs.SessionResult, sessions)
 	errs := make([]error, sessions)
@@ -211,6 +209,7 @@ func TestSessionPoolStoreFaultsUnderRace(t *testing.T) {
 	}
 	wg.Wait()
 
+	initials := 0
 	for s := 0; s < sessions; s++ {
 		if errs[s] != nil {
 			t.Fatalf("session %d: store faults must never fail a session: %v", s, errs[s])
@@ -218,13 +217,17 @@ func TestSessionPoolStoreFaultsUnderRace(t *testing.T) {
 		if results[s].Output != want[keys[s]] {
 			t.Fatalf("session %d (%s): output %q, want %q", s, keys[s], results[s].Output, want[keys[s]])
 		}
+		if results[s].Mode == ricjs.SessionInitial {
+			initials++
+		}
 	}
 	st := pool.Stats()
-	if st.Extractions != nkeys {
-		t.Fatalf("Extractions = %d, want exactly %d", st.Extractions, nkeys)
+	if st.Extractions != nkeys || initials != nkeys {
+		t.Fatalf("Extractions = %d with %d SessionInitial results, want exactly %d", st.Extractions, initials, nkeys)
 	}
-	if st.ReuseHits != sessions-nkeys {
-		t.Fatalf("ReuseHits = %d, want %d", st.ReuseHits, sessions-nkeys)
+	if total := st.Extractions + st.StoreLoads + st.ReuseHits + st.ConventionalRuns; total != sessions {
+		t.Fatalf("extractions(%d) + store loads(%d) + reuse(%d) + conventional(%d) = %d, want %d",
+			st.Extractions, st.StoreLoads, st.ReuseHits, st.ConventionalRuns, total, sessions)
 	}
 	// Each cold key fails one load and one save: 2*nkeys store errors.
 	if st.StoreErrors != 2*nkeys {

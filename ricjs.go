@@ -201,7 +201,6 @@ const (
 	EvPoolAcquireHit   = trace.EvPoolAcquireHit
 	EvPoolAcquireOwn   = trace.EvPoolAcquireOwn
 	EvPoolDedup        = trace.EvPoolDedup
-	EvPoolWait         = trace.EvPoolWait
 	EvPoolConventional = trace.EvPoolConventional
 	EvPoolExtract      = trace.EvPoolExtract
 	EvPoolPublish      = trace.EvPoolPublish

@@ -2,7 +2,10 @@ package ricjs
 
 import (
 	"strings"
+	"sync"
 	"testing"
+
+	"ricjs/internal/workloads"
 )
 
 const snapLib = `
@@ -98,5 +101,59 @@ func TestSnapshotFasterThanReExecution(t *testing.T) {
 	}
 	if got := target.Stats().TotalInstr(); got != 0 {
 		t.Fatalf("restore executed %d instructions; must execute none", got)
+	}
+}
+
+// TestSnapshotConcurrentRestore restores one captured snapshot of a real
+// library on several engines at once. Each engine runs the same probe,
+// which reads and then mutates the restored API object, and every output
+// must equal what the executed engine prints for the same probe. Under
+// -race this proves restore never writes to the shared snapshot, and the
+// identical outputs prove no engine sees another's mutation.
+func TestSnapshotConcurrentRestore(t *testing.T) {
+	const engines = 8
+	lib := workloads.Profiles[0]
+	src := lib.Source()
+	cache := NewCodeCache()
+	initial := NewEngine(Options{Cache: cache})
+	if err := initial.Run(lib.Script, src); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := initial.CaptureSnapshot(lib.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	api := "window." + sanitized(lib.Name)
+	probe := "print(" + api + ".acc, " + api + ".ready); " + api + ".acc = " + api + ".acc + 1; print(" + api + ".acc);"
+	before := len(initial.Output())
+	if err := initial.Run("probe.js", probe); err != nil {
+		t.Fatal(err)
+	}
+	want := initial.Output()[before:]
+
+	outs := make([]string, engines)
+	errs := make([]error, engines)
+	var wg sync.WaitGroup
+	for i := 0; i < engines; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			eng := NewEngine(Options{Cache: cache})
+			if errs[i] = eng.RestoreSnapshot(snap, map[string]string{lib.Script: src}); errs[i] != nil {
+				return
+			}
+			if errs[i] = eng.Run("probe.js", probe); errs[i] == nil {
+				outs[i] = eng.Output()
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i := 0; i < engines; i++ {
+		if errs[i] != nil {
+			t.Fatalf("engine %d: %v", i, errs[i])
+		}
+		if outs[i] != want {
+			t.Fatalf("engine %d probe output %q, executed engine printed %q", i, outs[i], want)
+		}
 	}
 }

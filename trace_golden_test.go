@@ -232,7 +232,9 @@ func TestTraceDegradedEngineReconciles(t *testing.T) {
 // TestSessionPoolTraceReconciliation serves concurrent sessions over
 // shared keys with per-session tracing and checks (under -race in CI) that
 // the pool's atomic counters equal the merged per-session event roll-up,
-// and each session's engine counters equal its own buffer's.
+// and each session's engine counters equal its own buffer's. The backing
+// store holds a corrupt record for one key, so the store and quarantine
+// rows count real events.
 func TestSessionPoolTraceReconciliation(t *testing.T) {
 	libs := []string{"jQuery", "Underscore"}
 	scripts := map[string][]SessionScript{}
@@ -244,7 +246,14 @@ func TestSessionPoolTraceReconciliation(t *testing.T) {
 		scripts[name] = []SessionScript{{Name: p.Script, Src: p.Source()}}
 	}
 
-	pool := NewSessionPool(PoolOptions{WaitForRecord: true, TraceCapacity: -1})
+	store, err := OpenRecordStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.SaveBytes(libs[0], []byte("RICREC\xffgarbage")); err != nil {
+		t.Fatal(err)
+	}
+	pool := NewSessionPool(PoolOptions{Store: store, TraceCapacity: -1})
 	const perKey = 4
 	var (
 		wg      sync.WaitGroup
@@ -302,9 +311,14 @@ func TestSessionPoolTraceReconciliation(t *testing.T) {
 		{"StoreLoads", ps.StoreLoads, merged.Count(trace.EvPoolStoreLoad)},
 		{"StoreErrors", ps.StoreErrors, merged.Count(trace.EvPoolStoreError)},
 		{"DedupedExtractions", ps.DedupedExtractions, merged.Count(trace.EvPoolDedup)},
-		{"WaitedSessions", ps.WaitedSessions, merged.Count(trace.EvPoolWait)},
 		{"ConventionalRuns", ps.ConventionalRuns, merged.Count(trace.EvPoolConventional)},
 		{"DegradedSessions", ps.DegradedSessions, merged.Count(trace.EvPoolDegraded)},
+		{"QuarantinedRecords", ps.QuarantinedRecords, merged.Count(trace.EvPoolQuarantine)},
+		{"RemoteHits", ps.RemoteHits, merged.Count(trace.EvPoolRemoteHit)},
+		{"RemoteMisses", ps.RemoteMisses, merged.Count(trace.EvPoolRemoteMiss)},
+		{"RemoteErrors", ps.RemoteErrors, merged.Count(trace.EvPoolRemoteError)},
+		{"RemotePublishes", ps.RemotePublishes, merged.Count(trace.EvPoolRemotePublish)},
+		{"RemoteDegradedSessions", ps.RemoteDegradedSessions, merged.Count(trace.EvPoolRemoteDegraded)},
 	}
 	for _, c := range poolChecks {
 		if c.counter != c.events {
@@ -313,6 +327,9 @@ func TestSessionPoolTraceReconciliation(t *testing.T) {
 	}
 	if merged.Count(trace.EvPoolExtract) != uint64(len(libs)) {
 		t.Errorf("extractions = %d, want one per key (%d)", merged.Count(trace.EvPoolExtract), len(libs))
+	}
+	if ps.QuarantinedRecords != 1 {
+		t.Errorf("QuarantinedRecords = %d, want 1 (the planted corrupt record)", ps.QuarantinedRecords)
 	}
 	if merged.Count(trace.EvPoolPublish) != uint64(len(libs)) {
 		t.Errorf("publishes = %d, want one per key (%d)", merged.Count(trace.EvPoolPublish), len(libs))
