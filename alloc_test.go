@@ -1,10 +1,13 @@
 package ricjs_test
 
 import (
+	"runtime"
 	"testing"
 
+	"ricjs"
 	"ricjs/internal/objects"
 	"ricjs/internal/vm"
+	"ricjs/internal/workloads"
 )
 
 // zeroAllocCall asserts that steady-state invocations of a warmed-up
@@ -87,4 +90,28 @@ func TestNestedCallZeroAlloc(t *testing.T) {
 		}
 		bench();`, "bench")
 	zeroAllocCall(t, "nested calls", v, fn)
+}
+
+// TestExtractRecordAllocBudget bounds what one extraction allocates on
+// the largest profile. ExtractRecord runs only the §5 extraction (about
+// 0.6 MB on React); a whole-session static analysis on the serving path
+// allocates about 12 MB, so putting one back fails this budget.
+func TestExtractRecordAllocBudget(t *testing.T) {
+	const budget = 2 << 20
+	p, ok := workloads.ByName("React")
+	if !ok {
+		t.Fatal("no React profile")
+	}
+	e := ricjs.NewEngine(ricjs.Options{Cache: ricjs.NewCodeCache()})
+	if err := e.Run(p.Script, p.Source()); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	e.ExtractRecord(p.Name)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= budget {
+		t.Errorf("ExtractRecord on React allocated %d bytes, budget %d", got, budget)
+	}
 }

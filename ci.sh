@@ -98,7 +98,7 @@ go test -count=1 -run 'TestGoldenResults|TestAnalyzeDeterministic' ./internal/an
 go test -race -count=1 -run 'TestFrameArenaPoisoned|TestAnalyzeConcurrent' ./internal/analysis
 
 echo "== analysis benchmarks: smoke =="
-# One iteration of each extraction-statics benchmark, so the benchmarks
+# One iteration of each offline-statics benchmark, so the benchmarks
 # EXPERIMENTS.md quotes keep building and running.
 go test -run '^$' -bench 'BenchmarkAnalyze|BenchmarkAttachTypedShapes' -benchtime 1x ./internal/analysis ./internal/ric
 

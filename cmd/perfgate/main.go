@@ -7,9 +7,9 @@
 // diffs `conventionalInstructions`, `ricInstructions`, and `recordBytes`
 // per workload against the committed BENCH_baseline.json and fails on any
 // regression beyond the tolerance (default 2%). `typedSlots` is gated in
-// the opposite direction — it counts the slot-type claims the
-// extraction-time analysis inferred, so a drop means typed-shape inference
-// silently lost coverage.
+// the opposite direction — it counts the slot-type claims the offline
+// analysis inferred (ricbench runs it outside the timed extraction), so a
+// drop means typed-shape inference silently lost coverage.
 //
 // Usage:
 //

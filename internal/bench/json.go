@@ -54,7 +54,7 @@ type JSONLibrary struct {
 	DependentSlots int     `json:"dependentSlots"`
 	MissesAverted  uint64  `json:"missesAverted"`
 
-	// Typed-shape static inference: what the extraction-time analysis
+	// Typed-shape static inference: what the offline analysis
 	// inferred.
 	StaticTypes JSONStaticTypes `json:"staticTypes"`
 }

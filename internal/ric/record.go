@@ -59,8 +59,9 @@ type DepEntry struct {
 
 // SlotClaim is one typed-shape claim of an HCVT row: the slot at Offset of
 // the row's hidden class only ever holds values of Type. Claims are
-// computed by the static value-type analysis at extraction and verified
-// offline by riclint (VerifyTyped).
+// computed offline by the static value-type analysis (AttachTypedShapes)
+// and verified offline by riclint (VerifyTyped); served records carry
+// none, and no runtime path reads them.
 type SlotClaim struct {
 	Offset int32
 	Type   objects.SlotType
@@ -84,7 +85,8 @@ type Stats struct {
 	// (equal to DependentSlots; kept for reporting symmetry).
 	ContextIndependentHandlers int
 	// TypedSlotClaims is the total number of typed-shape slot claims the
-	// record carries (the v5 section).
+	// record carries (the v5 section). It is 0 for every record
+	// Engine.ExtractRecord serves; only offline AttachTypedShapes raises it.
 	TypedSlotClaims int
 }
 
@@ -129,8 +131,8 @@ type Record struct {
 	IncludesGlobals bool
 
 	// TypedSlots maps an HCID to its typed-shape claims (the v5 wire
-	// section). Nil or absent entries mean "no claims"; v3/v4 records
-	// decode with no claims and remain fully usable.
+	// section). Nil or absent entries mean "no claims", which is what
+	// every served record carries: only offline tooling attaches claims.
 	TypedSlots map[int32][]SlotClaim
 
 	Stats Stats

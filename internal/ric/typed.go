@@ -15,10 +15,12 @@ import (
 // analysis could not type — or IDs it cannot resolve — simply carry no
 // claims, which is always sound.
 //
-// This is a construction-time step (it completes Extract) and must run
-// before the record is shared or encoded: the Record immutability contract
-// starts once construction ends. A nil or ⊤-widened analysis attaches
-// nothing and leaves the record unchanged.
+// This is an optional offline step: Engine.ExtractRecord never calls it,
+// so served records carry no claims, and no runtime path reads them.
+// Tooling that wants a typed record calls it on a freshly extracted
+// record before sharing or encoding it, since the Record immutability
+// contract starts once construction ends. A nil or ⊤-widened analysis
+// attaches nothing and leaves the record unchanged.
 func (r *Record) AttachTypedShapes(res *analysis.Result) {
 	if res == nil || res.GlobalTop() {
 		return

@@ -78,7 +78,7 @@ func (r *Record) VerifyStatic(res *analysis.Result) error {
 
 // resolveShapes maps every hidden-class ID the record can statically
 // justify to its analysis shape — the shared resolution step behind
-// VerifyStatic, VerifyTyped, and extraction-time claim attachment
+// VerifyStatic, VerifyTyped, and offline claim attachment
 // (AttachTypedShapes). Unresolvable IDs stay nil (conservative); an ID
 // resolving to two distinct shapes is an inconsistency error.
 func (r *Record) resolveShapes(res *analysis.Result) ([]*analysis.Shape, error) {

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"io"
 
-	"ricjs/internal/analysis"
 	"ricjs/internal/bytecode"
 	"ricjs/internal/codecache"
 	"ricjs/internal/profiler"
@@ -248,10 +247,6 @@ type Engine struct {
 	reuser *ric.Reuser
 	rec    *Record
 	opts   Options
-
-	// lastAnalysis is the joint analysis ExtractRecord computed for the
-	// typed-shape claims, kept for StaticTypeStats reporting.
-	lastAnalysis *analysis.Result
 
 	// history lists every script executed so far (including ones that
 	// ended in a JavaScript error — their side effects persist), so
@@ -502,43 +497,13 @@ func (e *Engine) Degraded() (bool, *EngineError) {
 }
 
 // ExtractRecord runs the extraction phase (paper §5.2.1) over the engine's
-// accumulated IC state, then attaches typed-shape claims computed by the
-// static value-type analysis of the session's scripts (the .ric v5
-// section), which riclint re-verifies offline. Call it after the Initial
-// run completes; the engine is not modified.
+// accumulated IC state and returns the record §5 defines: the Hidden Class
+// Validation Table, the Triggering Object Access Site Table and the
+// context-independent handlers. It runs no static analysis, so the record
+// carries no typed-shape claims. Call it after the Initial run completes;
+// the engine is not modified.
 func (e *Engine) ExtractRecord(label string) *Record {
-	rec := ric.Extract(e.vm, label, ric.Config{IncludeGlobals: e.opts.IncludeGlobals})
-	// Analyze the session jointly: scripts share the global object and
-	// each other's constructors, so per-script analysis would widen
-	// cross-script receivers to ⊤.
-	var progs []*bytecode.Program
-	seen := make(map[*bytecode.Program]bool)
-	for _, h := range e.history {
-		prog, err := e.cache.c.Load(h.name, h.src)
-		if err != nil || seen[prog] {
-			continue
-		}
-		seen[prog] = true
-		progs = append(progs, prog)
-	}
-	if len(progs) > 0 {
-		res := analysis.Analyze(progs...)
-		rec.AttachTypedShapes(res)
-		e.lastAnalysis = res
-	}
-	return &Record{r: rec}
-}
-
-// StaticTypeStats reports the extraction-time static-typing summary: how
-// many access sites the value-type analysis predicted over, and how many
-// shapes and slots received type claims (the record's typed-shape
-// section). All zeros before ExtractRecord runs.
-func (e *Engine) StaticTypeStats() (sitesAnalyzed, typedShapes, typedSlots int) {
-	if e.lastAnalysis == nil {
-		return 0, 0, 0
-	}
-	typedShapes, typedSlots = e.lastAnalysis.TypedStats()
-	return len(e.lastAnalysis.Sites()), typedShapes, typedSlots
+	return &Record{r: ric.Extract(e.vm, label, ric.Config{IncludeGlobals: e.opts.IncludeGlobals})}
 }
 
 // Stats snapshots the run's statistics.

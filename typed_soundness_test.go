@@ -29,8 +29,9 @@ func compileWorkload(t *testing.T, name, src string) *bytecode.Program {
 // TestTypedClaimsSoundOnAllWorkloads is the soundness gate for
 // typed-shape inference, run over every library of the evaluation:
 //
-//  1. offline: the claims attached at extraction must pass VerifyTyped's
-//     independent recomputation (what riclint's fourth layer checks);
+//  1. offline: the claims AttachTypedShapes attaches to a freshly
+//     extracted record must pass VerifyTyped's independent recomputation
+//     (what riclint's fourth layer checks);
 //  2. store-side: during a Reuse run of the record, every concrete named
 //     store into an object whose hidden class the run validated against
 //     a claimed row must leave each claimed slot holding a value the
@@ -52,7 +53,7 @@ func TestTypedClaimsSoundOnAllWorkloads(t *testing.T) {
 			rec := ric.Extract(v0, p.Script, ric.Config{})
 			rec.AttachTypedShapes(res)
 			if rec.Stats.TypedSlotClaims == 0 {
-				t.Fatal("extraction attached no typed claims; the gate is vacuous")
+				t.Fatal("offline analysis attached no typed claims; the gate is vacuous")
 			}
 			// Layer 1: the offline recomputation accepts every attached claim.
 			if err := rec.VerifyTyped(res); err != nil {
