@@ -48,9 +48,10 @@ go run ./cmd/ricbench -netfaults >/dev/null
 
 echo "== ricserved smoke: one extraction fleet-wide =="
 # Builds and runs the real server binary, serves the same key from two
-# pooled clients, and asserts exactly one extraction across the fleet
-# plus a clean SIGTERM drain. The partition and store-fault tests ride
-# along under -race.
+# pooled clients one after the other, and asserts exactly one extraction
+# across the fleet plus a clean SIGTERM drain. Nodes that race on a key
+# each extract at most once, which TestRemoteConcurrentColdStart checks.
+# The partition and store-fault tests ride along under -race.
 go test -race -count=1 -run 'TestRicservedFleetSmoke|TestRemote|TestSessionPoolStoreFaultsUnderRace' .
 
 echo "== progen differential sweep: fixed seed range =="

@@ -1,7 +1,6 @@
 // Command ricserved runs the distributed record service: the HTTP server
-// a fleet of ricjs engines uses to share extracted `.ric` records (fetch,
-// publish, invalidate) with versioned ETags and cluster-level
-// single-flight extraction claims.
+// a fleet of ricjs engines uses to share extracted `.ric` records through
+// three operations: fetch, publish and invalidate.
 //
 // Usage:
 //
@@ -74,6 +73,6 @@ func main() {
 		}
 	}
 	st := srv.Stats()
-	fmt.Printf("ricserved: served %d fetches (%d hits, %d revalidated), %d publishes, %d claims\n",
-		st.Fetches, st.FetchHits, st.NotModified, st.Publishes, st.ClaimsWon)
+	fmt.Printf("ricserved: served %d fetches (%d hits), %d publishes, %d invalidates\n",
+		st.Fetches, st.FetchHits, st.Publishes, st.Invalidates)
 }

@@ -146,12 +146,12 @@ func runNetFaultTrial(mode faultinject.NetMode, cache *ricjs.CodeCache,
 	baseURL := "http://" + ln.Addr().String()
 
 	// Seed the fleet cache over a clean transport.
-	seeder, err := recordserv.NewClient(recordserv.Options{BaseURL: baseURL, Owner: "seeder"})
+	seeder, err := recordserv.NewClient(recordserv.Options{BaseURL: baseURL})
 	if err != nil {
 		return trial, err
 	}
 	for key, data := range seeds {
-		if _, perr := seeder.Publish(key, data); perr != nil {
+		if perr := seeder.Publish(key, data); perr != nil {
 			return trial, fmt.Errorf("seed publish %s: %w", key, perr)
 		}
 	}
@@ -161,7 +161,6 @@ func runNetFaultTrial(mode faultinject.NetMode, cache *ricjs.CodeCache,
 	// breaker that trips after 3 consecutive failed operations.
 	client, err := recordserv.NewClient(recordserv.Options{
 		BaseURL: baseURL,
-		Owner:   "chaos-" + string(mode),
 		Transport: &faultinject.NetFault{
 			Base:    &http.Transport{},
 			Mode:    mode,
@@ -192,7 +191,7 @@ func runNetFaultTrial(mode faultinject.NetMode, cache *ricjs.CodeCache,
 	pool := ricjs.NewSessionPool(ricjs.PoolOptions{
 		Cache:  cache,
 		Store:  store,
-		Remote: ricjs.NewRemoteTier(client, ricjs.RemoteTierOptions{}),
+		Remote: ricjs.NewRemoteTier(client),
 	})
 
 	// Two sessions per key, sequential: the first walks the tier ladder

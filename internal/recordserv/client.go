@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
-	"strconv"
 	"sync"
 	"time"
 )
@@ -35,9 +34,6 @@ var (
 type Options struct {
 	// BaseURL locates the server, e.g. "http://127.0.0.1:9464".
 	BaseURL string
-	// Owner identifies this node in extraction claims. Empty derives a
-	// per-client unique name.
-	Owner string
 	// Transport performs the HTTP round trips; nil uses a private
 	// http.Transport. Fault harnesses inject a faulty one here.
 	Transport http.RoundTripper
@@ -46,8 +42,8 @@ type Options struct {
 	// retry/breaker machinery takes over.
 	RequestTimeout time.Duration
 	// MaxRetries is how many times a failed attempt is retried (default 2,
-	// so 3 attempts total). Definitive answers (404, 304, 409, 422) are
-	// never retried.
+	// so 3 attempts total). Definitive answers (404, 413, 422) are never
+	// retried.
 	MaxRetries int
 	// BackoffBase is the first retry's backoff (default 10ms); each retry
 	// doubles it, capped at BackoffCap (default 250ms). Full jitter is
@@ -55,7 +51,7 @@ type Options struct {
 	BackoffBase time.Duration
 	BackoffCap  time.Duration
 	// JitterSeed makes the backoff jitter deterministic for tests; 0 seeds
-	// from the owner name.
+	// randomly, so a fleet's clients do not retry in lockstep.
 	JitterSeed int64
 	// BreakerThreshold is how many consecutive failed operations trip the
 	// breaker (default 3).
@@ -70,7 +66,7 @@ type Options struct {
 
 // ClientStats is a snapshot of a client's operation counters.
 type ClientStats struct {
-	// Ops counts logical operations (Fetch/Publish/Invalidate/Claim/Release).
+	// Ops counts logical operations (Fetch/Publish/Invalidate/Health).
 	Ops uint64
 	// Attempts counts HTTP attempts, including retries.
 	Attempts uint64
@@ -85,34 +81,13 @@ type ClientStats struct {
 	// ("closed", "open", "half-open").
 	BreakerOpens uint64
 	BreakerState string
-	// FetchHits/FetchMisses/NotModified break down Fetch outcomes; a
-	// NotModified hit revalidated the cached copy without a body transfer.
+	// FetchHits/FetchMisses break down Fetch outcomes.
 	FetchHits   uint64
 	FetchMisses uint64
-	NotModified uint64
-	// Publishes/Invalidates/ClaimsWon/ClaimsLost/Releases count the
-	// mutating operations that reached a definitive server answer.
+	// Publishes/Invalidates count the mutating operations that reached a
+	// definitive server answer.
 	Publishes   uint64
 	Invalidates uint64
-	ClaimsWon   uint64
-	ClaimsLost  uint64
-	Releases    uint64
-}
-
-// ClaimTicket is the outcome of a Claim: either this node owns the
-// extraction lease, or another node does and RetryAfter hints when its
-// lease expires.
-type ClaimTicket struct {
-	Granted    bool
-	Holder     string
-	RetryAfter time.Duration
-}
-
-// cachedRecord is the client's last-seen copy of a key, kept for
-// If-None-Match revalidation: a 304 serves these bytes with no transfer.
-type cachedRecord struct {
-	data []byte
-	etag string
 }
 
 // Client talks to a record server with per-request deadlines, bounded
@@ -122,7 +97,6 @@ type cachedRecord struct {
 // never blocks longer than (MaxRetries+1) × RequestTimeout plus backoff.
 type Client struct {
 	base    *url.URL
-	owner   string
 	http    *http.Client
 	timeout time.Duration
 	retries int
@@ -133,9 +107,6 @@ type Client struct {
 
 	jmu sync.Mutex
 	rng *rand.Rand
-
-	cmu   sync.Mutex
-	cache map[string]cachedRecord
 
 	mu    sync.Mutex
 	stats ClientStats
@@ -179,19 +150,12 @@ func NewClient(opts Options) (*Client, error) {
 	if transport == nil {
 		transport = &http.Transport{}
 	}
-	owner := opts.Owner
-	if owner == "" {
-		owner = fmt.Sprintf("node-%08x", rand.Uint32())
-	}
 	seed := opts.JitterSeed
 	if seed == 0 {
-		for _, c := range owner {
-			seed = seed*131 + int64(c)
-		}
+		seed = rand.Int63()
 	}
 	return &Client{
 		base:    base,
-		owner:   owner,
 		http:    &http.Client{Transport: transport},
 		timeout: opts.RequestTimeout,
 		retries: opts.MaxRetries,
@@ -200,12 +164,8 @@ func NewClient(opts Options) (*Client, error) {
 		breaker: newBreaker(opts.BreakerThreshold, opts.BreakerCooldown, now),
 		sleep:   sleep,
 		rng:     rand.New(rand.NewSource(seed)),
-		cache:   make(map[string]cachedRecord),
 	}, nil
 }
-
-// Owner returns the node identity used in extraction claims.
-func (c *Client) Owner() string { return c.owner }
 
 // Stats snapshots the client's counters.
 func (c *Client) Stats() ClientStats {
@@ -217,14 +177,6 @@ func (c *Client) Stats() ClientStats {
 	st.BreakerOpens = opens
 	st.ShortCircuits = short
 	return st
-}
-
-// Available reports whether the breaker currently admits requests — used
-// by callers to skip optional remote work (e.g. waiting on a peer's
-// extraction) when the server is known-dead.
-func (c *Client) Available() bool {
-	state, _, _ := c.breaker.snapshot()
-	return state != breakerOpen
 }
 
 func (c *Client) count(f func(*ClientStats)) {
@@ -245,10 +197,8 @@ func (c *Client) jitter(d time.Duration) time.Duration {
 
 // response is one attempt's definitive answer.
 type response struct {
-	status     int
-	etag       string
-	body       []byte
-	retryAfter time.Duration
+	status int
+	body   []byte
 }
 
 // transient marks an attempt failure that is worth retrying: transport
@@ -259,9 +209,8 @@ func (t transient) Error() string { return t.err.Error() }
 func (t transient) Unwrap() error { return t.err }
 
 // do runs one logical operation: breaker gate, then up to 1+MaxRetries
-// attempts with backoff, then a single breaker report. ifNoneMatch is
-// attached to GETs when nonempty.
-func (c *Client) do(method, path string, query url.Values, body []byte, ifNoneMatch string) (*response, error) {
+// attempts with backoff, then a single breaker report.
+func (c *Client) do(method, path string, body []byte) (*response, error) {
 	c.count(func(s *ClientStats) { s.Ops++ })
 	if !c.breaker.allow() {
 		c.count(func(s *ClientStats) { s.ShortCircuits++ })
@@ -273,7 +222,7 @@ func (c *Client) do(method, path string, query url.Values, body []byte, ifNoneMa
 		if attempt > 0 {
 			c.count(func(s *ClientStats) { s.Retries++ })
 		}
-		resp, err := c.attempt(method, path, query, body, ifNoneMatch)
+		resp, err := c.attempt(method, path, body)
 		if err == nil {
 			c.breaker.report(true)
 			return resp, nil
@@ -300,12 +249,9 @@ func (c *Client) do(method, path string, query url.Values, body []byte, ifNoneMa
 // attempt performs one HTTP round trip under the per-request deadline and
 // classifies the outcome: a *response for definitive answers, a transient
 // error for anything retryable, a permanent error otherwise.
-func (c *Client) attempt(method, path string, query url.Values, body []byte, ifNoneMatch string) (*response, error) {
+func (c *Client) attempt(method, path string, body []byte) (*response, error) {
 	u := *c.base
 	u.Path = path
-	if query != nil {
-		u.RawQuery = query.Encode()
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), c.timeout)
 	defer cancel()
 	var rd io.Reader
@@ -315,9 +261,6 @@ func (c *Client) attempt(method, path string, query url.Values, body []byte, ifN
 	req, err := http.NewRequestWithContext(ctx, method, u.String(), rd)
 	if err != nil {
 		return nil, fmt.Errorf("recordserv: build request: %w", err)
-	}
-	if ifNoneMatch != "" {
-		req.Header.Set("If-None-Match", ifNoneMatch)
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
@@ -337,76 +280,49 @@ func (c *Client) attempt(method, path string, query url.Values, body []byte, ifN
 	if resp.StatusCode >= 500 {
 		return nil, transient{fmt.Errorf("recordserv: %s %s: server error %d", method, path, resp.StatusCode)}
 	}
-	out := &response{status: resp.StatusCode, etag: resp.Header.Get("ETag"), body: data}
-	// Retry-After is whole seconds by HTTP convention; garbage counts as
-	// absent rather than failing the request.
-	if ra := resp.Header.Get("Retry-After"); ra != "" {
-		if secs, perr := strconv.Atoi(ra); perr == nil && secs > 0 {
-			out.retryAfter = time.Duration(secs) * time.Second
-		}
-	}
-	return out, nil
+	return &response{status: resp.StatusCode, body: data}, nil
 }
 
-// Fetch retrieves the record published under key. When the client has a
-// cached copy it revalidates with If-None-Match; a 304 answer serves the
-// cached bytes without a body transfer. The returned etag identifies the
-// version for subsequent revalidation. A missing key is ErrNotFound; an
-// open breaker is ErrUnavailable.
-func (c *Client) Fetch(key string) (data []byte, etag string, err error) {
-	c.cmu.Lock()
-	cached, hasCached := c.cache[key]
-	c.cmu.Unlock()
-	inm := ""
-	if hasCached {
-		inm = cached.etag
-	}
-	resp, err := c.do(http.MethodGet, "/v1/records/"+url.PathEscape(key), nil, nil, inm)
+// Fetch retrieves the record published under key. A missing key is
+// ErrNotFound; an open breaker is ErrUnavailable.
+func (c *Client) Fetch(key string) ([]byte, error) {
+	resp, err := c.do(http.MethodGet, "/v1/records/"+url.PathEscape(key), nil)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	switch resp.status {
 	case http.StatusOK:
 		c.count(func(s *ClientStats) { s.FetchHits++ })
-		c.cmu.Lock()
-		c.cache[key] = cachedRecord{data: resp.body, etag: resp.etag}
-		c.cmu.Unlock()
-		return resp.body, resp.etag, nil
-	case http.StatusNotModified:
-		c.count(func(s *ClientStats) { s.NotModified++; s.FetchHits++ })
-		return cached.data, cached.etag, nil
+		return resp.body, nil
 	case http.StatusNotFound:
 		c.count(func(s *ClientStats) { s.FetchMisses++ })
-		return nil, "", ErrNotFound
+		return nil, ErrNotFound
 	default:
-		return nil, "", fmt.Errorf("recordserv: fetch %q: unexpected status %d", key, resp.status)
+		return nil, fmt.Errorf("recordserv: fetch %q: unexpected status %d", key, resp.status)
 	}
 }
 
-// Publish uploads an encoded record under key and returns its new etag.
-// Server-side validation failure is ErrRejected.
-func (c *Client) Publish(key string, data []byte) (etag string, err error) {
-	resp, err := c.do(http.MethodPut, "/v1/records/"+url.PathEscape(key), nil, data, "")
+// Publish uploads an encoded record under key. Server-side validation
+// failure is ErrRejected.
+func (c *Client) Publish(key string, data []byte) error {
+	resp, err := c.do(http.MethodPut, "/v1/records/"+url.PathEscape(key), data)
 	if err != nil {
-		return "", err
+		return err
 	}
 	switch resp.status {
 	case http.StatusNoContent:
 		c.count(func(s *ClientStats) { s.Publishes++ })
-		c.cmu.Lock()
-		c.cache[key] = cachedRecord{data: data, etag: resp.etag}
-		c.cmu.Unlock()
-		return resp.etag, nil
+		return nil
 	case http.StatusUnprocessableEntity, http.StatusRequestEntityTooLarge:
-		return "", fmt.Errorf("%w: %s", ErrRejected, bytes.TrimSpace(resp.body))
+		return fmt.Errorf("%w: %s", ErrRejected, bytes.TrimSpace(resp.body))
 	default:
-		return "", fmt.Errorf("recordserv: publish %q: unexpected status %d", key, resp.status)
+		return fmt.Errorf("recordserv: publish %q: unexpected status %d", key, resp.status)
 	}
 }
 
 // Invalidate removes the record published under key fleet-wide.
 func (c *Client) Invalidate(key string) error {
-	resp, err := c.do(http.MethodDelete, "/v1/records/"+url.PathEscape(key), nil, nil, "")
+	resp, err := c.do(http.MethodDelete, "/v1/records/"+url.PathEscape(key), nil)
 	if err != nil {
 		return err
 	}
@@ -414,55 +330,13 @@ func (c *Client) Invalidate(key string) error {
 		return fmt.Errorf("recordserv: invalidate %q: unexpected status %d", key, resp.status)
 	}
 	c.count(func(s *ClientStats) { s.Invalidates++ })
-	c.cmu.Lock()
-	delete(c.cache, key)
-	c.cmu.Unlock()
-	return nil
-}
-
-// Claim asks for the cluster-wide extraction lease on key. Exactly one
-// node holds it at a time; a ClaimTicket with Granted=false names the
-// holder and hints when its lease expires.
-func (c *Client) Claim(key string, ttl time.Duration) (ClaimTicket, error) {
-	q := url.Values{"owner": {c.owner}}
-	if ttl > 0 {
-		q.Set("ttl", ttl.String())
-	}
-	resp, err := c.do(http.MethodPost, "/v1/claims/"+url.PathEscape(key), q, nil, "")
-	if err != nil {
-		return ClaimTicket{}, err
-	}
-	switch resp.status {
-	case http.StatusOK:
-		c.count(func(s *ClientStats) { s.ClaimsWon++ })
-		return ClaimTicket{Granted: true, Holder: c.owner}, nil
-	case http.StatusConflict:
-		c.count(func(s *ClientStats) { s.ClaimsLost++ })
-		return ClaimTicket{Holder: string(bytes.TrimSpace(resp.body)), RetryAfter: resp.retryAfter}, nil
-	default:
-		return ClaimTicket{}, fmt.Errorf("recordserv: claim %q: unexpected status %d", key, resp.status)
-	}
-}
-
-// Release drops this node's extraction lease on key (normally implicit in
-// Publish; used when an extraction fails and the key must free up).
-func (c *Client) Release(key string) error {
-	q := url.Values{"owner": {c.owner}}
-	resp, err := c.do(http.MethodDelete, "/v1/claims/"+url.PathEscape(key), q, nil, "")
-	if err != nil {
-		return err
-	}
-	if resp.status != http.StatusNoContent {
-		return fmt.Errorf("recordserv: release %q: unexpected status %d", key, resp.status)
-	}
-	c.count(func(s *ClientStats) { s.Releases++ })
 	return nil
 }
 
 // Health probes the server's liveness endpoint once (no retries beyond
 // the standard budget).
 func (c *Client) Health() error {
-	resp, err := c.do(http.MethodGet, "/v1/health", nil, nil, "")
+	resp, err := c.do(http.MethodGet, "/v1/health", nil)
 	if err != nil {
 		return err
 	}

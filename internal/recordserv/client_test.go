@@ -19,7 +19,6 @@ func newTestClient(t *testing.T, url string, mut func(*recordserv.Options)) (*re
 	var sleeps []time.Duration
 	opts := recordserv.Options{
 		BaseURL:          url,
-		Owner:            "test-node",
 		RequestTimeout:   200 * time.Millisecond,
 		MaxRetries:       2,
 		BackoffBase:      8 * time.Millisecond,
@@ -45,47 +44,32 @@ func TestClientRoundTrip(t *testing.T) {
 	defer ts.Close()
 	c, _ := newTestClient(t, ts.URL, nil)
 
-	if _, _, err := c.Fetch("k"); !errors.Is(err, recordserv.ErrNotFound) {
+	if _, err := c.Fetch("k"); !errors.Is(err, recordserv.ErrNotFound) {
 		t.Fatalf("cold fetch err = %v, want ErrNotFound", err)
 	}
 	data := validRecord(t)
-	etag, err := c.Publish("k", data)
-	if err != nil || etag == "" {
-		t.Fatalf("publish = %q, %v", etag, err)
+	if err := c.Publish("k", data); err != nil {
+		t.Fatalf("publish: %v", err)
 	}
-	got, gotTag, err := c.Fetch("k")
-	if err != nil || string(got) != string(data) || gotTag != etag {
-		t.Fatalf("fetch = %d bytes, %q, %v", len(got), gotTag, err)
-	}
-
-	// Publish primed the client cache, so both fetches revalidated: the
-	// server answered 304 and the cached copy was served with no transfer.
-	got2, _, err := c.Fetch("k")
-	if err != nil || string(got2) != string(data) {
-		t.Fatalf("revalidated fetch = %d bytes, %v", len(got2), err)
-	}
-	if st := c.Stats(); st.NotModified != 2 {
-		t.Fatalf("NotModified = %d, want 2 (stats %+v)", st.NotModified, st)
-	}
-	if ss := srv.Stats(); ss.NotModified != 2 {
-		t.Fatalf("server NotModified = %d, want 2", ss.NotModified)
-	}
-
-	ticket, err := c.Claim("k2", time.Minute)
-	if err != nil || !ticket.Granted {
-		t.Fatalf("claim = %+v, %v", ticket, err)
-	}
-	if err := c.Release("k2"); err != nil {
-		t.Fatal(err)
+	got, err := c.Fetch("k")
+	if err != nil || string(got) != string(data) {
+		t.Fatalf("fetch = %d bytes, %v", len(got), err)
 	}
 	if err := c.Invalidate("k"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Fetch("k"); !errors.Is(err, recordserv.ErrNotFound) {
+	if _, err := c.Fetch("k"); !errors.Is(err, recordserv.ErrNotFound) {
 		t.Fatalf("fetch after invalidate = %v, want ErrNotFound", err)
 	}
 	if err := c.Health(); err != nil {
 		t.Fatal(err)
+	}
+	st := c.Stats()
+	if st.FetchHits != 1 || st.FetchMisses != 2 || st.Publishes != 1 || st.Invalidates != 1 {
+		t.Fatalf("client stats = %+v", st)
+	}
+	if ss := srv.Stats(); ss.Fetches != 3 || ss.Publishes != 1 || ss.Invalidates != 1 {
+		t.Fatalf("server stats = %+v", ss)
 	}
 }
 
@@ -93,7 +77,7 @@ func TestClientRejectedPublish(t *testing.T) {
 	ts := httptest.NewServer(recordserv.NewServer())
 	defer ts.Close()
 	c, _ := newTestClient(t, ts.URL, nil)
-	_, err := c.Publish("k", []byte("not a record"))
+	err := c.Publish("k", []byte("not a record"))
 	if !errors.Is(err, recordserv.ErrRejected) {
 		t.Fatalf("corrupt publish err = %v, want ErrRejected", err)
 	}
@@ -119,7 +103,7 @@ func TestClientRetriesTransientServerErrors(t *testing.T) {
 
 	// Two 500s then a clean 404: the operation retries through to the
 	// definitive answer.
-	if _, _, err := c.Fetch("k"); !errors.Is(err, recordserv.ErrNotFound) {
+	if _, err := c.Fetch("k"); !errors.Is(err, recordserv.ErrNotFound) {
 		t.Fatalf("fetch err = %v, want ErrNotFound after retries", err)
 	}
 	st := c.Stats()
@@ -162,7 +146,7 @@ func TestClientBreakerTripsAndShortCircuits(t *testing.T) {
 	// Nothing listens on the base URL: every attempt is conn-refused.
 	c, _ := newTestClient(t, "http://127.0.0.1:1", nil)
 	for i := 0; i < 3; i++ {
-		if _, _, err := c.Fetch("k"); err == nil {
+		if _, err := c.Fetch("k"); err == nil {
 			t.Fatalf("fetch %d against dead server succeeded", i)
 		}
 	}
@@ -175,15 +159,12 @@ func TestClientBreakerTripsAndShortCircuits(t *testing.T) {
 	}
 
 	// Open: instant ErrUnavailable, no attempts spent.
-	if _, _, err := c.Fetch("k"); !errors.Is(err, recordserv.ErrUnavailable) {
+	if _, err := c.Fetch("k"); !errors.Is(err, recordserv.ErrUnavailable) {
 		t.Fatalf("open-breaker fetch err = %v, want ErrUnavailable", err)
 	}
 	st2 := c.Stats()
 	if st2.Attempts != st.Attempts || st2.ShortCircuits != 1 {
 		t.Fatalf("short circuit spent attempts: %+v", st2)
-	}
-	if c.Available() {
-		t.Fatal("Available() = true with the breaker open")
 	}
 }
 
@@ -213,7 +194,7 @@ func TestClientBreakerRecovers(t *testing.T) {
 	now = now.Add(time.Second)
 	// The probe goes through the healed transport and gets a definitive
 	// 404 — a success at the breaker level.
-	if _, _, err := c.Fetch("k"); !errors.Is(err, recordserv.ErrNotFound) {
+	if _, err := c.Fetch("k"); !errors.Is(err, recordserv.ErrNotFound) {
 		t.Fatalf("probe fetch err = %v, want ErrNotFound", err)
 	}
 	if st := c.Stats(); st.BreakerState != "closed" {
@@ -225,8 +206,8 @@ func TestClientTruncatedResponseFails(t *testing.T) {
 	srv := recordserv.NewServer()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	seeder, _ := newTestClient(t, ts.URL, func(o *recordserv.Options) { o.Owner = "seeder" })
-	if _, err := seeder.Publish("k", validRecord(t)); err != nil {
+	seeder, _ := newTestClient(t, ts.URL, nil)
+	if err := seeder.Publish("k", validRecord(t)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -234,7 +215,7 @@ func TestClientTruncatedResponseFails(t *testing.T) {
 		o.MaxRetries = 1
 		o.Transport = &faultinject.NetFault{Base: &http.Transport{}, Mode: faultinject.NetTruncate}
 	})
-	_, _, err := c.Fetch("k")
+	_, err := c.Fetch("k")
 	if err == nil {
 		t.Fatal("fetch over truncating transport succeeded; a record prefix must never decode")
 	}

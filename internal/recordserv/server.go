@@ -4,22 +4,18 @@
 // their local RecordStore as a remote tier.
 //
 // The design surface is the failure paths. ShareJIT-style cross-process
-// cache sharing only pays off if staleness, ownership, and peer failure
-// are answered up front, and the paper's core guarantee — reuse must
-// never be worse than falling back to conventional execution — has to
-// survive a network in the loop. Concretely:
+// cache sharing only pays off if staleness and peer failure are answered
+// up front, and the paper's core guarantee — reuse must never be worse
+// than falling back to conventional execution — has to survive a network
+// in the loop. Concretely:
 //
-//   - Records are versioned: every publish bumps a per-key version, and
-//     fetches carry ETags ("v<version>-<crc32>") so a client holding a
-//     record revalidates with If-None-Match instead of re-downloading.
+//   - The service has three record operations: fetch, publish and
+//     invalidate. Records are immutable and regenerable, so nodes do not
+//     coordinate extraction: nodes that race on a cold key each extract
+//     once and publish the same bytes, and the last publish wins harmlessly.
 //   - The server validates published bytes by decoding them; a corrupt
 //     publish is rejected at the door, so one bad node cannot poison the
 //     fleet's cache.
-//   - Cluster-level single-flight: a node about to extract a cold key
-//     first claims it. The first claimant wins a TTL lease; everyone else
-//     gets the lease holder and a retry-after hint, and either waits for
-//     the publication or degrades to a conventional run. A crashed owner's
-//     lease expires, so the key stays retryable.
 //   - The client wraps every request in a deadline, bounded retries with
 //     exponential backoff and jitter, and a circuit breaker, so a dead or
 //     partitioned server costs a bounded slice of latency and then nothing
@@ -31,14 +27,12 @@ package recordserv
 
 import (
 	"encoding/json"
-	"fmt"
-	"hash/crc32"
+	"errors"
 	"io"
 	"net/http"
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"ricjs/internal/ric"
 )
@@ -48,84 +42,37 @@ import (
 // client cannot exhaust server memory.
 const MaxRecordBytes = 32 << 20
 
-// DefaultClaimTTL is the extraction-lease duration when the claimant does
-// not specify one: long enough for any workload in this repository to
-// extract, short enough that a crashed owner frees the key promptly.
-const DefaultClaimTTL = 30 * time.Second
-
-// storedRecord is one key's published record.
-type storedRecord struct {
-	data    []byte
-	version uint64
-	etag    string
-}
-
-// claim is one key's extraction lease.
-type claim struct {
-	owner   string
-	expires time.Time
-}
-
 // ServerStats is a snapshot of the server's request counters, served at
 // /v1/stats for operators and asserted by tests.
 type ServerStats struct {
 	Fetches      uint64 `json:"fetches"`
 	FetchHits    uint64 `json:"fetch_hits"`
 	FetchMisses  uint64 `json:"fetch_misses"`
-	NotModified  uint64 `json:"not_modified"`
 	Publishes    uint64 `json:"publishes"`
 	BadPublishes uint64 `json:"bad_publishes"`
 	Invalidates  uint64 `json:"invalidates"`
-	ClaimsWon    uint64 `json:"claims_won"`
-	ClaimsHeld   uint64 `json:"claims_held"`
-	Releases     uint64 `json:"releases"`
 	Records      int    `json:"records"`
-	ActiveClaims int    `json:"active_claims"`
 }
 
 // Server is the in-memory record service. It is safe for concurrent use;
 // every handler takes the one mutex briefly (the payloads are byte slices
 // shared by reference, never mutated after publish).
 type Server struct {
-	// Now supplies the clock for claim leases; nil uses time.Now. Tests
-	// inject a manual clock to step lease expiry deterministically.
-	Now func() time.Time
-
 	mu      sync.Mutex
-	records map[string]*storedRecord
-	claims  map[string]*claim
+	records map[string][]byte
 	stats   ServerStats
 }
 
 // NewServer creates an empty record service.
 func NewServer() *Server {
-	return &Server{
-		records: make(map[string]*storedRecord),
-		claims:  make(map[string]*claim),
-	}
-}
-
-func (s *Server) now() time.Time {
-	if s.Now != nil {
-		return s.Now()
-	}
-	return time.Now()
-}
-
-// etagFor derives a key's ETag from its version and payload checksum. The
-// checksum part lets a client that somehow kept bytes across a server
-// restart (versions reset) still detect content change.
-func etagFor(version uint64, data []byte) string {
-	return fmt.Sprintf("\"v%d-%08x\"", version, crc32.ChecksumIEEE(data))
+	return &Server{records: make(map[string][]byte)}
 }
 
 // ServeHTTP implements http.Handler. Routes:
 //
-//	GET    /v1/records/<key>   fetch (If-None-Match revalidation)
-//	PUT    /v1/records/<key>   publish (validated, version bump)
+//	GET    /v1/records/<key>   fetch
+//	PUT    /v1/records/<key>   publish (validated)
 //	DELETE /v1/records/<key>   invalidate
-//	POST   /v1/claims/<key>    claim the extraction lease (?owner=&ttl=)
-//	DELETE /v1/claims/<key>    release a lease         (?owner=)
 //	GET    /v1/stats           counters (JSON)
 //	GET    /v1/health          liveness probe
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -136,24 +83,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.serveStats(w)
 	case strings.HasPrefix(r.URL.Path, "/v1/records/"):
 		s.serveRecord(w, r, strings.TrimPrefix(r.URL.Path, "/v1/records/"))
-	case strings.HasPrefix(r.URL.Path, "/v1/claims/"):
-		s.serveClaim(w, r, strings.TrimPrefix(r.URL.Path, "/v1/claims/"))
 	default:
 		http.Error(w, "not found", http.StatusNotFound)
 	}
 }
 
 func (s *Server) serveStats(w http.ResponseWriter) {
-	s.mu.Lock()
-	st := s.stats
-	st.Records = len(s.records)
-	now := s.now()
-	for _, c := range s.claims {
-		if c.expires.After(now) {
-			st.ActiveClaims++
-		}
-	}
-	s.mu.Unlock()
+	st := s.Stats()
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(st) //nolint:errcheck
 }
@@ -166,37 +102,34 @@ func (s *Server) serveRecord(w http.ResponseWriter, r *http.Request, key string)
 	switch r.Method {
 	case http.MethodGet:
 		s.mu.Lock()
-		rec := s.records[key]
-		if rec == nil {
-			s.stats.Fetches++
+		data, ok := s.records[key]
+		s.stats.Fetches++
+		if !ok {
 			s.stats.FetchMisses++
 			s.mu.Unlock()
 			http.Error(w, "no record", http.StatusNotFound)
 			return
 		}
-		s.stats.Fetches++
-		if match := r.Header.Get("If-None-Match"); match != "" && match == rec.etag {
-			s.stats.NotModified++
-			s.mu.Unlock()
-			w.Header().Set("ETag", rec.etag)
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
 		s.stats.FetchHits++
-		data, etag := rec.data, rec.etag
 		s.mu.Unlock()
-		w.Header().Set("ETag", etag)
 		w.Header().Set("Content-Type", "application/octet-stream")
 		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 		w.Write(data) //nolint:errcheck
 	case http.MethodPut:
-		body, err := io.ReadAll(io.LimitReader(r.Body, MaxRecordBytes+1))
-		if err != nil {
-			http.Error(w, "read body: "+err.Error(), http.StatusBadRequest)
+		// A declared length over the cap is refused unread; a body of
+		// unknown length is cut off by MaxBytesReader at the cap.
+		if r.ContentLength > MaxRecordBytes {
+			http.Error(w, "record too large", http.StatusRequestEntityTooLarge)
 			return
 		}
-		if len(body) > MaxRecordBytes {
-			http.Error(w, "record too large", http.StatusRequestEntityTooLarge)
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxRecordBytes))
+		if err != nil {
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				http.Error(w, "record too large", http.StatusRequestEntityTooLarge)
+				return
+			}
+			http.Error(w, "read body: "+err.Error(), http.StatusBadRequest)
 			return
 		}
 		// Decode before accepting: the server is the fleet's shared cache,
@@ -209,77 +142,14 @@ func (s *Server) serveRecord(w http.ResponseWriter, r *http.Request, key string)
 			return
 		}
 		s.mu.Lock()
-		version := uint64(1)
-		if prev := s.records[key]; prev != nil {
-			version = prev.version + 1
-		}
-		etag := etagFor(version, body)
-		s.records[key] = &storedRecord{data: body, version: version, etag: etag}
-		// Publication settles the extraction: drop any lease on the key so
-		// waiters turn their next revalidation into a hit immediately.
-		delete(s.claims, key)
+		s.records[key] = body
 		s.stats.Publishes++
 		s.mu.Unlock()
-		w.Header().Set("ETag", etag)
 		w.WriteHeader(http.StatusNoContent)
 	case http.MethodDelete:
 		s.mu.Lock()
 		delete(s.records, key)
-		delete(s.claims, key)
 		s.stats.Invalidates++
-		s.mu.Unlock()
-		w.WriteHeader(http.StatusNoContent)
-	default:
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-	}
-}
-
-func (s *Server) serveClaim(w http.ResponseWriter, r *http.Request, key string) {
-	if key == "" {
-		http.Error(w, "empty claim key", http.StatusBadRequest)
-		return
-	}
-	owner := r.URL.Query().Get("owner")
-	if owner == "" {
-		http.Error(w, "claim needs an owner", http.StatusBadRequest)
-		return
-	}
-	switch r.Method {
-	case http.MethodPost:
-		ttl := DefaultClaimTTL
-		if v := r.URL.Query().Get("ttl"); v != "" {
-			d, err := time.ParseDuration(v)
-			if err != nil || d <= 0 {
-				http.Error(w, "bad ttl", http.StatusBadRequest)
-				return
-			}
-			ttl = d
-		}
-		now := s.now()
-		s.mu.Lock()
-		cur := s.claims[key]
-		// Re-claiming by the same owner extends the lease (idempotent under
-		// client retries); an expired lease is a crashed owner — take over.
-		if cur == nil || cur.owner == owner || !cur.expires.After(now) {
-			s.claims[key] = &claim{owner: owner, expires: now.Add(ttl)}
-			s.stats.ClaimsWon++
-			s.mu.Unlock()
-			w.WriteHeader(http.StatusOK)
-			io.WriteString(w, owner)
-			return
-		}
-		s.stats.ClaimsHeld++
-		holder, retry := cur.owner, cur.expires.Sub(now)
-		s.mu.Unlock()
-		w.Header().Set("Retry-After", strconv.Itoa(int(retry/time.Second)+1))
-		w.WriteHeader(http.StatusConflict)
-		io.WriteString(w, holder)
-	case http.MethodDelete:
-		s.mu.Lock()
-		if cur := s.claims[key]; cur != nil && cur.owner == owner {
-			delete(s.claims, key)
-			s.stats.Releases++
-		}
 		s.mu.Unlock()
 		w.WriteHeader(http.StatusNoContent)
 	default:
@@ -293,11 +163,5 @@ func (s *Server) Stats() ServerStats {
 	defer s.mu.Unlock()
 	st := s.stats
 	st.Records = len(s.records)
-	now := s.now()
-	for _, c := range s.claims {
-		if c.expires.After(now) {
-			st.ActiveClaims++
-		}
-	}
 	return st
 }

@@ -113,8 +113,7 @@ const (
 	// .ric.bad) during a pool session's store load; the session proceeds
 	// down the tier ladder as if the key were cold.
 	EvPoolQuarantine
-	// EvPoolRemoteHit is a record served by the remote record service
-	// (fetched or revalidated via ETag).
+	// EvPoolRemoteHit is a record fetched from the remote record service.
 	EvPoolRemoteHit
 	// EvPoolRemoteMiss is the remote record service answering that it has
 	// no record for the key (a cold fleet cache, not a failure).

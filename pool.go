@@ -29,9 +29,10 @@ type PoolOptions struct {
 	// fails a session, it only shows up in Stats().StoreErrors).
 	Store *RecordStore
 	// Remote optionally layers the distributed record service above the
-	// local store: cold keys try a remote fetch first, extraction is
-	// coordinated fleet-wide through claims, and extracted records are
-	// published for other nodes. Strictly best-effort — a dead, slow,
+	// local store: cold keys try a remote fetch first, and extracted
+	// records are published for other nodes. Nodes do not coordinate
+	// extraction; nodes that race on a cold key each extract it once, as
+	// the records are identical. Strictly best-effort — a dead, slow,
 	// partitioned, or corrupt-serving server never fails a session, it
 	// only pushes the session down the tier ladder (remote → store →
 	// extract → conventional), visibly in Stats() and the trace.
@@ -83,8 +84,7 @@ const (
 	// Initial run, and published the extracted record for everyone else.
 	SessionInitial
 	// SessionConventional means the session ran record-free: its key's
-	// extraction was in flight, in this process or on another node of the
-	// fleet.
+	// extraction was in flight in this process.
 	SessionConventional
 )
 
@@ -196,8 +196,10 @@ func (sh *recordShard) remove(key string, ent *recordEntry) {
 // Extraction is single-flight: the first session to run a cold key
 // performs the Initial run and publishes the record; sessions for the
 // same key that arrive while it is in flight run conventionally, so
-// extraction is never duplicated and no session blocks on another. The
-// remote tier lifts the same policy to the fleet. Published records are
+// extraction is never duplicated in a process and no session blocks on
+// another. The remote tier shares records across processes without
+// coordinating extraction: nodes that race on a cold key each extract it
+// once and publish identical bytes. Published records are
 // immutable and shared by reference; all per-session reuse state (hidden
 // class validation, preload progress) lives in each engine's private
 // Reuser, so N sessions can safely share one decoded *Record.
@@ -272,8 +274,9 @@ func (p *SessionPool) shard(key string) *recordShard {
 }
 
 // maxPoolEvents bounds the outcomes one session can queue. The longest
-// path through Serve — every tier failing before an extraction whose
-// store save and remote publish fail too — queues 12.
+// path through Serve — a failed remote fetch and store load before an
+// extraction whose store save and remote publish fail too — queues 9
+// (an Initial run has no record, so it cannot also degrade).
 const maxPoolEvents = 16
 
 // poolEvents is what happened to one session on its way through the pool.
@@ -443,45 +446,20 @@ func (p *SessionPool) Serve(req SessionRequest) (*SessionResult, error) {
 		}
 	}
 
-	// Cluster-level single-flight: before extracting, claim the key
-	// fleet-wide. Losing the claim means another node is extracting right
-	// now; the session runs conventionally, as an in-process contender
-	// does, and leaves the key retryable in-process.
-	claimed := false
-	if p.remote != nil && p.remote.available() {
-		granted, ok := p.remote.claim(req.Key)
-		switch {
-		case !ok:
-			// Coordination is down; extract locally, the worst case being a
-			// duplicated extraction somewhere else in the fleet.
-			ev.remoteFailed()
-		case !granted:
-			p.abandon(req.Key, owned, &ev)
-			return p.finish(req, nil, SessionConventional, tr, &ev)
-		default:
-			claimed = true
-		}
-	}
-
 	// Initial run: conventional execution that builds the IC state the
 	// extraction reads. A failure abandons the entry so the key stays
 	// retryable.
 	res, eng, err := p.runSession(req, nil, SessionInitial, tr, &ev)
 	if err != nil {
 		p.abandon(req.Key, owned, &ev)
-		if claimed {
-			p.remote.release(req.Key)
-		}
 		return nil, err
 	}
 	record := eng.ExtractRecord(req.Key)
 	ev.note(trace.EvPoolExtract)
 	p.publish(owned, record, "extract", &ev)
 	p.storeSave(req.Key, record, &ev)
-	if p.remote != nil && !p.remotePublish(req.Key, record, &ev) && claimed {
-		// The lease cannot be settled by publication; free it so the
-		// fleet's key does not stay locked until TTL expiry.
-		p.remote.release(req.Key)
+	if p.remote != nil {
+		p.remotePublish(req.Key, record, &ev)
 	}
 	ev.settleTrace(tr, res, req.Key)
 	return res, nil
@@ -506,13 +484,12 @@ func (p *SessionPool) remoteAcquire(key string, ev *poolEvents) *Record {
 
 // remotePublish uploads a record to the service best-effort, recording
 // the outcome; a failure marks the session remote-degraded.
-func (p *SessionPool) remotePublish(key string, rec *Record, ev *poolEvents) bool {
-	if p.remote.available() && p.remote.publishRecord(key, rec) {
+func (p *SessionPool) remotePublish(key string, rec *Record, ev *poolEvents) {
+	if p.remote.publishRecord(key, rec) {
 		ev.note(trace.EvPoolRemotePublish)
-		return true
+		return
 	}
 	ev.remoteFailed()
-	return false
 }
 
 // storeSave persists a record to the backing store best-effort.

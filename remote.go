@@ -2,19 +2,9 @@ package ricjs
 
 import (
 	"errors"
-	"time"
 
 	"ricjs/internal/recordserv"
 )
-
-// RemoteTierOptions configures how a SessionPool uses the distributed
-// record service. The zero value has a sane default.
-type RemoteTierOptions struct {
-	// ClaimTTL is the extraction lease this node requests on a cold key
-	// (default recordserv.DefaultClaimTTL). If this process dies
-	// mid-extraction, the lease expires and another node takes over.
-	ClaimTTL time.Duration
-}
 
 // RemoteTier adapts a recordserv.Client into the SessionPool's top
 // storage tier. The pool's degradation ladder is, in order: remote
@@ -24,16 +14,12 @@ type RemoteTierOptions struct {
 // ladder; the cost is bounded by the client's deadline/retry/breaker
 // budget and visible in PoolStats and the trace.
 type RemoteTier struct {
-	c        *recordserv.Client
-	claimTTL time.Duration
+	c *recordserv.Client
 }
 
 // NewRemoteTier wraps a record-service client for use as a pool tier.
-func NewRemoteTier(client *recordserv.Client, opts RemoteTierOptions) *RemoteTier {
-	if opts.ClaimTTL <= 0 {
-		opts.ClaimTTL = recordserv.DefaultClaimTTL
-	}
-	return &RemoteTier{c: client, claimTTL: opts.ClaimTTL}
+func NewRemoteTier(client *recordserv.Client) *RemoteTier {
+	return &RemoteTier{c: client}
 }
 
 // DialRemoteTier is the one-line constructor: a default client for the
@@ -43,7 +29,7 @@ func DialRemoteTier(baseURL string) (*RemoteTier, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewRemoteTier(c, RemoteTierOptions{}), nil
+	return NewRemoteTier(c), nil
 }
 
 // Client returns the underlying record-service client (for its Stats and
@@ -65,7 +51,7 @@ const (
 // as errors, and the poisoned fleet-cache entry is invalidated
 // best-effort so it cannot keep serving.
 func (r *RemoteTier) fetch(key string) (*Record, remoteOutcome) {
-	data, _, err := r.c.Fetch(key)
+	data, err := r.c.Fetch(key)
 	if err != nil {
 		if errors.Is(err, recordserv.ErrNotFound) {
 			return nil, remoteMiss
@@ -80,27 +66,8 @@ func (r *RemoteTier) fetch(key string) (*Record, remoteOutcome) {
 	return rec, remoteHit
 }
 
-// claim asks for the cluster-wide extraction lease on key. granted=false
-// with ok=true means another node holds it; ok=false means the service
-// was unreachable and cluster coordination is off for this key.
-func (r *RemoteTier) claim(key string) (granted, ok bool) {
-	t, err := r.c.Claim(key, r.claimTTL)
-	if err != nil {
-		return false, false
-	}
-	return t.Granted, true
-}
-
-// release frees this node's lease after a failed extraction (publish
-// releases implicitly).
-func (r *RemoteTier) release(key string) { _ = r.c.Release(key) }
-
 // publishRecord uploads an extracted record, returning false on any
 // failure (including server-side rejection).
 func (r *RemoteTier) publishRecord(key string, rec *Record) bool {
-	_, err := r.c.Publish(key, rec.Encode())
-	return err == nil
+	return r.c.Publish(key, rec.Encode()) == nil
 }
-
-// available reports whether the client's breaker admits requests.
-func (r *RemoteTier) available() bool { return r.c.Available() }

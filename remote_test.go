@@ -2,6 +2,7 @@ package ricjs_test
 
 import (
 	"bufio"
+	"bytes"
 	"net"
 	"net/http"
 	"os/exec"
@@ -37,11 +38,10 @@ func startRecordServer(t *testing.T) (string, *recordserv.Server, func()) {
 // fleetClient builds a record-service client with a deadline/retry budget
 // small enough that a dead server degrades a test in milliseconds, and a
 // cooldown long enough that a tripped breaker stays visibly open.
-func fleetClient(t *testing.T, baseURL, owner string) *recordserv.Client {
+func fleetClient(t *testing.T, baseURL string) *recordserv.Client {
 	t.Helper()
 	c, err := recordserv.NewClient(recordserv.Options{
 		BaseURL:          baseURL,
-		Owner:            owner,
 		RequestTimeout:   100 * time.Millisecond,
 		MaxRetries:       1,
 		BackoffBase:      time.Millisecond,
@@ -73,7 +73,7 @@ func TestRemoteFleetSingleExtraction(t *testing.T) {
 		}
 		pool := ricjs.NewSessionPool(ricjs.PoolOptions{
 			Store:  store,
-			Remote: ricjs.NewRemoteTier(fleetClient(t, baseURL, owner), ricjs.RemoteTierOptions{}),
+			Remote: ricjs.NewRemoteTier(fleetClient(t, baseURL)),
 		})
 		res, err := pool.Serve(req)
 		if err != nil {
@@ -108,6 +108,84 @@ func TestRemoteFleetSingleExtraction(t *testing.T) {
 	}
 }
 
+// TestRemoteConcurrentColdStart races two nodes on one cold key. Nodes
+// do not coordinate extraction, so each node extracts at most once and
+// the other may fetch instead; either way the fleet ends with one record,
+// byte-identical to a fresh extraction, that a third node reuses.
+func TestRemoteConcurrentColdStart(t *testing.T) {
+	const perNode = 6
+	baseURL, srv, _ := startRecordServer(t)
+	key, script, src := poolLib(2)
+	want := sequentialOutputs(t, 3)[key]
+	req := ricjs.SessionRequest{Key: key, Scripts: []ricjs.SessionScript{{Name: script, Src: src}}}
+	newNode := func() *ricjs.SessionPool {
+		return ricjs.NewSessionPool(ricjs.PoolOptions{Remote: ricjs.NewRemoteTier(fleetClient(t, baseURL))})
+	}
+
+	nodes := []*ricjs.SessionPool{newNode(), newNode()}
+	outputs := make([]string, len(nodes)*perNode)
+	errs := make([]error, len(outputs))
+	var wg sync.WaitGroup
+	for i := range outputs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res, err := nodes[i%len(nodes)].Serve(req)
+			if err == nil {
+				outputs[i] = res.Output
+			}
+			errs[i] = err
+		}(i)
+	}
+	wg.Wait()
+	for i := range outputs {
+		if errs[i] != nil {
+			t.Fatalf("session %d: %v", i, errs[i])
+		}
+		if outputs[i] != want {
+			t.Fatalf("session %d output %q, want %q", i, outputs[i], want)
+		}
+	}
+	var materialized uint64
+	for n, node := range nodes {
+		st := node.Stats()
+		if st.Extractions > 1 {
+			t.Fatalf("node %d extracted %d times, want at most 1 (stats %+v)", n, st.Extractions, st)
+		}
+		materialized += st.Extractions + st.RemoteHits
+	}
+	if materialized != 2 {
+		t.Fatalf("extractions + remote hits over both nodes = %d, want 2", materialized)
+	}
+
+	if ss := srv.Stats(); ss.Records != 1 {
+		t.Fatalf("server holds %d records, want 1", ss.Records)
+	}
+	published, err := fleetClient(t, baseURL).Fetch(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := ricjs.NewEngine(ricjs.Options{})
+	if err := eng.Run(script, src); err != nil {
+		t.Fatal(err)
+	}
+	if fresh := eng.ExtractRecord(key).Encode(); !bytes.Equal(published, fresh) {
+		t.Fatalf("published record (%d bytes) differs from a fresh extraction (%d bytes)", len(published), len(fresh))
+	}
+
+	third := newNode()
+	res, err := third.Serve(req)
+	if err != nil {
+		t.Fatalf("third node: %v", err)
+	}
+	if res.Output != want {
+		t.Fatalf("third node output %q, want %q", res.Output, want)
+	}
+	if st := third.Stats(); st.RemoteHits != 1 || st.Extractions != 0 {
+		t.Fatalf("third node stats = %+v, want 1 remote hit, 0 extractions", st)
+	}
+}
+
 // TestRemotePartitionMidRun is the acceptance scenario from the issue:
 // the record server is killed mid-benchmark. Sessions served before the
 // partition use the remote tier; sessions after it must still complete
@@ -118,9 +196,9 @@ func TestRemotePartitionMidRun(t *testing.T) {
 	baseURL, _, stop := startRecordServer(t)
 	want := sequentialOutputs(t, nkeys)
 
-	client := fleetClient(t, baseURL, "partitioned-node")
+	client := fleetClient(t, baseURL)
 	pool := ricjs.NewSessionPool(ricjs.PoolOptions{
-		Remote: ricjs.NewRemoteTier(client, ricjs.RemoteTierOptions{}),
+		Remote: ricjs.NewRemoteTier(client),
 	})
 	serve := func(i int) *ricjs.SessionResult {
 		key, script, src := poolLib(i)
@@ -359,7 +437,7 @@ func TestRicservedFleetSmoke(t *testing.T) {
 	var outputs []string
 	var extractions uint64
 	for _, owner := range []string{"smoke-a", "smoke-b"} {
-		tier := ricjs.NewRemoteTier(fleetClient(t, baseURL, owner), ricjs.RemoteTierOptions{})
+		tier := ricjs.NewRemoteTier(fleetClient(t, baseURL))
 		pool := ricjs.NewSessionPool(ricjs.PoolOptions{Remote: tier})
 		res, err := pool.Serve(req)
 		if err != nil {

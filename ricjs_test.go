@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"ricjs/internal/workloads"
 )
 
 const demoLib = `
@@ -195,6 +197,25 @@ func TestRecordAcrossDifferentAddressSpaces(t *testing.T) {
 		}
 		if reuse.Stats().MissesSaved == 0 {
 			t.Fatalf("iteration %d saved no misses", i)
+		}
+	}
+
+	// Extraction is address-independent too: every profile's record
+	// encodes byte-identically whatever addresses its Initial run saw, so
+	// fleet nodes that race on a cold key publish the same bytes.
+	for _, p := range workloads.Profiles {
+		var first []byte
+		for _, seed := range []uint64{0, 0, 12345} {
+			e := NewEngine(Options{Cache: cache, AddressSeed: seed})
+			if err := e.Run(p.Script, p.Source()); err != nil {
+				t.Fatal(err)
+			}
+			got := e.ExtractRecord(p.Name).Encode()
+			if first == nil {
+				first = got
+			} else if !bytes.Equal(got, first) {
+				t.Fatalf("%s: record extracted at AddressSeed %d differs from the first extraction", p.Name, seed)
+			}
 		}
 	}
 }
