@@ -35,8 +35,10 @@ go test -race ./...
 echo "== pool stress: concurrent record serving under -race =="
 # The session-pool and code-cache stress tests are the concurrency
 # gate: 48 sessions over 6 shared keys must produce exactly one
-# extraction per key and byte-identical output, with zero races.
-go test -race -count=1 -run 'TestSessionPool|TestSharedRecordImmutableUnderConcurrentReuse' .
+# extraction per key and byte-identical output, with zero races. The
+# pool tests run at GOMAXPROCS 1 and 4, so the record cache's sync.Map
+# is stressed both interleaved on one P and in parallel.
+go test -race -count=1 -cpu 1,4 -run 'TestSessionPool|TestSharedRecordImmutableUnderConcurrentReuse' .
 go test -race -count=1 -run 'TestConcurrentLoad' ./internal/codecache
 
 echo "== network chaos sweep: faulted remote record tier =="

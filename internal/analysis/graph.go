@@ -96,16 +96,6 @@ func (s *Shape) TransitionTo(name string) (*Shape, bool) {
 	return t, ok
 }
 
-// CreatorList returns the creator set sorted, for deterministic output.
-func (s *Shape) CreatorList() []string {
-	out := make([]string, 0, len(s.Creators))
-	for c := range s.Creators {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Matches reports whether a runtime hidden class is an instance of this
 // static shape: identical layout, a creator the analysis considers
 // possible, and agreeing root-ness. Simulated addresses and ids do not

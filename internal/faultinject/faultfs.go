@@ -35,8 +35,7 @@ type FaultFS struct {
 	RemoveErr error
 	// MkdirErr fails MkdirAll (store creation).
 	MkdirErr error
-	// ReadDirErr fails ReadDir (the listing step of Keys and
-	// Quarantined).
+	// ReadDirErr fails ReadDir (the listing step of Quarantined).
 	ReadDirErr error
 }
 
@@ -89,6 +88,3 @@ func (f *FaultFS) ReadDir(path string) ([]fs.DirEntry, error) {
 	}
 	return f.Base.ReadDir(path)
 }
-
-// OSFS returns the production filesystem, for wrapping.
-func OSFS() ricjs.FS { return ricjs.NewOSFS() }

@@ -143,16 +143,13 @@ func (h *HiddenClass) FieldAt(offset int) string {
 	return symtab.NameOf(h.fields[offset])
 }
 
-// FieldIDAt returns the property symbol stored at the given slot offset.
-func (h *HiddenClass) FieldIDAt(offset int) symtab.ID { return h.fields[offset] }
-
 // FieldIDs returns the property symbols in offset order. The caller must
 // not modify the returned slice.
 func (h *HiddenClass) FieldIDs() []symtab.ID { return h.fields }
 
 // Fields returns the property names in offset order. It materializes a
 // fresh string slice from the interned IDs; hot paths should use
-// FieldIDs/FieldIDAt instead.
+// FieldIDs instead.
 func (h *HiddenClass) Fields() []string {
 	if len(h.fields) == 0 {
 		return nil

@@ -23,11 +23,11 @@ type PoolCounters struct {
 // Note records one pool outcome of event type t.
 func (p *PoolCounters) Note(t trace.Type) { p.events[t].Add(1) }
 
-// ShardLock records a record-cache read that had to take a shard mutex —
-// only cold keys (entry installation) do; the warm read path resolves
-// lock-free against the published copy-on-write map snapshot. An all-hot
-// run must keep this counter at 0; that is the lock-freedom acceptance
-// check of the load harness.
+// ShardLock records a record-cache acquire that missed the lock-free read
+// and entered the write path — only cold keys (entry installation) do; a
+// warm read resolves with one lock-free sync.Map Load. An all-hot run must
+// keep this counter at 0; that is the lock-freedom acceptance check of the
+// load harness, which reports it under this name.
 func (p *PoolCounters) ShardLock() { p.shardLocks.Add(1) }
 
 // PoolSnapshot is an immutable copy of a pool's aggregate statistics. Each
@@ -57,9 +57,10 @@ type PoolSnapshot struct {
 	// DegradedSessions counts sessions whose engine degraded mid-run
 	// (EvPoolDegraded).
 	DegradedSessions uint64
-	// ShardLockAcquires counts record-cache reads that took a shard mutex
-	// (cold-key entry installation only). The warm read path is lock-free
-	// — an all-hot run keeps this at 0.
+	// ShardLockAcquires counts record-cache acquires that missed the
+	// lock-free read and entered the write path (cold-key entry
+	// installation only). The warm read path is lock-free — an all-hot run
+	// keeps this at 0.
 	ShardLockAcquires uint64
 	// QuarantinedRecords counts corrupt stored records quarantined during
 	// pool store loads, renamed to .ric.bad with the key treated as cold

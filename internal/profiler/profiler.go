@@ -10,10 +10,7 @@
 // the same numbers.
 package profiler
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Category classifies where abstract instructions are charged.
 type Category uint8
@@ -344,15 +341,3 @@ func (s Snapshot) MissesPerHC() float64 {
 	}
 	return float64(s.ICMisses) / float64(s.HCCreated)
 }
-
-// Timer measures wall-clock phases around whole runs. The engine itself
-// never reads the clock; only the harness does, through this type.
-type Timer struct {
-	start time.Time
-}
-
-// StartTimer begins a wall-clock measurement.
-func StartTimer() Timer { return Timer{start: time.Now()} }
-
-// Elapsed returns the time since the timer started.
-func (t Timer) Elapsed() time.Duration { return time.Since(t.start) }

@@ -253,10 +253,3 @@ func TestMissRateBoundsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestTimerElapsedMonotonic(t *testing.T) {
-	tm := StartTimer()
-	if tm.Elapsed() < 0 {
-		t.Fatal("elapsed must be non-negative")
-	}
-}

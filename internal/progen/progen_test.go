@@ -74,7 +74,7 @@ func TestDifferentialEquivalence(t *testing.T) {
 			t.Fatalf("seed %d: conventional: %v", seed, err)
 		}
 
-		reuser := ric.NewReuser(rec, nil, nil)
+		reuser := ric.NewReuser(rec)
 		reuse := vm.New(vm.Options{MaxSteps: 2_000_000, Hooks: reuser})
 		reuser.Attach(reuse)
 		reuse.RegisterProgram(bc)
@@ -127,7 +127,7 @@ func TestProgenDifferential(t *testing.T) {
 			t.Fatalf("seed %d: conventional: %v", seed, err)
 		}
 
-		reuser := ric.NewReuser(rec, nil, nil)
+		reuser := ric.NewReuser(rec)
 		reuse := vm.New(vm.Options{MaxSteps: 2_000_000, Hooks: reuser})
 		reuser.Attach(reuse)
 		reuse.RegisterProgram(bc)
@@ -209,7 +209,7 @@ func TestCrossProgramRecordSafety(t *testing.T) {
 			t.Fatalf("seed %d: plain: %v", seed, err)
 		}
 
-		reuser := ric.NewReuser(rec, nil, nil)
+		reuser := ric.NewReuser(rec)
 		victim := vm.New(vm.Options{MaxSteps: 2_000_000, Hooks: reuser})
 		reuser.Attach(victim)
 		victim.RegisterProgram(bcB)

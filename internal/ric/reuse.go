@@ -39,18 +39,16 @@ type Reuser struct {
 
 var _ vm.Hooks = (*Reuser)(nil)
 
-// NewReuser prepares the reuse state for one run. slotFor resolves site
-// identities to live ICVector slots; wire it to the VM's SlotFor after
-// constructing the VM (see ricjs.NewEngine).
-func NewReuser(rec *Record, prof *profiler.Counters, slotFor func(source.Site) *ic.Slot) *Reuser {
+// NewReuser prepares the reuse state for one run. Pass it as the VM's
+// hooks, then Attach it to the VM once the VM exists (see
+// ricjs.NewEngine).
+func NewReuser(rec *Record) *Reuser {
 	return &Reuser{
-		rec:     rec,
-		prof:    prof,
-		slotFor: slotFor,
-		addr:    make([]uint64, rec.HCCount),
-		valid:   make([]bool, rec.HCCount),
-		hcs:     make([]*objects.HiddenClass, rec.HCCount),
-		done:    make([][]bool, rec.HCCount),
+		rec:   rec,
+		addr:  make([]uint64, rec.HCCount),
+		valid: make([]bool, rec.HCCount),
+		hcs:   make([]*objects.HiddenClass, rec.HCCount),
+		done:  make([][]bool, rec.HCCount),
 	}
 }
 
@@ -63,10 +61,6 @@ func (r *Reuser) ValidatedClass(id int32) *objects.HiddenClass {
 	}
 	return r.hcs[id]
 }
-
-// SetSlotResolver installs the site-to-slot resolver; needed because the
-// VM and its hooks reference each other.
-func (r *Reuser) SetSlotResolver(fn func(source.Site) *ic.Slot) { r.slotFor = fn }
 
 // Attach completes the circular wiring between a VM and its Reuser: the
 // Reuser is passed as the VM's hooks at construction, then attached to the

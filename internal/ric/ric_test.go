@@ -8,7 +8,6 @@ import (
 	"ricjs/internal/bytecode"
 	"ricjs/internal/ic"
 	"ricjs/internal/parser"
-	"ricjs/internal/profiler"
 	"ricjs/internal/source"
 	"ricjs/internal/vm"
 )
@@ -42,11 +41,10 @@ func initialRun(t *testing.T, src string, cfg Config) (*vm.VM, *Record) {
 func reuseRun(t *testing.T, src string, rec *Record) (*vm.VM, *Reuser) {
 	t.Helper()
 	bc := compileSrc(t, "lib.js", src)
-	reuser := NewReuser(rec, &profiler.Counters{}, func(source.Site) *ic.Slot { return nil })
+	reuser := NewReuser(rec)
 	v := vm.New(vm.Options{Hooks: reuser})
 	// The VM and its hooks reference each other; complete the wiring.
-	reuser.SetSlotResolver(v.SlotFor)
-	reuser.prof = v.Prof
+	reuser.Attach(v)
 	if _, err := v.RunProgram(bc); err != nil {
 		t.Fatalf("reuse run: %v", err)
 	}

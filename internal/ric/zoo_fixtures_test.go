@@ -292,7 +292,7 @@ func TestZooFixtureReuseRuns(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec := loadFixture(t, c.ricName)
-			reuser := NewReuser(rec, nil, nil)
+			reuser := NewReuser(rec)
 			reuse := vm.New(vm.Options{Hooks: reuser})
 			reuser.Attach(reuse)
 			reuse.RegisterProgram(prog)

@@ -10,7 +10,7 @@ import (
 
 // WriteJSONL writes one JSON object per event, one per line — the format
 // behind `ricjs -trace out.jsonl`. Fields with zero values (site, name, n,
-// session, shard) are omitted, so a standalone engine's trace stays
+// session) are omitted, so a standalone engine's trace stays
 // compact. The encoding is hand-rolled: it is deterministic (fixed key
 // order), allocation-light, and needs no reflection.
 func WriteJSONL(w io.Writer, events []Event) error {
@@ -44,10 +44,6 @@ func writeEventJSON(bw *bufio.Writer, e *Event) {
 		bw.WriteString(`,"session":`)
 		bw.WriteString(strconv.FormatUint(e.Session, 10))
 	}
-	if e.Shard != 0 {
-		bw.WriteString(`,"shard":`)
-		bw.WriteString(strconv.FormatUint(uint64(e.Shard), 10))
-	}
 	bw.WriteByte('}')
 }
 
@@ -68,8 +64,8 @@ func quoteJSON(s string) string {
 // no wall clock — execution is deterministic by design — so the event
 // sequence number stands in for the microsecond timestamp: the horizontal
 // axis reads as "event index", which is exactly the deterministic ordering
-// the golden tests lock down. Sessions map to pids and shards to tids, so
-// a pool trace lays each session out on its own track.
+// the golden tests lock down. Sessions map to pids (tid is always 0), so a
+// pool trace lays each session out on its own track.
 func WriteChromeTrace(w io.Writer, events []Event) error {
 	bw := bufio.NewWriter(w)
 	bw.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`)
@@ -78,8 +74,8 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 			bw.WriteByte(',')
 		}
 		e := &events[i]
-		fmt.Fprintf(bw, `{"name":%s,"ph":"i","s":"t","ts":%d,"pid":%d,"tid":%d,"cat":"ic","args":{`,
-			quoteJSON(e.Type.String()), e.Seq, e.Session, e.Shard)
+		fmt.Fprintf(bw, `{"name":%s,"ph":"i","s":"t","ts":%d,"pid":%d,"tid":0,"cat":"ic","args":{`,
+			quoteJSON(e.Type.String()), e.Seq, e.Session)
 		first := true
 		if e.Site.Script != "" || !e.Site.Pos.IsZero() {
 			fmt.Fprintf(bw, `"site":%s`, quoteJSON(e.Site.String()))

@@ -25,12 +25,6 @@ func (s *Summary) String() string {
 	return b.String()
 }
 
-// WriteTo writes the summary's String form.
-func (s *Summary) WriteTo(w io.Writer) (int64, error) {
-	n, err := io.WriteString(w, s.String())
-	return int64(n), err
-}
-
 func (s *Summary) write(w io.Writer) {
 	fmt.Fprintf(w, "events %d\n", s.Events)
 	for t := Type(0); t < NumTypes; t++ {

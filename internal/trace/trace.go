@@ -15,7 +15,7 @@
 // A Buffer is single-writer by construction: one buffer belongs to one
 // engine session, mirroring the engine's single-threaded isolate model, so
 // emission needs no locks or atomics. A SessionPool gives every session
-// its own buffer, tagged with the session and shard IDs. A nil *Buffer is
+// its own buffer, tagged with the session ID. A nil *Buffer is
 // a valid disabled sink: Emit on nil returns immediately, and the VM
 // additionally nil-checks before calling so that tracing compiled out of a
 // run costs one predictable branch per event site (bounded at ≤2% of
@@ -197,10 +197,9 @@ type Event struct {
 	// N is the event's numeric payload: extra polymorphic entries
 	// examined for hits, the HCVT id for validations, 0 otherwise.
 	N int64
-	// Session and Shard tag the emitting pool session; both are zero for
-	// standalone engines.
+	// Session tags the emitting pool session; it is zero for standalone
+	// engines.
 	Session uint64
-	Shard   uint32
 }
 
 // DefaultCapacity is the ring size NewBuffer uses for capacity <= 0:
@@ -216,7 +215,6 @@ type Buffer struct {
 	ring    []Event
 	seq     uint64 // total events emitted (ring may hold fewer)
 	session uint64
-	shard   uint32
 	reg     registry
 }
 
@@ -230,19 +228,15 @@ func NewBuffer(capacity int) *Buffer {
 	return &Buffer{ring: make([]Event, 0, capacity)}
 }
 
-// Tag sets the session and shard IDs stamped on every subsequent event.
-// The SessionPool tags each session's buffer before the session runs.
-func (b *Buffer) Tag(session uint64, shard uint32) *Buffer {
+// Tag sets the session ID stamped on every subsequent event. The
+// SessionPool tags each session's buffer before the session runs.
+func (b *Buffer) Tag(session uint64) *Buffer {
 	b.session = session
-	b.shard = shard
 	return b
 }
 
 // Session returns the buffer's session tag.
 func (b *Buffer) Session() uint64 { return b.session }
-
-// Shard returns the buffer's shard tag.
-func (b *Buffer) Shard() uint32 { return b.shard }
 
 // Emit appends one event. Emit on a nil buffer is a no-op, so callers may
 // hold a nil *Buffer as "tracing disabled"; hot paths additionally guard
@@ -253,7 +247,7 @@ func (b *Buffer) Emit(t Type, site source.Site, name string, n int64) {
 		return
 	}
 	b.reg.add(t, site)
-	e := Event{Seq: b.seq, Type: t, Site: site, Name: name, N: n, Session: b.session, Shard: b.shard}
+	e := Event{Seq: b.seq, Type: t, Site: site, Name: name, N: n, Session: b.session}
 	if len(b.ring) < cap(b.ring) {
 		b.ring = append(b.ring, e)
 	} else {
@@ -295,7 +289,7 @@ func (b *Buffer) Events() []Event {
 	return out
 }
 
-// Reset discards all events and counts, keeping the session/shard tags and
+// Reset discards all events and counts, keeping the session tag and
 // the ring capacity. The engine resets its buffer when it degrades, so the
 // trace mirrors the profiler's lifetime (a degraded engine's counters
 // restart on the fresh conventional VM).

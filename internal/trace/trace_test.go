@@ -74,7 +74,7 @@ func TestEventsBeforeWrapAreInOrder(t *testing.T) {
 }
 
 func TestResetClearsEventsAndKeepsTags(t *testing.T) {
-	b := NewBuffer(8).Tag(7, 3)
+	b := NewBuffer(8).Tag(7)
 	b.Emit(EvICMissOther, site("a.js", 1, 1), "x", 0)
 	b.Reset()
 	if b.Len() != 0 || b.Count(EvICMissOther) != 0 || len(b.Events()) != 0 {
@@ -82,8 +82,8 @@ func TestResetClearsEventsAndKeepsTags(t *testing.T) {
 	}
 	b.Emit(EvICHit, site("a.js", 1, 1), "x", 0)
 	e := b.Events()[0]
-	if e.Session != 7 || e.Shard != 3 {
-		t.Fatalf("tags lost across reset: session=%d shard=%d", e.Session, e.Shard)
+	if e.Session != 7 {
+		t.Fatalf("tag lost across reset: session=%d", e.Session)
 	}
 	if e.Seq != 0 {
 		t.Fatalf("seq did not restart: %d", e.Seq)
@@ -175,7 +175,7 @@ func TestTypeNamesCompleteAndUnique(t *testing.T) {
 }
 
 func TestWriteJSONLRoundTrips(t *testing.T) {
-	b := NewBuffer(0).Tag(3, 1)
+	b := NewBuffer(0).Tag(3)
 	b.Emit(EvICHit, site("lib.js", 4, 7), "count", 2)
 	b.Emit(EvDegrade, source.Site{}, "validate", 0)
 
@@ -193,7 +193,7 @@ func TestWriteJSONLRoundTrips(t *testing.T) {
 	}
 	if first["type"] != "ic-hit" || first["site"] != "lib.js:4:7" ||
 		first["name"] != "count" || first["n"] != float64(2) ||
-		first["session"] != float64(3) || first["shard"] != float64(1) {
+		first["session"] != float64(3) {
 		t.Fatalf("line 1 fields wrong: %v", first)
 	}
 	var second map[string]any
@@ -209,7 +209,7 @@ func TestWriteJSONLRoundTrips(t *testing.T) {
 }
 
 func TestWriteChromeTraceIsValidJSON(t *testing.T) {
-	b := NewBuffer(0).Tag(9, 2)
+	b := NewBuffer(0).Tag(9)
 	b.Emit(EvICMissOther, site("lib.js", 1, 1), "p", 0)
 	b.Emit(EvPreloadApplied, site("lib.js", 2, 5), "q", 1)
 	b.Emit(EvPoolPublish, source.Site{}, "extract", 0)
@@ -235,7 +235,7 @@ func TestWriteChromeTraceIsValidJSON(t *testing.T) {
 		t.Fatalf("got %d trace events, want 3", len(doc.TraceEvents))
 	}
 	e0 := doc.TraceEvents[0]
-	if e0.Name != "ic-miss-other" || e0.Ph != "i" || e0.Pid != 9 || e0.Tid != 2 {
+	if e0.Name != "ic-miss-other" || e0.Ph != "i" || e0.Pid != 9 || e0.Tid != 0 {
 		t.Fatalf("event 0 wrong: %+v", e0)
 	}
 	if e0.Args["site"] != "lib.js:1:1" {

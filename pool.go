@@ -2,7 +2,6 @@ package ricjs
 
 import (
 	"fmt"
-	"hash/fnv"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -37,17 +36,14 @@ type PoolOptions struct {
 	// only pushes the session down the tier ladder (remote → store →
 	// extract → conventional), visibly in Stats() and the trace.
 	Remote *RemoteTier
-	// Shards is the number of record-cache shards (default 16). More
-	// shards reduce lock contention between sessions of distinct keys.
-	Shards int
 	// IncludeGlobals extends extraction to global-object state (paper §6).
 	IncludeGlobals bool
 	// MaxSteps bounds every session's scripts (0 = unlimited).
 	MaxSteps uint64
 	// TraceCapacity, when nonzero, gives every session a private trace
 	// buffer (negative values pick the default ring capacity), tagged with
-	// a pool-unique session ID and the record key's cache-shard index, and
-	// returned in SessionResult.Trace. Zero disables tracing.
+	// a pool-unique session ID and returned in SessionResult.Trace. Zero
+	// disables tracing.
 	TraceCapacity int
 }
 
@@ -128,68 +124,9 @@ type recordEntry struct {
 	rec atomic.Pointer[Record]
 }
 
-// recordShard is one lock domain of the shared record cache. Lookups are
-// lock-free: readers load the published map snapshot through an atomic
-// pointer and never touch the mutex. Writers (entry installation on a cold
-// key, abandonment after a failed extraction) serialize on the mutex,
-// build a fresh map copy, and publish it with a release store — the
-// copy-on-write protocol, so a warm-cache session never contends with
-// anyone. The atomic.Pointer Load carries acquire semantics, so a reader
-// that observes the new map also observes every entry it references fully
-// constructed; per-entry publication is ordered by the entry's own atomic
-// record pointer.
-type recordShard struct {
-	mu      sync.Mutex // writers only; the read path never takes it
-	entries atomic.Pointer[map[string]*recordEntry]
-}
-
-// lookup resolves a key against the published snapshot without locking.
-func (sh *recordShard) lookup(key string) (*recordEntry, bool) {
-	ent, ok := (*sh.entries.Load())[key]
-	return ent, ok
-}
-
-// install adds an entry for key under the shard mutex, unless a competing
-// writer installed one first — then that entry is returned instead. The
-// new map is published atomically; readers see either the old or the new
-// snapshot, never a partial one.
-func (sh *recordShard) install(key string, ent *recordEntry) (*recordEntry, bool) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	old := *sh.entries.Load()
-	if existing, ok := old[key]; ok {
-		return existing, false
-	}
-	next := make(map[string]*recordEntry, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[key] = ent
-	sh.entries.Store(&next)
-	return ent, true
-}
-
-// remove deletes key's entry if it is still ent (abandonment), publishing
-// a map without it so a future session can retry the extraction.
-func (sh *recordShard) remove(key string, ent *recordEntry) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	old := *sh.entries.Load()
-	if old[key] != ent {
-		return
-	}
-	next := make(map[string]*recordEntry, len(old)-1)
-	for k, v := range old {
-		if k != key {
-			next[k] = v
-		}
-	}
-	sh.entries.Store(&next)
-}
-
 // SessionPool serves many independent engine sessions concurrently
-// against one shared, sharded in-memory record cache layered over an
-// optional RecordStore. This is the serving shape the paper motivates in
+// against one shared in-memory record cache layered over an optional
+// RecordStore. This is the serving shape the paper motivates in
 // §9: one library's ICRecord, decoded once, serves every application
 // (session) that loads the library.
 //
@@ -214,8 +151,11 @@ type SessionPool struct {
 	maxSteps       uint64
 	traceCap       int
 	sessionSeq     atomic.Uint64
-	shards         []recordShard
-	stats          profiler.PoolCounters
+	// records maps each key to its *recordEntry. It is written once per
+	// key and read by every later session, the case sync.Map is built for:
+	// a warm lookup takes no lock.
+	records sync.Map
+	stats   profiler.PoolCounters
 }
 
 // NewSessionPool creates a pool.
@@ -224,24 +164,14 @@ func NewSessionPool(opts PoolOptions) *SessionPool {
 	if cache == nil {
 		cache = NewCodeCache()
 	}
-	n := opts.Shards
-	if n <= 0 {
-		n = 16
-	}
-	p := &SessionPool{
+	return &SessionPool{
 		cache:          cache,
 		store:          opts.Store,
 		remote:         opts.Remote,
 		includeGlobals: opts.IncludeGlobals,
 		maxSteps:       opts.MaxSteps,
 		traceCap:       opts.TraceCapacity,
-		shards:         make([]recordShard, n),
 	}
-	for i := range p.shards {
-		empty := make(map[string]*recordEntry)
-		p.shards[i].entries.Store(&empty)
-	}
-	return p
 }
 
 // Stats snapshots the pool's aggregate statistics.
@@ -251,26 +181,13 @@ func (p *SessionPool) Stats() PoolStats { return p.stats.Snapshot() }
 // shared cache.
 func (p *SessionPool) CachedRecords() int {
 	n := 0
-	for i := range p.shards {
-		for _, ent := range *p.shards[i].entries.Load() {
-			if ent.rec.Load() != nil {
-				n++
-			}
+	p.records.Range(func(_, v any) bool {
+		if v.(*recordEntry).rec.Load() != nil {
+			n++
 		}
-	}
+		return true
+	})
 	return n
-}
-
-// shardIndex maps a key to its lock-domain index (also the trace shard tag).
-func (p *SessionPool) shardIndex(key string) uint32 {
-	h := fnv.New32a()
-	h.Write([]byte(key)) //nolint:errcheck
-	return h.Sum32() % uint32(len(p.shards))
-}
-
-// shard maps a key to its lock domain.
-func (p *SessionPool) shard(key string) *recordShard {
-	return &p.shards[p.shardIndex(key)]
 }
 
 // maxPoolEvents bounds the outcomes one session can queue. The longest
@@ -340,23 +257,22 @@ func (ev *poolEvents) settleTrace(tr *trace.Buffer, res *SessionResult, key stri
 // owns and must settle (owned != nil), or (nil, nil) when the session
 // should run conventionally because the key's extraction is in flight.
 func (p *SessionPool) acquire(key string, ev *poolEvents) (rec *Record, owned *recordEntry) {
-	sh := p.shard(key)
-	if ent, ok := sh.lookup(key); ok {
-		// Warm-cache fast path: resolved entirely against the published
-		// snapshot, no shard mutex — sessions of hot keys never contend.
-		return p.resolve(ent, ev), nil
+	if ent, ok := p.records.Load(key); ok {
+		// Warm-cache fast path: sync.Map serves a key it has already
+		// promoted to its read-only map without a lock.
+		return p.resolve(ent.(*recordEntry), ev), nil
 	}
-	// Cold key: fall to the write path. The mutex acquisition is counted
-	// so an all-hot run can prove the read path stayed lock-free.
+	// Cold key: fall to the write path. Entering it is counted so an
+	// all-hot run can prove the read path stayed lock-free.
 	p.stats.ShardLock()
-	ent, installed := sh.install(key, &recordEntry{})
-	if installed {
+	ent, loaded := p.records.LoadOrStore(key, &recordEntry{})
+	if !loaded {
 		ev.note(trace.EvPoolAcquireOwn)
-		return nil, ent
+		return nil, ent.(*recordEntry)
 	}
-	// A competing writer installed the entry between our snapshot read and
-	// the lock; treat it exactly like a fast-path find.
-	return p.resolve(ent, ev), nil
+	// A competing session stored the entry between our Load and
+	// LoadOrStore; treat it exactly like a fast-path find.
+	return p.resolve(ent.(*recordEntry), ev), nil
 }
 
 // resolve classifies an existing cache entry for a session: a published
@@ -383,7 +299,7 @@ func (p *SessionPool) publish(ent *recordEntry, rec *Record, from string, ev *po
 // abandon removes an owned entry that will get no record from the cache,
 // so a future session can retry the extraction.
 func (p *SessionPool) abandon(key string, ent *recordEntry, ev *poolEvents) {
-	p.shard(key).remove(key, ent)
+	p.records.CompareAndDelete(key, ent)
 	ev.note(trace.EvPoolAbandon)
 }
 
@@ -398,7 +314,7 @@ func (p *SessionPool) Serve(req SessionRequest) (*SessionResult, error) {
 	}
 	var tr *trace.Buffer
 	if p.traceCap != 0 {
-		tr = trace.NewBuffer(p.traceCap).Tag(p.sessionSeq.Add(1), p.shardIndex(req.Key))
+		tr = trace.NewBuffer(p.traceCap).Tag(p.sessionSeq.Add(1))
 	}
 
 	ev := poolEvents{stats: &p.stats}

@@ -10,10 +10,10 @@ import (
 )
 
 // TestSessionPoolHotReadPathLockFree is the lock-freedom acceptance check
-// of the copy-on-write shard read path: once every key's record is
-// published, serving any number of warm sessions takes no shard mutex —
-// the contention counter, which ticks only when acquire falls to the
-// locked write path, stays exactly where the cold phase left it.
+// of the record cache's read path: once every key's record is published,
+// serving any number of warm sessions never enters the write path — the
+// contention counter, which ticks only when acquire misses the lock-free
+// Load, stays exactly where the cold phase left it.
 func TestSessionPoolHotReadPathLockFree(t *testing.T) {
 	const (
 		nkeys    = 4
@@ -21,7 +21,7 @@ func TestSessionPoolHotReadPathLockFree(t *testing.T) {
 	)
 	pool := ricjs.NewSessionPool(ricjs.PoolOptions{})
 
-	// Cold phase: publish every key's record (one lock acquisition per
+	// Cold phase: publish every key's record (one write-path entry per
 	// cold install is expected and counted).
 	for i := 0; i < nkeys; i++ {
 		key, script, src := poolLib(i)
@@ -37,7 +37,7 @@ func TestSessionPoolHotReadPathLockFree(t *testing.T) {
 		t.Fatalf("cold phase ShardLockAcquires = %d, want 1..%d (one per cold key)", cold, nkeys)
 	}
 
-	// Hot phase: every session resolves against the published snapshot.
+	// Hot phase: every session resolves with a lock-free Load.
 	var wg sync.WaitGroup
 	errs := make([]error, sessions)
 	for s := 0; s < sessions; s++ {
@@ -60,7 +60,7 @@ func TestSessionPoolHotReadPathLockFree(t *testing.T) {
 
 	stats := pool.Stats()
 	if stats.ShardLockAcquires != cold {
-		t.Fatalf("all-hot run took %d shard locks (counter %d -> %d), want 0 — the read path is no longer lock-free",
+		t.Fatalf("all-hot run entered the write path %d times (counter %d -> %d), want 0 — the read path is no longer lock-free",
 			stats.ShardLockAcquires-cold, cold, stats.ShardLockAcquires)
 	}
 	if stats.ReuseHits != sessions {
@@ -68,13 +68,13 @@ func TestSessionPoolHotReadPathLockFree(t *testing.T) {
 	}
 }
 
-// TestSessionPoolCOWPublishStress drives the copy-on-write publish
-// protocol hard under -race: concurrent writers churn the shard maps
-// (cold installs, failed extractions that abandon and remove their
-// entries, retries of the same failed key) while readers resolve hot keys
+// TestSessionPoolCOWPublishStress drives the record cache's publish
+// protocol hard under -race: concurrent writers churn the map (cold
+// installs, failed extractions that abandon and delete their entries,
+// retries of the same failed key) while readers resolve hot keys
 // lock-free, and every successful session's output must stay
 // byte-identical to a sequential conventional run — the differential
-// proof that the lock-free path reads exactly what the locked path wrote.
+// proof that the lock-free path reads exactly what the write path wrote.
 func TestSessionPoolCOWPublishStress(t *testing.T) {
 	const (
 		nkeys    = 6
@@ -82,9 +82,9 @@ func TestSessionPoolCOWPublishStress(t *testing.T) {
 	)
 	want := sequentialOutputs(t, nkeys)
 
-	// One shard, so every key contends on the same copy-on-write map:
-	// the worst case for the publish protocol.
-	pool := ricjs.NewSessionPool(ricjs.PoolOptions{Shards: 1})
+	// Every key shares the pool's one map, so writers and readers of all
+	// keys contend on it: the worst case for the publish protocol.
+	pool := ricjs.NewSessionPool(ricjs.PoolOptions{})
 	var wg sync.WaitGroup
 	outs := make([]string, sessions)
 	keys := make([]string, sessions)
@@ -93,8 +93,8 @@ func TestSessionPoolCOWPublishStress(t *testing.T) {
 		wg.Add(1)
 		if s%8 == 7 {
 			// A failing session: its Initial run errors, so the owned
-			// entry is abandoned and removed — map churn that must never
-			// corrupt a concurrent reader's snapshot. Distinct keys per
+			// entry is abandoned and deleted — map churn that must never
+			// corrupt a concurrent reader's lookup. Distinct keys per
 			// attempt keep these cold forever.
 			key := fmt.Sprintf("bad%d", s)
 			keys[s] = key

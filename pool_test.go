@@ -179,8 +179,8 @@ func TestSessionPoolStoreBacked(t *testing.T) {
 	if resA.Mode != ricjs.SessionInitial {
 		t.Fatalf("cold serve mode = %v, want initial", resA.Mode)
 	}
-	if keys, _ := store.Keys(); len(keys) != 1 || keys[0] != key {
-		t.Fatalf("store keys after extraction = %v, want [%s]", keys, key)
+	if saved, err := store.Load(key); err != nil || saved == nil {
+		t.Fatalf("store Load(%q) after extraction = (%v, %v), want the record", key, saved, err)
 	}
 
 	poolB := ricjs.NewSessionPool(ricjs.PoolOptions{Store: store})

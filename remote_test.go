@@ -316,10 +316,10 @@ func TestSessionPoolStoreFaultsUnderRace(t *testing.T) {
 	}
 }
 
-// TestRecordStoreKeysReadDirFault covers the ReadDir fault hook: an
-// enumeration over a failing disk must surface the error, not report an
-// empty (healthy-looking) store.
-func TestRecordStoreKeysReadDirFault(t *testing.T) {
+// TestRecordStoreQuarantinedReadDirFault covers the ReadDir fault hook:
+// listing quarantined records over a failing disk must surface the error,
+// not report an empty (healthy-looking) quarantine.
+func TestRecordStoreQuarantinedReadDirFault(t *testing.T) {
 	dir := t.TempDir()
 	healthy, err := ricjs.OpenRecordStore(dir)
 	if err != nil {
@@ -333,19 +333,22 @@ func TestRecordStoreKeysReadDirFault(t *testing.T) {
 	if err := healthy.Save(key, eng.ExtractRecord(key)); err != nil {
 		t.Fatal(err)
 	}
+	if err := healthy.Quarantine(key); err != nil {
+		t.Fatal(err)
+	}
 
 	ffs := &faultinject.FaultFS{Base: ricjs.NewOSFS(), ReadDirErr: faultinject.ErrIO}
 	broken, err := ricjs.OpenRecordStoreFS(dir, ffs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if keys, err := broken.Keys(); err == nil {
-		t.Fatalf("Keys() over a failing disk returned %v; must surface the error", keys)
+	if names, err := broken.Quarantined(); err == nil {
+		t.Fatalf("Quarantined() over a failing disk returned %v; must surface the error", names)
 	}
-	// The healthy handle still sees the record: the fault was the disk, not
-	// the data.
-	if keys, err := healthy.Keys(); err != nil || len(keys) != 1 {
-		t.Fatalf("healthy Keys() = %v, %v", keys, err)
+	// The healthy handle still sees the quarantined record: the fault was
+	// the disk, not the data.
+	if names, err := healthy.Quarantined(); err != nil || len(names) != 1 {
+		t.Fatalf("healthy Quarantined() = %v, %v", names, err)
 	}
 }
 

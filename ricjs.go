@@ -294,7 +294,7 @@ func NewEngine(opts Options) *Engine {
 	}
 	var hooks vm.Hooks
 	if e.rec != nil {
-		e.reuser = ric.NewReuser(e.rec.r, nil, nil)
+		e.reuser = ric.NewReuser(e.rec.r)
 		hooks = e.reuser
 	}
 	e.vm = vm.New(vm.Options{

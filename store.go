@@ -105,13 +105,11 @@ func OpenRecordStoreFS(dir string, fsys FS) (*RecordStore, error) {
 }
 
 // recordExt is the file extension of stored records; quarantineExt is
-// appended to it for records set aside as corrupt; keyExt marks the
-// sidecar file holding a record's original (unsanitized) key, which lets
-// Keys() report the exact strings Load and Delete accept.
+// appended to it for records set aside as corrupt. Any other file in the
+// directory (such as the .key sidecars older versions wrote) is ignored.
 const (
 	recordExt     = ".ric"
 	quarantineExt = ".bad"
-	keyExt        = ".key"
 )
 
 // fileStem maps a key to its extension-less file name: the sanitized key
@@ -152,12 +150,6 @@ func (s *RecordStore) Save(key string, record *Record) error {
 // failed or interrupted writer would leave; production callers should
 // prefer Save.
 func (s *RecordStore) SaveBytes(key string, data []byte) error {
-	// The key sidecar goes first: an orphaned sidecar (record rename fails
-	// below) is harmless and idempotent — its content is determined by the
-	// stem — whereas a record without a sidecar can only be listed by stem.
-	if err := s.writeKeySidecar(key); err != nil {
-		return fmt.Errorf("ricjs: save record: %w", err)
-	}
 	tmpName, err := s.fs.WriteTemp(s.dir, "ric-*", data)
 	if err != nil {
 		return fmt.Errorf("ricjs: save record: %w", err)
@@ -165,22 +157,6 @@ func (s *RecordStore) SaveBytes(key string, data []byte) error {
 	if err := s.fs.Rename(tmpName, s.path(key)); err != nil {
 		s.fs.Remove(tmpName)
 		return fmt.Errorf("ricjs: save record: %w", err)
-	}
-	return nil
-}
-
-// writeKeySidecar persists the raw key next to its record file (atomic,
-// like the record itself), so Keys() can return the original key instead
-// of the hash-suffixed file stem.
-func (s *RecordStore) writeKeySidecar(key string) error {
-	tmpName, err := s.fs.WriteTemp(s.dir, "key-*", []byte(key))
-	if err != nil {
-		return err
-	}
-	dst := filepath.Join(s.dir, s.fileStem(key)+keyExt)
-	if err := s.fs.Rename(tmpName, dst); err != nil {
-		s.fs.Remove(tmpName)
-		return err
 	}
 	return nil
 }
@@ -262,44 +238,11 @@ func (s *RecordStore) Quarantined() ([]string, error) {
 	return names, nil
 }
 
-// Delete removes the record stored under a key (and its key sidecar),
-// if any.
+// Delete removes the record stored under a key, if any.
 func (s *RecordStore) Delete(key string) error {
 	err := s.fs.Remove(s.path(key))
-	if rerr := s.fs.Remove(filepath.Join(s.dir, s.fileStem(key)+keyExt)); rerr != nil {
-		// The sidecar is advisory; its absence only degrades Keys() to the
-		// stem fallback, so its removal failure never masks the record's.
-		_ = rerr
-	}
 	if os.IsNotExist(err) {
 		return nil
 	}
 	return err
-}
-
-// Keys lists the original keys of the stored records, sorted, such that
-// Load(Keys()[i]) round-trips for every entry. Quarantined records are
-// excluded. Records written by older store versions (no key sidecar) are
-// listed by their file stem — the pre-sidecar behaviour — which may not
-// resolve through Load for keys that needed sanitizing.
-func (s *RecordStore) Keys() ([]string, error) {
-	entries, err := s.fs.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("ricjs: list records: %w", err)
-	}
-	var keys []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, recordExt) {
-			continue
-		}
-		stem := strings.TrimSuffix(name, recordExt)
-		if raw, rerr := s.fs.ReadFile(filepath.Join(s.dir, stem+keyExt)); rerr == nil && len(raw) > 0 {
-			keys = append(keys, string(raw))
-		} else {
-			keys = append(keys, stem)
-		}
-	}
-	sort.Strings(keys)
-	return keys, nil
 }

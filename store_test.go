@@ -4,7 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 )
@@ -83,11 +82,7 @@ func TestRecordStoreCorruptQuarantines(t *testing.T) {
 	if !reflect.DeepEqual(quarantined, want) {
 		t.Fatalf("Quarantined = %v, want %v", quarantined, want)
 	}
-	// Quarantined files must not surface as live keys, and saving again
-	// under the same key must work (the regeneration path).
-	if keys, _ := store.Keys(); len(keys) != 0 {
-		t.Fatalf("Keys after quarantine = %v, want none", keys)
-	}
+	// Saving again under the same key must work (the regeneration path).
 	if err := store.Save("demo.js", rec); err != nil {
 		t.Fatal(err)
 	}
@@ -163,32 +158,60 @@ func TestRecordStoreKeysAndDelete(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	keys, err := store.Keys()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"a.js", "b.js", "weird/key with spaces"}
-	sort.Strings(want)
-	if !reflect.DeepEqual(keys, want) {
-		t.Fatalf("Keys = %v, want %v", keys, want)
-	}
 	if err := store.Delete("a.js"); err != nil {
 		t.Fatal(err)
+	}
+	if back, err := store.Load("a.js"); err != nil || back != nil {
+		t.Fatalf("Load after delete = (%v, %v), want (nil, nil)", back, err)
 	}
 	if err := store.Delete("a.js"); err != nil {
 		t.Fatal("double delete must be a no-op")
 	}
-	keys, _ = store.Keys()
-	if len(keys) != 2 {
-		t.Fatalf("Keys after delete = %v", keys)
+	if back, err := store.Load("a.js"); err != nil || back != nil {
+		t.Fatalf("Load after double delete = (%v, %v), want (nil, nil)", back, err)
+	}
+	for _, key := range []string{"b.js", "weird/key with spaces"} {
+		if back, err := store.Load(key); err != nil || back == nil {
+			t.Fatalf("Delete(a.js) disturbed %q: (%v, %v)", key, back, err)
+		}
+	}
+}
+
+func TestRecordStoreSaveWritesOneFile(t *testing.T) {
+	// A record is one file: Save writes no sidecar next to it.
+	dir := t.TempDir()
+	store, err := OpenRecordStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := extractDemo(t, demoLib, "demo.js")
+	for _, key := range []string{"a.js", "b/c.js", "d e.js"} {
+		if err := store.Save(key, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if len(names) != 3 {
+		t.Fatalf("store directory holds %v, want exactly three record files", names)
+	}
+	for _, name := range names {
+		if filepath.Ext(name) != recordExt {
+			t.Fatalf("store directory holds %v, want only %s files", names, recordExt)
+		}
 	}
 }
 
 func TestRecordStoreKeysRoundTrip(t *testing.T) {
-	// The bug this pins: Keys() used to return the sanitized+hash file
-	// stem, which Load() re-hashed into a nonexistent path. Keys() must
-	// return the exact strings Load() accepts — including keys that
-	// sanitize identically and keys that sanitize away entirely.
+	// Every saved key must load back exactly the bytes saved under it —
+	// including keys that sanitize identically and keys that sanitize
+	// away entirely.
 	store, err := OpenRecordStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -200,57 +223,22 @@ func TestRecordStoreKeysRoundTrip(t *testing.T) {
 		"plain.js":      extractDemo(t, "function H(){this.h=3;} var h=new H(); print(h.h);", "plain.js"),
 		"with spaces !": extractDemo(t, "function K(){this.k=4;} var k=new K(); print(k.k);", "sp.js"),
 	}
-	var saved []string
 	for key, rec := range recs {
 		if err := store.Save(key, rec); err != nil {
 			t.Fatalf("save %q: %v", key, err)
 		}
-		saved = append(saved, key)
 	}
-	sort.Strings(saved)
-
-	keys, err := store.Keys()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(keys, saved) {
-		t.Fatalf("Keys = %v, want the original keys %v", keys, saved)
-	}
-	for _, key := range keys {
+	for key, rec := range recs {
 		back, err := store.Load(key)
 		if err != nil {
-			t.Fatalf("Load(Keys()[i]=%q): %v", key, err)
+			t.Fatalf("Load(%q): %v", key, err)
 		}
 		if back == nil {
-			t.Fatalf("Load(Keys()[i]=%q) found nothing: round trip broken", key)
+			t.Fatalf("Load(%q) found nothing: round trip broken", key)
 		}
-		if string(back.Encode()) != string(recs[key].Encode()) {
+		if string(back.Encode()) != string(rec.Encode()) {
 			t.Fatalf("Load(%q) returned a different record", key)
 		}
-	}
-}
-
-func TestRecordStoreKeysLegacyFallback(t *testing.T) {
-	// Records written before the key sidecar existed are still listed —
-	// by stem — instead of being hidden.
-	store, err := OpenRecordStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := extractDemo(t, demoLib, "demo.js")
-	if err := store.Save("legacy/key", rec); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(store.dir, store.fileStem("legacy/key")+keyExt)); err != nil {
-		t.Fatal(err)
-	}
-	keys, err := store.Keys()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{store.fileStem("legacy/key")}
-	if !reflect.DeepEqual(keys, want) {
-		t.Fatalf("Keys = %v, want stem fallback %v", keys, want)
 	}
 }
 

@@ -68,7 +68,7 @@ func TestTypedClaimsSoundOnAllWorkloads(t *testing.T) {
 				ids = append(ids, id)
 			}
 			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-			reuser := ric.NewReuser(rec, nil, nil)
+			reuser := ric.NewReuser(rec)
 			stores, claimedStores := 0, 0
 			v := vm.New(vm.Options{Hooks: reuser, StoreObserver: func(o *objects.Object) {
 				stores++
