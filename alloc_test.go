@@ -115,3 +115,17 @@ func TestExtractRecordAllocBudget(t *testing.T) {
 		t.Errorf("ExtractRecord on React allocated %d bytes, budget %d", got, budget)
 	}
 }
+
+// TestEngineStartupAllocs pins what building a conventional engine
+// allocates. A VM builds no index that only the snapshot, the analysis or
+// the reuser reads, so none of them is paid per session; building one
+// eagerly again raises the count past the pin.
+func TestEngineStartupAllocs(t *testing.T) {
+	const pin = 505
+	allocs := testing.AllocsPerRun(20, func() {
+		ricjs.NewEngine(ricjs.Options{})
+	})
+	if allocs > pin {
+		t.Errorf("NewEngine allocated %v times, pinned at %d", allocs, pin)
+	}
+}

@@ -393,6 +393,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 // BenchmarkEngineStartup measures bare engine construction (builtin
 // environment setup), context for all per-run numbers above.
 func BenchmarkEngineStartup(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e := NewEngine(Options{})
 		if e == nil {

@@ -38,7 +38,7 @@ echo "== pool stress: concurrent record serving under -race =="
 # extraction per key and byte-identical output, with zero races. The
 # pool tests run at GOMAXPROCS 1 and 4, so the record cache's sync.Map
 # is stressed both interleaved on one P and in parallel.
-go test -race -count=1 -cpu 1,4 -run 'TestSessionPool|TestSharedRecordImmutableUnderConcurrentReuse' .
+go test -race -count=1 -cpu 1,4 -run 'TestSessionPool|TestSharedRecordImmutableUnderConcurrentReuse|TestSharedRecordValidateConcurrent' .
 go test -race -count=1 -run 'TestConcurrentLoad' ./internal/codecache
 
 echo "== network chaos sweep: faulted remote record tier =="

@@ -277,12 +277,6 @@ type Vector struct {
 	Slots    []Slot
 }
 
-// NewVector creates a vector with the given slots (built by the compiler's
-// site table).
-func NewVector(funcName string, slots []Slot) *Vector {
-	return &Vector{FuncName: funcName, Slots: slots}
-}
-
 // Slot returns the slot at a feedback index.
 func (v *Vector) Slot(i int) *Slot { return &v.Slots[i] }
 

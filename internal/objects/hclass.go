@@ -68,7 +68,12 @@ type HiddenClass struct {
 	// a property IS its index here, so small layouts need no side table.
 	fields []symtab.ID
 	// offsets indexes fields by ID for layouts larger than
-	// layoutLinearMax; nil below the threshold.
+	// layoutLinearMax. It is built by the first OffsetID call on such a
+	// layout, so classes that are only passed through on the way to a
+	// larger one (builtin prototypes, big namespaces) never build it; nil
+	// until then and always nil below the threshold. A hidden class
+	// belongs to one engine's Space and is never shared across
+	// goroutines, so the lazy build needs no lock.
 	offsets map[symtab.ID]int
 
 	// Transition table: parallel ID/target arrays scanned linearly up to
@@ -172,10 +177,17 @@ func (h *HiddenClass) Offset(name string) (int, bool) {
 
 // OffsetID returns the slot offset of a property symbol. Small layouts
 // are scanned linearly (a few integer compares); larger ones probe the
-// ID-keyed index. This is the hidden-class half of the IC fast path's
-// cost model: no string hashing on any layout size.
+// ID-keyed index, built on the first lookup. This is the hidden-class
+// half of the IC fast path's cost model: no string hashing on any layout
+// size.
 func (h *HiddenClass) OffsetID(id symtab.ID) (int, bool) {
-	if h.offsets != nil {
+	if len(h.fields) > layoutLinearMax {
+		if h.offsets == nil {
+			h.offsets = make(map[symtab.ID]int, len(h.fields))
+			for i, f := range h.fields {
+				h.offsets[f] = i
+			}
+		}
 		off, ok := h.offsets[id]
 		return off, ok
 	}
@@ -241,12 +253,6 @@ func (h *HiddenClass) TransitionID(s *Space, id symtab.ID, creator Creator) (nex
 	next.fields = make([]symtab.ID, len(h.fields)+1)
 	copy(next.fields, h.fields)
 	next.fields[len(h.fields)] = id
-	if len(next.fields) > layoutLinearMax {
-		next.offsets = make(map[symtab.ID]int, len(next.fields))
-		for i, f := range next.fields {
-			next.offsets[f] = i
-		}
-	}
 	h.addTransition(id, next)
 	return next, true
 }

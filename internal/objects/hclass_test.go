@@ -1,11 +1,14 @@
 package objects
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"ricjs/internal/source"
+	"ricjs/internal/symtab"
 )
 
 func siteCreator(line, col uint32) Creator {
@@ -237,5 +240,64 @@ func TestShapeSharingProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLazyLayoutIndex builds a 40-property transition chain, so every
+// class past layoutLinearMax fields builds its offset index on the first
+// lookup, and queries every field of every class in shuffled order.
+// Absent IDs must miss, including on classes never queried before.
+func TestLazyLayoutIndex(t *testing.T) {
+	const n = 40
+	s := NewSpace(1)
+	ids := make([]symtab.ID, n)
+	chain := []*HiddenClass{s.NewRootHC(nil, Creator{Builtin: "Wide"})}
+	for i := range ids {
+		ids[i] = symtab.Intern(fmt.Sprintf("lazyLayout%d", i))
+		next, _ := chain[i].TransitionID(s, ids[i], siteCreator(uint32(i+1), 1))
+		chain = append(chain, next)
+	}
+	for c, hc := range chain {
+		if hc.offsets != nil {
+			t.Fatalf("class of %d fields built its offset index before any lookup", c)
+		}
+	}
+	absent := symtab.Intern("lazyLayoutAbsent")
+
+	// Intermediate classes of both sizes, queried first for an absent ID.
+	for _, k := range []int{layoutLinearMax / 2, layoutLinearMax + 3, n - 5} {
+		if off, ok := chain[k].OffsetID(absent); ok || off != 0 {
+			t.Fatalf("class of %d fields: absent ID gave (%d, %v)", k, off, ok)
+		}
+		if off, ok := chain[k].OffsetID(ids[k]); ok || off != 0 {
+			t.Fatalf("class of %d fields: its successor's field gave (%d, %v)", k, off, ok)
+		}
+	}
+
+	type query struct{ class, field int }
+	var queries []query
+	for c := range chain {
+		for f := 0; f < n; f++ {
+			queries = append(queries, query{c, f})
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	rng.Shuffle(len(queries), func(i, j int) { queries[i], queries[j] = queries[j], queries[i] })
+	for _, q := range queries {
+		off, ok := chain[q.class].OffsetID(ids[q.field])
+		if present := q.field < q.class; ok != present || (present && off != q.field) {
+			t.Fatalf("class of %d fields, field %d: got (%d, %v)", q.class, q.field, off, ok)
+		}
+		if !ok && off != 0 {
+			t.Fatalf("class of %d fields, field %d: miss returned offset %d", q.class, q.field, off)
+		}
+	}
+	for c, hc := range chain {
+		if off, ok := hc.OffsetID(absent); ok || off != 0 {
+			t.Fatalf("class of %d fields: absent ID gave (%d, %v)", c, off, ok)
+		}
+		if built := hc.offsets != nil; built != (c > layoutLinearMax) {
+			t.Errorf("class of %d fields: offset index built = %v", c, built)
+		}
 	}
 }

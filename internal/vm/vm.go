@@ -109,7 +109,9 @@ type VM struct {
 	// IC, paper Figure 3). Per-VM so code can be shared across VMs.
 	feedback map[*bytecode.FuncProto]*ic.Vector
 	// slotIndex locates a feedback slot by its context-independent site
-	// identity; RIC preloads through it.
+	// identity; RIC preloads through it. Only the reuser reads it, so it
+	// is nil until the first SlotFor call builds it; after that each
+	// registration extends it.
 	slotIndex map[source.Site]*ic.Slot
 
 	// roots lists every root hidden class in creation order, for the
@@ -149,15 +151,12 @@ type VM struct {
 	// instruction when disabled, like tracing).
 	opStats *OpStats
 
-	// Builtin identity maps: every object installed during startup is
-	// registered under a stable qualified name, in both directions. The
-	// snapshot subsystem uses them to encode references to builtins by
-	// name instead of by graph walk.
-	builtinObjByName map[string]*objects.Object
-	builtinNameByObj map[*objects.Object]string
-	// builtinObjOrder remembers registration order, so the static
-	// analysis can rebuild the startup object graph deterministically.
-	builtinObjOrder []string
+	// builtinRegs lists every (qualified name, object) registration of
+	// startup, in order. Only the snapshot subsystem and the static
+	// analysis read builtin identities, so the two-way index over it
+	// (builtinIDs) is built on first read, not by every VM.
+	builtinRegs []namedBuiltin
+	builtinIDs  *builtinIdentity
 	// globalBaseline lists the global object's own properties at the end
 	// of startup; script-created globals are everything after these.
 	globalBaseline map[string]bool
@@ -181,18 +180,15 @@ type BuiltinHC struct {
 // initialization.
 func New(opts Options) *VM {
 	vm := &VM{
-		Space:            objects.NewSpace(opts.AddressSeed),
-		Prof:             &profiler.Counters{},
-		hooks:            opts.Hooks,
-		siteObs:          opts.SiteObserver,
-		storeObs:         opts.StoreObserver,
-		feedback:         make(map[*bytecode.FuncProto]*ic.Vector),
-		slotIndex:        make(map[source.Site]*ic.Slot),
-		out:              opts.Stdout,
-		rng:              opts.RandSeed,
-		maxSteps:         opts.MaxSteps,
-		builtinObjByName: make(map[string]*objects.Object),
-		builtinNameByObj: make(map[*objects.Object]string),
+		Space:    objects.NewSpace(opts.AddressSeed),
+		Prof:     &profiler.Counters{},
+		hooks:    opts.Hooks,
+		siteObs:  opts.SiteObserver,
+		storeObs: opts.StoreObserver,
+		feedback: make(map[*bytecode.FuncProto]*ic.Vector),
+		out:      opts.Stdout,
+		rng:      opts.RandSeed,
+		maxSteps: opts.MaxSteps,
 	}
 	if opts.CollectOpStats {
 		vm.opStats = &OpStats{}
@@ -260,38 +256,70 @@ func hitEvent(preloaded bool) trace.Type {
 	return trace.EvICHit
 }
 
-// RegisterBuiltinObject records a builtin object under a stable qualified
-// name in both identity directions.
+// builtinIdentity is the two-way builtin identity index: every object
+// registered during startup under its stable qualified name. The snapshot
+// subsystem uses it to encode references to builtins by name instead of
+// by graph walk; order remembers registration order, so the static
+// analysis can rebuild the startup object graph deterministically.
+type builtinIdentity struct {
+	byName map[string]*objects.Object
+	byObj  map[*objects.Object]string
+	order  []string
+}
+
+// registerBuiltinObject records a builtin object under a stable qualified
+// name. The identity index is rebuilt from the registrations on the next
+// read.
 func (vm *VM) registerBuiltinObject(name string, o *objects.Object) {
 	if o == nil {
 		return
 	}
-	if _, taken := vm.builtinObjByName[name]; taken {
-		return
+	vm.builtinRegs = append(vm.builtinRegs, namedBuiltin{Name: name, Obj: o})
+	vm.builtinIDs = nil
+}
+
+// builtinIdentities returns the identity index, building it on first use
+// by replaying the registrations in order. The first registration of a
+// name, and the first of an object, wins: a later registration that
+// reuses either is dropped in both directions.
+func (vm *VM) builtinIdentities() *builtinIdentity {
+	if vm.builtinIDs != nil {
+		return vm.builtinIDs
 	}
-	if _, known := vm.builtinNameByObj[o]; known {
-		return
+	ids := &builtinIdentity{
+		byName: make(map[string]*objects.Object, len(vm.builtinRegs)),
+		byObj:  make(map[*objects.Object]string, len(vm.builtinRegs)),
 	}
-	vm.builtinObjByName[name] = o
-	vm.builtinNameByObj[o] = name
-	vm.builtinObjOrder = append(vm.builtinObjOrder, name)
+	for _, r := range vm.builtinRegs {
+		if _, taken := ids.byName[r.Name]; taken {
+			continue
+		}
+		if _, known := ids.byObj[r.Obj]; known {
+			continue
+		}
+		ids.byName[r.Name] = r.Obj
+		ids.byObj[r.Obj] = r.Name
+		ids.order = append(ids.order, r.Name)
+	}
+	vm.builtinIDs = ids
+	return ids
 }
 
 // BuiltinObjectNames returns the qualified names of every registered
 // builtin object in registration order. Startup is deterministic, so the
 // order (and the objects behind the names) is identical in every VM.
-func (vm *VM) BuiltinObjectNames() []string { return vm.builtinObjOrder }
+func (vm *VM) BuiltinObjectNames() []string { return vm.builtinIdentities().order }
 
 // BuiltinObjectName returns the qualified name of a builtin object, if o
 // is one ("" otherwise). Startup is deterministic, so names resolve to
 // equivalent objects across engine instances.
 func (vm *VM) BuiltinObjectName(o *objects.Object) string {
-	return vm.builtinNameByObj[o]
+	return vm.builtinIdentities().byObj[o]
 }
 
 // BuiltinObjectByName resolves a qualified builtin name in this engine.
 func (vm *VM) BuiltinObjectByName(name string) *objects.Object {
-	return vm.builtinObjByName[name]
+	return vm.builtinIdentities().byName[name]
 }
 
 // IsBaselineGlobal reports whether a global property existed at the end of
@@ -347,8 +375,29 @@ func (vm *VM) DumpICState() string {
 }
 
 // SlotFor returns the feedback slot registered for a site, or nil. RIC's
-// dependent-site preloading resolves sites through it.
-func (vm *VM) SlotFor(site source.Site) *ic.Slot { return vm.slotIndex[site] }
+// dependent-site preloading resolves sites through it. The first call
+// indexes every slot registered so far.
+func (vm *VM) SlotFor(site source.Site) *ic.Slot {
+	if vm.slotIndex == nil {
+		n := 0
+		for _, v := range vm.vectorOrder {
+			n += len(v.Slots)
+		}
+		vm.slotIndex = make(map[source.Site]*ic.Slot, n)
+		for _, v := range vm.vectorOrder {
+			vm.indexSlots(v)
+		}
+	}
+	return vm.slotIndex[site]
+}
+
+// indexSlots adds a vector's slots to the site index; a later
+// registration of the same site replaces an earlier one.
+func (vm *VM) indexSlots(v *ic.Vector) {
+	for i := range v.Slots {
+		vm.slotIndex[v.Slots[i].Site] = &v.Slots[i]
+	}
+}
 
 // newRootHC creates a root hidden class and records it for extraction.
 func (vm *VM) newRootHC(proto *objects.Object, creator objects.Creator) *objects.HiddenClass {
@@ -382,17 +431,34 @@ func (vm *VM) finishStartup() {
 	}
 }
 
-// namedBuiltin tracks builtin namespace objects (Math, console, ...) for
-// post-startup registration.
+// namedBuiltin pairs a builtin object with its qualified name: the
+// namespace objects (Math, console, ...) kept for post-startup
+// registration, and every entry of the builtin identity registrations.
 type namedBuiltin struct {
 	Name string
 	Obj  *objects.Object
 }
 
 // RegisterProgram materializes ICVectors for every function in a compiled
-// program and indexes their slots by site. Loading the same program twice
-// into one VM is a no-op for already-registered functions.
+// program. The slots of all its functions share one slab and the vectors
+// one array, so registration allocates the same few blocks whatever the
+// program's size. Loading a program that is already registered returns
+// at once; functions registered earlier on their own keep their vectors.
 func (vm *VM) RegisterProgram(prog *bytecode.Program) {
+	if _, ok := vm.feedback[prog.Toplevel]; ok {
+		// Registration covers a whole function tree, so every function
+		// under a registered toplevel is registered too.
+		return
+	}
+	nfuncs, nsites := 0, 0
+	prog.Toplevel.WalkProtos(func(p *bytecode.FuncProto) {
+		if _, ok := vm.feedback[p]; !ok {
+			nfuncs++
+			nsites += len(p.Sites)
+		}
+	})
+	slab := make([]ic.Slot, nsites)
+	vecs := make([]ic.Vector, nfuncs)
 	prog.Toplevel.WalkProtos(func(p *bytecode.FuncProto) {
 		if _, ok := vm.feedback[p]; ok {
 			return
@@ -409,7 +475,9 @@ func (vm *VM) RegisterProgram(prog *bytecode.Program) {
 		if p.CallLabel == "" {
 			p.CallLabel = p.FunctionName() + " (" + p.Script + ")"
 		}
-		slots := make([]ic.Slot, len(p.Sites))
+		n := len(p.Sites)
+		slots := slab[:n:n]
+		slab = slab[n:]
 		for i, si := range p.Sites {
 			nameID := si.NameID
 			if nameID == symtab.None && si.Name != "" {
@@ -419,11 +487,13 @@ func (vm *VM) RegisterProgram(prog *bytecode.Program) {
 			}
 			slots[i] = ic.Slot{Site: si.Site, Kind: si.Kind, Name: si.Name, NameID: nameID}
 		}
-		v := ic.NewVector(p.FunctionName(), slots)
+		v := &vecs[0]
+		vecs = vecs[1:]
+		*v = ic.Vector{FuncName: p.FunctionName(), Slots: slots}
 		vm.feedback[p] = v
 		vm.vectorOrder = append(vm.vectorOrder, v)
-		for i := range v.Slots {
-			vm.slotIndex[v.Slots[i].Site] = &v.Slots[i]
+		if vm.slotIndex != nil {
+			vm.indexSlots(v)
 		}
 		if !p.DeclPos.IsZero() {
 			if vm.protoIndex == nil {
