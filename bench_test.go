@@ -408,9 +408,9 @@ func BenchmarkEngineStartup(b *testing.B) {
 // a compare-and-load, paper §2.3) rather than whole-run figures. Each
 // benchmark drives the interpreter through the public engine, then calls
 // a pre-compiled JavaScript function directly via the VM so an iteration
-// measures access-path cost, not engine or compile time. Run with
-// -benchmem: the monomorphic variants are the 0 allocs/op contract that
-// TestMonomorphicHitPathZeroAlloc enforces.
+// measures access-path cost, not engine or compile time. Each reports
+// allocations: the monomorphic variants are the 0 allocs/op contract
+// that TestMonomorphicHitPathZeroAlloc enforces.
 
 // benchClosure compiles src, runs it, and returns the VM plus the global
 // function fn ready to call.
@@ -428,9 +428,11 @@ func benchClosure(tb testing.TB, src, fn string) (*vm.VM, objects.Value) {
 	return v, fval
 }
 
-// callN invokes fn b.N times, failing on any JS error.
+// callN invokes fn b.N times, failing on any JS error, and reports
+// allocations per op.
 func callN(b *testing.B, v *vm.VM, fn objects.Value) {
 	b.Helper()
+	b.ReportAllocs()
 	this := objects.Obj(v.Global())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

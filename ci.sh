@@ -29,7 +29,24 @@ go run ./cmd/opcheck ./internal/bytecode ./internal/vm ./internal/analysis
 echo "== go build =="
 go build ./...
 
+echo "== unsafe: confined to the value representation =="
+# objects.Value packs pointers and payloads by hand (DESIGN.md, "Value
+# layout"). Only internal/objects/value.go may import unsafe, so every
+# pointer conversion sits in one file; test files may import it to
+# measure sizes.
+unsafe_users=$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' \
+  -exec grep -lE '^[[:space:]]*(import[[:space:]]+)?([A-Za-z_][A-Za-z0-9_]*[[:space:]]+)?"unsafe"' {} + |
+  grep -v '^\./internal/objects/value\.go$' || true)
+if [ -n "$unsafe_users" ]; then
+  echo "ci.sh: only internal/objects/value.go may import unsafe; also imported by:" >&2
+  echo "$unsafe_users" >&2
+  exit 1
+fi
+
 echo "== go test -race =="
+# -race also enables checkptr, so this step checks every unsafe.Pointer
+# conversion in objects.Value (alignment, and that each pointer stays
+# inside the allocation it came from) on every path the tests execute.
 go test -race ./...
 
 echo "== pool stress: concurrent record serving under -race =="
@@ -127,6 +144,7 @@ check_cover ./internal/vm 85.0
 check_cover ./internal/ric 87.5
 check_cover ./internal/trace 93.0
 check_cover ./internal/analysis 72.0
+check_cover ./internal/objects 78.0
 
 echo "== riclint: offline record verification =="
 # Truthful fixtures must pass all four layers (integrity, site existence,

@@ -182,7 +182,7 @@ func TestArrayElements(t *testing.T) {
 		t.Fatal("negative index must be ignored")
 	}
 	a.SetLen(2)
-	if a.Len() != 2 || a.Elem(4) != Undefined() {
+	if a.Len() != 2 || !a.Elem(4).IsUndefined() {
 		t.Fatal("truncation broken")
 	}
 	a.SetLen(4)

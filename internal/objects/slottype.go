@@ -129,17 +129,17 @@ func (t SlotType) Admits(v Value) bool {
 	case SlotTypeNone:
 		return true
 	case SlotTypeSmallInt:
-		return v.kind == KindNumber && IsSmallInt(v.num)
+		return v.IsNumber() && IsSmallInt(v.Num())
 	case SlotTypeFloat:
-		return v.kind == KindNumber
+		return v.IsNumber()
 	case SlotTypeString:
-		return v.kind == KindString
+		return v.IsString()
 	case SlotTypeBoolean:
-		return v.kind == KindBool
+		return v.IsBool()
 	case SlotTypeObject:
-		return v.kind == KindObject
+		return v.IsObject()
 	case SlotTypeNullUndef:
-		return v.kind == KindNull || v.kind == KindUndefined
+		return v.IsNullish()
 	}
 	return false
 }
@@ -147,9 +147,9 @@ func (t SlotType) Admits(v Value) bool {
 // TypeOfValue classifies a runtime value into the most precise lattice
 // element admitting it.
 func TypeOfValue(v Value) SlotType {
-	switch v.kind {
+	switch v.Kind() {
 	case KindNumber:
-		if IsSmallInt(v.num) {
+		if IsSmallInt(v.Num()) {
 			return SlotTypeSmallInt
 		}
 		return SlotTypeFloat

@@ -874,7 +874,9 @@ func (vm *VM) exec(f *frame) (objects.Value, error) {
 			stack = stack[:len(stack)-2]
 			// Objects convert through ToString (our ToPrimitive), so any
 			// string or object operand makes + a concatenation.
-			if a.IsString() || b.IsString() || a.IsObject() || b.IsObject() {
+			if a.IsNumber() && b.IsNumber() {
+				stack = append(stack, objects.Num(a.Num()+b.Num()))
+			} else if a.IsString() || b.IsString() || a.IsObject() || b.IsObject() {
 				stack = append(stack, objects.Str(a.ToString()+b.ToString()))
 			} else {
 				stack = append(stack, objects.Num(a.ToNumber()+b.ToNumber()))
@@ -941,12 +943,15 @@ func (vm *VM) exec(f *frame) (objects.Value, error) {
 
 		// The relational operators are open-coded per case: a shared helper
 		// taking comparison closures costs two indirect calls per dispatch.
-		// IEEE semantics make a separate NaN guard redundant — every ordered
+		// Two numbers, the common case, compare without conversion. IEEE
+		// semantics make a separate NaN guard redundant — every ordered
 		// comparison with a NaN operand is already false.
 		case bytecode.OpLt:
 			b, a := stack[len(stack)-1], stack[len(stack)-2]
 			stack = stack[:len(stack)-2]
-			if a.IsString() && b.IsString() {
+			if a.IsNumber() && b.IsNumber() {
+				stack = append(stack, objects.Bool(a.Num() < b.Num()))
+			} else if a.IsString() && b.IsString() {
 				stack = append(stack, objects.Bool(a.Str() < b.Str()))
 			} else {
 				stack = append(stack, objects.Bool(a.ToNumber() < b.ToNumber()))
@@ -954,7 +959,9 @@ func (vm *VM) exec(f *frame) (objects.Value, error) {
 		case bytecode.OpLe:
 			b, a := stack[len(stack)-1], stack[len(stack)-2]
 			stack = stack[:len(stack)-2]
-			if a.IsString() && b.IsString() {
+			if a.IsNumber() && b.IsNumber() {
+				stack = append(stack, objects.Bool(a.Num() <= b.Num()))
+			} else if a.IsString() && b.IsString() {
 				stack = append(stack, objects.Bool(a.Str() <= b.Str()))
 			} else {
 				stack = append(stack, objects.Bool(a.ToNumber() <= b.ToNumber()))
@@ -962,7 +969,9 @@ func (vm *VM) exec(f *frame) (objects.Value, error) {
 		case bytecode.OpGt:
 			b, a := stack[len(stack)-1], stack[len(stack)-2]
 			stack = stack[:len(stack)-2]
-			if a.IsString() && b.IsString() {
+			if a.IsNumber() && b.IsNumber() {
+				stack = append(stack, objects.Bool(a.Num() > b.Num()))
+			} else if a.IsString() && b.IsString() {
 				stack = append(stack, objects.Bool(a.Str() > b.Str()))
 			} else {
 				stack = append(stack, objects.Bool(a.ToNumber() > b.ToNumber()))
@@ -970,7 +979,9 @@ func (vm *VM) exec(f *frame) (objects.Value, error) {
 		case bytecode.OpGe:
 			b, a := stack[len(stack)-1], stack[len(stack)-2]
 			stack = stack[:len(stack)-2]
-			if a.IsString() && b.IsString() {
+			if a.IsNumber() && b.IsNumber() {
+				stack = append(stack, objects.Bool(a.Num() >= b.Num()))
+			} else if a.IsString() && b.IsString() {
 				stack = append(stack, objects.Bool(a.Str() >= b.Str()))
 			} else {
 				stack = append(stack, objects.Bool(a.ToNumber() >= b.ToNumber()))
