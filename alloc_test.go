@@ -117,15 +117,66 @@ func TestExtractRecordAllocBudget(t *testing.T) {
 }
 
 // TestEngineStartupAllocs pins what building a conventional engine
-// allocates. A VM builds no index that only the snapshot, the analysis or
-// the reuser reads, so none of them is paid per session; building one
-// eagerly again raises the count past the pin.
+// allocates. The builtin realm is copied from the process template as a
+// few flat blocks, and a VM builds no index that only the snapshot, the
+// analysis or the reuser reads, so none of them is paid per session;
+// building the realm object by object, or an index eagerly, raises the
+// count past the pin.
 func TestEngineStartupAllocs(t *testing.T) {
-	const pin = 505
+	const pin = 17
 	allocs := testing.AllocsPerRun(20, func() {
 		ricjs.NewEngine(ricjs.Options{})
 	})
 	if allocs > pin {
 		t.Errorf("NewEngine allocated %v times, pinned at %d", allocs, pin)
+	}
+}
+
+// TestReuseSessionAllocBudget bounds one warm reuse-startup session on
+// AngularJS: a conventional Run and a Reuse Run of the same script on a
+// shared code cache. Fixed setup (realm copy, slot slab, code-cache hit,
+// preload resolution) is a large share of such a session; rebuilding the
+// realm per engine, hashing the source per cache hit or building a site
+// index per Reuse session each push the session past the budget.
+func TestReuseSessionAllocBudget(t *testing.T) {
+	const allocBudget, byteBudget = 4000, 384 << 10
+	p, ok := workloads.ByName("AngularJS")
+	if !ok {
+		t.Fatal("no AngularJS profile")
+	}
+	src := p.Source()
+	cache := ricjs.NewCodeCache()
+	initial := ricjs.NewEngine(ricjs.Options{Cache: cache})
+	if err := initial.Run(p.Script, src); err != nil {
+		t.Fatal(err)
+	}
+	rec := initial.ExtractRecord(p.Name)
+	var runErr error
+	session := func() {
+		conv := ricjs.NewEngine(ricjs.Options{Cache: cache})
+		if err := conv.Run(p.Script, src); err != nil {
+			runErr = err
+		}
+		reuse := ricjs.NewEngine(ricjs.Options{Cache: cache, Record: rec})
+		if err := reuse.Run(p.Script, src); err != nil {
+			runErr = err
+		}
+	}
+	session() // warms the record's validation memo
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		session()
+	}
+	runtime.ReadMemStats(&after)
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	allocs := (after.Mallocs - before.Mallocs) / runs
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	if allocs > allocBudget || bytes > byteBudget {
+		t.Errorf("warm AngularJS session allocated %d times, %d bytes; budget %d times, %d bytes",
+			allocs, bytes, allocBudget, byteBudget)
 	}
 }

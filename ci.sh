@@ -54,8 +54,10 @@ echo "== pool stress: concurrent record serving under -race =="
 # gate: 48 sessions over 6 shared keys must produce exactly one
 # extraction per key and byte-identical output, with zero races. The
 # pool tests run at GOMAXPROCS 1 and 4, so the record cache's sync.Map
-# is stressed both interleaved on one P and in parallel.
-go test -race -count=1 -cpu 1,4 -run 'TestSessionPool|TestSharedRecordImmutableUnderConcurrentReuse|TestSharedRecordValidateConcurrent' .
+# is stressed both interleaved on one P and in parallel. The realm tests
+# ride along: engines copied from the one builtin template must match a
+# direct construction and share no mutable state.
+go test -race -count=1 -cpu 1,4 -run 'TestSessionPool|TestSharedRecordImmutableUnderConcurrentReuse|TestSharedRecordValidateConcurrent|TestRealmIsolation|TestRealmCloneMatchesConstruction' . ./internal/vm
 go test -race -count=1 -run 'TestConcurrentLoad' ./internal/codecache
 
 echo "== network chaos sweep: faulted remote record tier =="

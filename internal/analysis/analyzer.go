@@ -293,7 +293,7 @@ func (a *analyzer) escapeFn(o *absObj) {
 
 // ---- Site records ----
 
-func (a *analyzer) siteRecFor(si bytecode.SiteInfo) *siteRecord {
+func (a *analyzer) siteRecFor(si ic.SiteInfo) *siteRecord {
 	rec := a.sites[si.Site]
 	if rec == nil {
 		rec = &siteRecord{site: si.Site, kind: si.Kind, name: si.Name}
@@ -303,7 +303,7 @@ func (a *analyzer) siteRecFor(si bytecode.SiteInfo) *siteRecord {
 }
 
 // recordSite notes the receivers flowing into an access site.
-func (a *analyzer) recordSite(si bytecode.SiteInfo, recv absVal) *siteRecord {
+func (a *analyzer) recordSite(si ic.SiteInfo, recv absVal) *siteRecord {
 	rec := a.siteRecFor(si)
 	if !rec.reached {
 		rec.reached = true

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ricjs/internal/bytecode"
+	"ricjs/internal/ic"
 	"ricjs/internal/objects"
 	"ricjs/internal/source"
 )
@@ -23,12 +24,12 @@ func (a *analyzer) step(fi *fnInfo, pc int, st *frameState) []succ {
 		}
 		return 0
 	}
-	siteAt := func(i int) (bytecode.SiteInfo, bool) {
+	siteAt := func(i int) (ic.SiteInfo, bool) {
 		idx := arg(i)
 		if idx < len(proto.Sites) {
 			return proto.Sites[idx], true
 		}
-		return bytecode.SiteInfo{}, false
+		return ic.SiteInfo{}, false
 	}
 	// Successor lists live in a.succs, so stepping allocates none.
 	out := a.succs[:0]
@@ -352,7 +353,7 @@ func (a *analyzer) rootShapeOn(o *absObj, builtin string) {
 
 // ---- Named access ----
 
-func (a *analyzer) loadNamed(si bytecode.SiteInfo, recv absVal) absVal {
+func (a *analyzer) loadNamed(si ic.SiteInfo, recv absVal) absVal {
 	rec := a.recordSite(si, recv)
 	if recv.top {
 		return topVal
@@ -434,7 +435,7 @@ func (a *analyzer) stringProp(name string) absVal {
 	return out
 }
 
-func (a *analyzer) storeNamed(si bytecode.SiteInfo, recv, v absVal) {
+func (a *analyzer) storeNamed(si ic.SiteInfo, recv, v absVal) {
 	rec := a.recordSite(si, recv)
 	if recv.top {
 		a.escapeVal(v)
@@ -507,7 +508,7 @@ func (a *analyzer) fnPrototype(o *absObj, creator string) *cell {
 
 // ---- Keyed access ----
 
-func (a *analyzer) loadKeyed(si bytecode.SiteInfo, recv, key absVal) absVal {
+func (a *analyzer) loadKeyed(si ic.SiteInfo, recv, key absVal) absVal {
 	rec := a.recordSite(si, recv)
 	if recv.top {
 		return topVal
@@ -588,7 +589,7 @@ func (a *analyzer) anyNamedLoad(o *absObj, rec *siteRecord, seen map[*absObj]boo
 	return out
 }
 
-func (a *analyzer) storeKeyed(si bytecode.SiteInfo, recv, key, v absVal) {
+func (a *analyzer) storeKeyed(si ic.SiteInfo, recv, key, v absVal) {
 	a.recordSite(si, recv)
 	if recv.top {
 		a.escapeVal(v)

@@ -39,12 +39,10 @@ func Compile(prog *ast.Program) (*Program, error) {
 	if err := fc.compileBody(prog.Body); err != nil {
 		return nil, err
 	}
-	// Pre-render the per-call stack labels: protos are shared read-only
-	// across VMs afterwards (codecache), so the label must be fixed here,
-	// not lazily on the call path.
-	fc.proto.WalkProtos(func(p *FuncProto) {
-		p.CallLabel = p.FunctionName() + " (" + p.Script + ")"
-	})
+	// Protos are shared read-only across VMs afterwards (codecache), so
+	// every derived field, the per-call stack labels included, is fixed
+	// here, not lazily on the call path.
+	fc.proto.Seal()
 	return &Program{Script: prog.Script, Toplevel: fc.proto}, nil
 }
 
@@ -423,7 +421,7 @@ func (fc *funcCompiler) addSite(pos source.Pos, kind ic.AccessKind, name string)
 	if name != "" {
 		nameID = symtab.Intern(name)
 	}
-	fc.proto.Sites = append(fc.proto.Sites, SiteInfo{
+	fc.proto.Sites = append(fc.proto.Sites, ic.SiteInfo{
 		Site:   source.Site{Script: fc.script, Pos: pos},
 		Kind:   kind,
 		Name:   name,

@@ -34,17 +34,6 @@ func (c Const) String() string {
 	return fmt.Sprintf("%g", c.Num)
 }
 
-// SiteInfo describes one feedback slot: the object access site it serves.
-// The VM turns the site table into the function's ICVector.
-type SiteInfo struct {
-	Site source.Site
-	Kind ic.AccessKind
-	Name string
-	// NameID is Name pre-interned at compile time; feedback slots carry it
-	// so IC dispatch compares symbol IDs, never strings.
-	NameID symtab.ID
-}
-
 // FuncProto is a compiled function: the shared, context-independent part
 // of a function (V8's SharedFunctionInfo + bytecode). FuncProtos are what
 // the code cache persists between runs.
@@ -76,7 +65,7 @@ type FuncProto struct {
 	// Names, so named access never hashes a string at run time.
 	NameIDs []symtab.ID
 	Protos  []*FuncProto
-	Sites   []SiteInfo
+	Sites   []ic.SiteInfo
 }
 
 // FunctionName implements a human-readable identity for diagnostics.
@@ -123,6 +112,31 @@ func (p *FuncProto) WalkProtos(fn func(*FuncProto)) {
 	for _, nested := range p.Protos {
 		nested.WalkProtos(fn)
 	}
+}
+
+// Seal fills the fields derived from the rest of a proto, for p and
+// every nested proto: the interned name pool (NameIDs), the interned site
+// names and the stack-trace label. Compile seals every program it
+// returns; a proto built by hand must be sealed before a VM runs it,
+// because VMs share protos read-only and never fill them in. Sealing a
+// sealed proto changes nothing.
+func (p *FuncProto) Seal() {
+	p.WalkProtos(func(fp *FuncProto) {
+		if len(fp.NameIDs) != len(fp.Names) {
+			fp.NameIDs = make([]symtab.ID, len(fp.Names))
+			for i, n := range fp.Names {
+				fp.NameIDs[i] = symtab.Intern(n)
+			}
+		}
+		for i := range fp.Sites {
+			if si := &fp.Sites[i]; si.NameID == symtab.None && si.Name != "" {
+				si.NameID = symtab.Intern(si.Name)
+			}
+		}
+		if fp.CallLabel == "" {
+			fp.CallLabel = fp.FunctionName() + " (" + fp.Script + ")"
+		}
+	})
 }
 
 // Program is a compiled script: its toplevel function and metadata.

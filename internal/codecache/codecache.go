@@ -6,35 +6,38 @@
 package codecache
 
 import (
-	"crypto/sha256"
 	"sync"
 
 	"ricjs/internal/bytecode"
 	"ricjs/internal/parser"
 )
 
-// Cache maps source content hashes to compiled programs. It is safe for
-// concurrent use so many engine instances (benchmark iterations) can
-// share one.
+// key identifies a script exactly: its name and its full source. The map
+// keeps the caller's strings, so a hit copies and hashes nothing beyond
+// the map's own string hash.
+type key struct{ name, src string }
+
+// Cache maps scripts to compiled programs. It is safe for concurrent use
+// so many engine instances (benchmark iterations) can share one.
 type Cache struct {
 	mu       sync.Mutex
-	programs map[[sha256.Size]byte]*bytecode.Program
+	programs map[key]*bytecode.Program
 	hits     int
 	misses   int
 }
 
 // New creates an empty cache.
 func New() *Cache {
-	return &Cache{programs: make(map[[sha256.Size]byte]*bytecode.Program)}
+	return &Cache{programs: make(map[key]*bytecode.Program)}
 }
 
 // Load returns the compiled form of a script, compiling and caching it on
 // first sight. The script name participates in the key: the same source
 // under two names compiles twice, because site identities embed the name.
 func (c *Cache) Load(name, src string) (*bytecode.Program, error) {
-	key := sha256.Sum256(append([]byte(name+"\x00"), src...))
+	k := key{name, src}
 	c.mu.Lock()
-	if p, ok := c.programs[key]; ok {
+	if p, ok := c.programs[k]; ok {
 		c.hits++
 		c.mu.Unlock()
 		return p, nil
@@ -52,13 +55,13 @@ func (c *Cache) Load(name, src string) (*bytecode.Program, error) {
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if p, ok := c.programs[key]; ok {
+	if p, ok := c.programs[k]; ok {
 		// Another goroutine compiled concurrently; keep the first.
 		c.hits++
 		return p, nil
 	}
 	c.misses++
-	c.programs[key] = prog
+	c.programs[k] = prog
 	return prog, nil
 }
 

@@ -42,6 +42,28 @@ func TestNameParticipatesInKey(t *testing.T) {
 	}
 }
 
+// TestNameSourceBoundaryIsExact loads two scripts whose name and source
+// concatenate to the same bytes around a NUL separator. They are
+// different scripts, so the second load must not return the first
+// program.
+func TestNameSourceBoundaryIsExact(t *testing.T) {
+	c := New()
+	p1, err := c.Load("a\x00b", "print(2)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := c.Load("a", "b\x00print(2)")
+	if p2 == p1 {
+		t.Fatalf("Load(%q, %q) returned the program of script %q", "a", "b\x00print(2)", p1.Script)
+	}
+	if err == nil && p2.Script != "a" {
+		t.Fatalf("second load compiled script %q, want %q", p2.Script, "a")
+	}
+	if hits, _ := c.Stats(); hits != 0 {
+		t.Fatalf("hits = %d, want 0", hits)
+	}
+}
+
 func TestDifferentSourceDifferentProgram(t *testing.T) {
 	c := New()
 	p1, _ := c.Load("a.js", "var x = 1;")

@@ -227,11 +227,11 @@ func TestStateString(t *testing.T) {
 
 func TestVectorString(t *testing.T) {
 	_, hcs := hcChain(t, 1)
-	v := &Vector{FuncName: "f", Slots: []Slot{{
+	v := &Vector{FuncName: "f", Slots: []Slot{{SiteInfo: &SiteInfo{
 		Site: source.At("t.js", 1, 5),
 		Kind: AccessLoad,
 		Name: "x",
-	}}}
+	}}}}
 	v.Slot(0).Add(hcs[0], LoadField{Offset: 0})
 	out := v.String()
 	for _, want := range []string{"ICVector(f)", "t.js:1:5", "monomorphic", "LoadField[0]"} {

@@ -129,7 +129,7 @@ func TestKeyedSlotTransitionTable(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			_, hcs := hcChain(t, MaxPolymorphic+2)
-			slot := &Slot{Site: source.At("t.js", 2, 1), Kind: c.access}
+			slot := &Slot{SiteInfo: &SiteInfo{Site: source.At("t.js", 2, 1), Kind: c.access}}
 			for i, o := range c.ops {
 				switch o.kind {
 				case "add":
@@ -160,7 +160,7 @@ func TestKeyedSlotTransitionTable(t *testing.T) {
 // entries, matching the named-slot behaviour.
 func TestKeyedSlotLookupPositions(t *testing.T) {
 	_, hcs := hcChain(t, 3)
-	slot := &Slot{Kind: AccessKeyedLoad}
+	slot := &Slot{SiteInfo: &SiteInfo{Kind: AccessKeyedLoad}}
 	for _, hc := range hcs {
 		slot.Add(hc, LoadElement{})
 	}
@@ -178,7 +178,7 @@ func TestKeyedSlotLookupPositions(t *testing.T) {
 // carry Preloaded exactly like named ones do.
 func TestKeyedPreloadedFlagMarksRICEntries(t *testing.T) {
 	_, hcs := hcChain(t, 2)
-	slot := &Slot{Kind: AccessKeyedStore}
+	slot := &Slot{SiteInfo: &SiteInfo{Kind: AccessKeyedStore}}
 	slot.Add(hcs[0], StoreElement{})
 	if !slot.Preload(hcs[1], KeyedNamed{Name: "k", Inner: StoreField{Offset: 1}}) {
 		t.Fatal("preload rejected")

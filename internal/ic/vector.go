@@ -151,17 +151,27 @@ func fastFor(h Handler) (FastOp, int32) {
 	}
 }
 
-// Slot is the feedback for one object access site.
-type Slot struct {
+// SiteInfo describes one object access site: the immutable half of a
+// feedback slot. The compiler emits one per site into the function's
+// site table; every VM's slot for that site points at the same entry.
+type SiteInfo struct {
 	// Site identifies the access site context-independently.
 	Site source.Site
-	// Kind is the access kind served by this slot.
+	// Kind is the access kind served by the site.
 	Kind AccessKind
 	// Name is the property (or global) name accessed at the site.
 	Name string
-	// NameID is Name interned; the VM's dispatch and the hidden-class
-	// lookups it triggers use the ID, so a slot access hashes no strings.
+	// NameID is Name interned at compile time; the VM's dispatch and the
+	// hidden-class lookups it triggers use the ID, so a slot access hashes
+	// no strings.
 	NameID symtab.ID
+}
+
+// Slot is the feedback for one object access site: the per-VM IC state
+// plus a pointer to the program's site descriptor, which slots of every
+// VM running the program share and never write.
+type Slot struct {
+	*SiteInfo
 
 	State   State
 	Entries []Entry

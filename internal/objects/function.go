@@ -1,7 +1,10 @@
 package objects
 
-// NativeFunc is the signature of builtin functions implemented in Go.
-type NativeFunc func(this Value, args []Value) (Value, error)
+// NativeFunc is the signature of builtin functions implemented in Go. rt
+// is the engine making the call (the VM passes itself), so a native
+// closes over no engine and one function value serves every engine
+// instantiated from the same builtin template.
+type NativeFunc func(rt any, this Value, args []Value) (Value, error)
 
 // FunctionData carries the callable payload of a function object.
 //

@@ -75,6 +75,10 @@ func (o *Object) Func() *FunctionData { return o.fn }
 // IsArray reports whether the object is an array.
 func (o *Object) IsArray() bool { return o.isArray }
 
+// IsProto reports whether the object serves as the prototype of some
+// hidden class, so that its shape changes bump the prototype epoch.
+func (o *Object) IsProto() bool { return o.isProto }
+
 // IsDictionary reports whether the object is in dictionary mode.
 func (o *Object) IsDictionary() bool { return o.dict != nil }
 

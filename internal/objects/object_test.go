@@ -216,7 +216,7 @@ func TestOwnKeysFastMode(t *testing.T) {
 
 func TestFunctionObject(t *testing.T) {
 	s, root := newTestSpace()
-	fd := &FunctionData{Name: "f", Native: func(this Value, args []Value) (Value, error) {
+	fd := &FunctionData{Name: "f", Native: func(_ any, this Value, args []Value) (Value, error) {
 		return Num(42), nil
 	}}
 	f := s.NewFunction(root, fd)

@@ -101,8 +101,9 @@ type Stats struct {
 // decoded Record may be shared by any number of concurrent sessions
 // (ricjs.SessionPool relies on this). Anything that needs a modified
 // record must build a new one. The one exception is the validation memo
-// (see Validate): it caches one verdict only, never changes what the
-// engine reads, and is swapped atomically.
+// (see Validate): it caches one verdict only, computed from the record
+// and one immutable program, so any session recomputing it gets the same
+// verdict and ordinals; it is swapped atomically and never mutated.
 type Record struct {
 	// Script names the workload the record was extracted from (several
 	// scripts may contribute; this is the label of the run).
@@ -145,10 +146,14 @@ type Record struct {
 	memo atomic.Pointer[verdict]
 }
 
-// verdict is one memoized Validate result: nil or the staleness error.
+// verdict is one memoized Validate result for one program: nil or the
+// staleness error, plus where each dependent's slot sits in the slab a VM
+// registers the program as (vm.Registration). ords[hcid][j] is the slab
+// ordinal of Deps[hcid][j], or -1 when the program has no site there.
 type verdict struct {
 	prog *bytecode.Program
 	err  error
+	ords [][]int32
 }
 
 // validateShape checks internal consistency; the decoder and tests use it
@@ -232,20 +237,35 @@ func fieldHandler(d ic.CIDescriptor) bool {
 // programs at once is not memoized.
 func (r *Record) Validate(progs ...*bytecode.Program) error {
 	if len(progs) != 1 {
-		return r.validate(progs)
+		_, err := r.validate(progs)
+		return err
 	}
-	prog := progs[0]
-	if v := r.memo.Load(); v != nil && v.prog == prog {
-		return v.err
-	}
-	err := r.validate(progs)
-	r.memo.Store(&verdict{prog: prog, err: err})
-	return err
+	return r.verdictFor(progs[0]).err
 }
 
-// validate is Validate without the memo.
-func (r *Record) validate(progs []*bytecode.Program) error {
-	sites := make(map[source.Site]bytecode.SiteInfo)
+// verdictFor returns the memoized verdict for one program, computing and
+// storing it when the memo holds another program's.
+func (r *Record) verdictFor(prog *bytecode.Program) *verdict {
+	if v := r.memo.Load(); v != nil && v.prog == prog {
+		return v
+	}
+	ords, err := r.validate([]*bytecode.Program{prog})
+	v := &verdict{prog: prog, err: err, ords: ords}
+	r.memo.Store(v)
+	return v
+}
+
+// siteRef is a compiled site and its ordinal in its program's site walk.
+type siteRef struct {
+	info *ic.SiteInfo
+	ord  int32
+}
+
+// validate is Validate without the memo. Besides the verdict it returns
+// every dependent's slab ordinal (see verdict); ordinals are only
+// meaningful when progs holds one program.
+func (r *Record) validate(progs []*bytecode.Program) ([][]int32, error) {
+	sites := make(map[source.Site]siteRef)
 	// declSites are function declaration positions: constructor initial
 	// hidden classes key their TOAST entries to the declaring function's
 	// site rather than to a feedback slot.
@@ -256,46 +276,68 @@ func (r *Record) validate(progs []*bytecode.Program) error {
 			continue
 		}
 		covered[p.Script] = true
+		ord := int32(0)
 		p.Toplevel.WalkProtos(func(fp *bytecode.FuncProto) {
-			for _, si := range fp.Sites {
-				sites[si.Site] = si
+			for i := range fp.Sites {
+				sites[fp.Sites[i].Site] = siteRef{info: &fp.Sites[i], ord: ord}
+				ord++
 			}
 			if !fp.DeclPos.IsZero() {
 				declSites[source.Site{Script: fp.Script, Pos: fp.DeclPos}] = true
 			}
 		})
 	}
-	known := func(s source.Site) (bytecode.SiteInfo, bool, bool) {
+	known := func(s source.Site) (siteRef, bool, bool) {
 		if !covered[s.Script] {
-			return bytecode.SiteInfo{}, false, false
+			return siteRef{}, false, false
 		}
-		si, ok := sites[s]
-		return si, ok, true
+		ref, ok := sites[s]
+		return ref, ok, true
 	}
+	ndeps := 0
+	for _, deps := range r.Deps {
+		ndeps += len(deps)
+	}
+	flat := make([]int32, ndeps)
+	ords := make([][]int32, len(r.Deps))
+	var err error
 	for hcid, deps := range r.Deps {
-		for _, d := range deps {
-			si, ok, inScope := known(d.Site)
-			if !inScope {
-				continue
-			}
-			if !ok {
-				return fmt.Errorf("ric: HCID %d dependent %s: no such access site in compiled bytecode (stale record?)", hcid, d.Site)
-			}
-			if si.Kind != d.Kind || si.Name != d.Name {
-				return fmt.Errorf("ric: HCID %d dependent %s: record says %s %q, bytecode has %s %q (stale record?)",
-					hcid, d.Site, d.Kind, d.Name, si.Kind, si.Name)
+		row := flat[:len(deps):len(deps)]
+		flat = flat[len(deps):]
+		ords[hcid] = row
+		for j, d := range deps {
+			// The walk resolves every dependent, also past the first
+			// error, so a stale record's ordinals stay usable; the error
+			// reported is the first one in dependent order.
+			row[j] = -1
+			ref, ok, inScope := known(d.Site)
+			switch {
+			case !inScope:
+			case !ok:
+				if err == nil {
+					err = fmt.Errorf("ric: HCID %d dependent %s: no such access site in compiled bytecode (stale record?)", hcid, d.Site)
+				}
+			default:
+				row[j] = ref.ord
+				if si := ref.info; err == nil && (si.Kind != d.Kind || si.Name != d.Name) {
+					err = fmt.Errorf("ric: HCID %d dependent %s: record says %s %q, bytecode has %s %q (stale record?)",
+						hcid, d.Site, d.Kind, d.Name, si.Kind, si.Name)
+				}
 			}
 		}
+	}
+	if err != nil {
+		return ords, err
 	}
 	for site := range r.SiteTOAST {
 		if _, ok, inScope := known(site); inScope && !ok && !declSites[site] {
-			return fmt.Errorf("ric: TOAST site %s: no such access site in compiled bytecode (stale record?)", site)
+			return ords, fmt.Errorf("ric: TOAST site %s: no such access site in compiled bytecode (stale record?)", site)
 		}
 	}
 	for site := range r.RejectedSites {
 		if _, ok, inScope := known(site); inScope && !ok && !declSites[site] {
-			return fmt.Errorf("ric: rejected site %s: no such access site in compiled bytecode (stale record?)", site)
+			return ords, fmt.Errorf("ric: rejected site %s: no such access site in compiled bytecode (stale record?)", site)
 		}
 	}
-	return nil
+	return ords, nil
 }

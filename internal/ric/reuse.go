@@ -20,10 +20,14 @@ import (
 // the affected dependent sites take ordinary IC misses, exactly as in a
 // conventional run.
 type Reuser struct {
-	rec     *Record
-	prof    *profiler.Counters
-	tr      *trace.Buffer
-	slotFor func(source.Site) *ic.Slot
+	rec  *Record
+	prof *profiler.Counters
+	tr   *trace.Buffer
+	vm   *vm.VM
+	// progs mirrors the VM's registrations, each with the record's slab
+	// ordinals for that program, so a dependent resolves to its slot by
+	// index, with no site lookup.
+	progs []progSlots
 
 	// Runtime HCVT columns: the Reuse-run address and Validated bit per
 	// HCID (the record itself stays immutable and shareable), plus the
@@ -62,13 +66,47 @@ func (r *Reuser) ValidatedClass(id int32) *objects.HiddenClass {
 	return r.hcs[id]
 }
 
+// progSlots is one registered program as the reuser sees it: the slot
+// slab the VM registered it as, and the record's ordinals into that slab
+// (verdict.ords).
+type progSlots struct {
+	slab []ic.Slot
+	ords [][]int32
+}
+
 // Attach completes the circular wiring between a VM and its Reuser: the
 // Reuser is passed as the VM's hooks at construction, then attached to the
-// VM's profiler and slot index once the VM exists.
+// VM's profiler and registered programs once the VM exists.
 func (r *Reuser) Attach(v *vm.VM) {
 	r.prof = v.Prof
 	r.tr = v.Trace()
-	r.slotFor = v.SlotFor
+	r.vm = v
+}
+
+// syncPrograms picks up programs the VM registered since the last call.
+// Their ordinals come from the record's validation memo, which already
+// holds them when the engine validated the program before loading it.
+func (r *Reuser) syncPrograms() {
+	if r.vm == nil {
+		return
+	}
+	regs := r.vm.Registrations()
+	for _, reg := range regs[len(r.progs):] {
+		r.progs = append(r.progs, progSlots{slab: reg.Slab, ords: r.rec.verdictFor(reg.Prog).ords})
+	}
+}
+
+// slotFor returns the live slot of dependent j of HCID id, or nil when no
+// registered program has its site. A later registration of a site
+// shadows an earlier one.
+func (r *Reuser) slotFor(id int32, j int) *ic.Slot {
+	for i := len(r.progs) - 1; i >= 0; i-- {
+		p := &r.progs[i]
+		if o := p.ords[id][j]; o >= 0 {
+			return &p.slab[o]
+		}
+	}
+	return nil
 }
 
 // emit forwards a reuse-pipeline event to the attached trace buffer, if
@@ -170,15 +208,13 @@ func (r *Reuser) preloadDeps(id int32, hc *objects.HiddenClass) {
 	if r.done[id] == nil {
 		r.done[id] = make([]bool, len(deps))
 	}
+	r.syncPrograms()
 	preloaded := 0
 	for j, dep := range deps {
 		if r.done[id][j] {
 			continue
 		}
-		var slot *ic.Slot
-		if r.slotFor != nil {
-			slot = r.slotFor(dep.Site)
-		}
+		slot := r.slotFor(id, j)
 		if slot == nil {
 			// The site's script is not loaded (yet) in this run;
 			// ReplayPreloads retries after later script loads.

@@ -41,7 +41,8 @@ func TestValidateMemoMatchesFresh(t *testing.T) {
 			t.Fatalf("%s: decode: %v", p.Name, err)
 		}
 		for _, rec := range []*Record{extracted, decoded} {
-			fresh := errText(rec.validate([]*bytecode.Program{prog}))
+			_, freshErr := rec.validate([]*bytecode.Program{prog})
+			fresh := errText(freshErr)
 			first := errText(rec.Validate(prog))
 			memo := errText(rec.Validate(prog))
 			if fresh != "" || first != fresh || memo != fresh {
@@ -65,7 +66,8 @@ func TestValidateMemoKeepsStaleVerdict(t *testing.T) {
 	// One leading line moves every access site, so no site the record
 	// names exists in the edited program.
 	stale := compileSrc(t, "lib.js", "var pad = 0;\n"+pointLib)
-	want := errText(rec.validate([]*bytecode.Program{stale}))
+	_, staleErr := rec.validate([]*bytecode.Program{stale})
+	want := errText(staleErr)
 	if want == "" {
 		t.Fatal("edited program validated; the test needs a stale record")
 	}
@@ -98,9 +100,9 @@ func TestValidateManyProgramsNotMemoized(t *testing.T) {
 }
 
 // TestReusePreloadsScriptRegisteredAfterIndex runs a two-script Reuse
-// session in which the VM's site index is built while the first script
-// runs; the dependents the second script holds must still preload once
-// it is registered.
+// session in which the reuser indexes the first script's slot slab while
+// that script runs; the dependents the second script holds must still
+// preload once it is registered.
 func TestReusePreloadsScriptRegisteredAfterIndex(t *testing.T) {
 	lib := compileSrc(t, "a.js", `
 		function Point(x, y) { this.x = x; this.y = y; }
@@ -127,7 +129,9 @@ func TestReusePreloadsScriptRegisteredAfterIndex(t *testing.T) {
 	if _, err := v.RunProgram(lib); err != nil {
 		t.Fatal(err)
 	}
-	v.SlotFor(lib.Toplevel.Sites[0].Site) // the index exists from here on
+	if len(reuser.progs) != 1 {
+		t.Fatalf("reuser tracks %d programs after the first script, want 1", len(reuser.progs))
+	}
 	v.RegisterProgram(app)
 	reuser.ReplayPreloads()
 	preloaded := 0
@@ -136,9 +140,6 @@ func TestReusePreloadsScriptRegisteredAfterIndex(t *testing.T) {
 			s := &vec.Slots[i]
 			if s.Site.Script != "b.js" {
 				continue
-			}
-			if got := v.SlotFor(s.Site); got == nil || got.Site != s.Site {
-				t.Errorf("SlotFor(%s) misses the later script's slot", s.Site)
 			}
 			for _, e := range s.Entries {
 				if e.Preloaded {
@@ -152,5 +153,50 @@ func TestReusePreloadsScriptRegisteredAfterIndex(t *testing.T) {
 	}
 	if _, err := v.RunProgram(app); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestVerdictOrdinalsResolveSlab checks the slab ordinals a verdict
+// carries, for every profile's record: each dependent in the program's
+// script resolves to the slot a VM registers for its site, with the
+// recorded access kind and name, and a dependent of another script
+// resolves to nothing.
+func TestVerdictOrdinalsResolveSlab(t *testing.T) {
+	for _, p := range workloads.Profiles {
+		prog := compileSrc(t, p.Script, p.Source())
+		v := vm.New(vm.Options{AddressSeed: 1})
+		if _, err := v.RunProgram(prog); err != nil {
+			t.Fatalf("%s: initial run: %v", p.Name, err)
+		}
+		rec := Extract(v, p.Script, Config{})
+		other := compileSrc(t, "other.js", "function f(o) { return o.x; } f({x: 1});")
+		fresh := vm.New(vm.Options{AddressSeed: 2})
+		fresh.RegisterProgram(prog)
+		fresh.RegisterProgram(other)
+		regs := fresh.Registrations()
+		ords := rec.verdictFor(prog).ords
+		otherOrds := rec.verdictFor(other).ords
+		resolved := 0
+		for hcid, deps := range rec.Deps {
+			for j, d := range deps {
+				if o := otherOrds[hcid][j]; o != -1 {
+					t.Errorf("%s: dependent %s resolves to ordinal %d in another script", p.Name, d.Site, o)
+				}
+				o := ords[hcid][j]
+				if o < 0 || int(o) >= len(regs[0].Slab) {
+					t.Errorf("%s: dependent %s has ordinal %d of %d slots", p.Name, d.Site, o, len(regs[0].Slab))
+					continue
+				}
+				s := &regs[0].Slab[o]
+				if s.Site != d.Site || s.Kind != d.Kind || s.Name != d.Name {
+					t.Errorf("%s: dependent %s %s %q resolves to slot %s %s %q",
+						p.Name, d.Site, d.Kind, d.Name, s.Site, s.Kind, s.Name)
+				}
+				resolved++
+			}
+		}
+		if resolved == 0 && rec.Stats.DependentSlots > 0 {
+			t.Errorf("%s: no dependent resolved", p.Name)
+		}
 	}
 }

@@ -17,9 +17,18 @@ func argAt(args []objects.Value, i int) objects.Value {
 	return objects.Undefined()
 }
 
+// native is the VM-side form of a builtin: it receives the calling VM,
+// so the builtin template's natives close over no engine.
+type native func(vm *VM, this objects.Value, args []objects.Value) (objects.Value, error)
+
 // newNative wraps a Go function in a callable object.
-func (vm *VM) newNative(name string, fn objects.NativeFunc) *objects.Object {
-	return vm.Space.NewFunction(vm.functionHC, &objects.FunctionData{Name: name, Native: fn})
+func (vm *VM) newNative(name string, fn native) *objects.Object {
+	return vm.Space.NewFunction(vm.functionHC, &objects.FunctionData{
+		Name: name,
+		Native: func(rt any, this objects.Value, args []objects.Value) (objects.Value, error) {
+			return fn(rt.(*VM), this, args)
+		},
+	})
 }
 
 // define adds a property to a builtin object during startup; the hidden
@@ -35,7 +44,8 @@ func (vm *VM) define(o *objects.Object, name string, v objects.Value, qualified 
 // setupBuiltins constructs the builtin environment: Object/Function/Array
 // prototypes, the shared root hidden classes of Figure 2 (HC0 for object
 // literals, arrays, functions, and user function prototypes), the Math and
-// console namespaces, and the global object.
+// console namespaces, and the global object. It runs once per process,
+// on the scratch VM buildRealm freezes into the builtin template.
 func (vm *VM) setupBuiltins() {
 	s := vm.Space
 
@@ -78,7 +88,7 @@ func (vm *VM) setupBuiltins() {
 func (vm *VM) populateObjectPrototype() {
 	p := vm.objectProto
 	vm.define(p, "hasOwnProperty", objects.Obj(vm.newNative("hasOwnProperty",
-		func(this objects.Value, args []objects.Value) (objects.Value, error) {
+		func(vm *VM, this objects.Value, args []objects.Value) (objects.Value, error) {
 			o := this.Obj()
 			if o == nil {
 				return objects.Bool(false), nil
@@ -93,7 +103,7 @@ func (vm *VM) populateObjectPrototype() {
 			return objects.Bool(found), nil
 		})), "Object.prototype.hasOwnProperty")
 	vm.define(p, "toString", objects.Obj(vm.newNative("toString",
-		func(this objects.Value, args []objects.Value) (objects.Value, error) {
+		func(vm *VM, this objects.Value, args []objects.Value) (objects.Value, error) {
 			return objects.Str(this.ToString()), nil
 		})), "Object.prototype.toString")
 }
@@ -101,7 +111,7 @@ func (vm *VM) populateObjectPrototype() {
 func (vm *VM) populateFunctionPrototype() {
 	p := vm.functionProto
 	vm.define(p, "call", objects.Obj(vm.newNative("call",
-		func(this objects.Value, args []objects.Value) (objects.Value, error) {
+		func(vm *VM, this objects.Value, args []objects.Value) (objects.Value, error) {
 			var rest []objects.Value
 			if len(args) > 1 {
 				rest = args[1:]
@@ -109,7 +119,7 @@ func (vm *VM) populateFunctionPrototype() {
 			return vm.CallFunction(this, argAt(args, 0), rest)
 		})), "Function.prototype.call")
 	vm.define(p, "bind", objects.Obj(vm.newNative("bind",
-		func(this objects.Value, args []objects.Value) (objects.Value, error) {
+		func(vm *VM, this objects.Value, args []objects.Value) (objects.Value, error) {
 			if !this.IsCallable() {
 				return objects.Undefined(), throwf("bind requires a function receiver")
 			}
@@ -120,7 +130,7 @@ func (vm *VM) populateFunctionPrototype() {
 				boundArgs = append(boundArgs, args[1:]...)
 			}
 			bound := vm.newNative("bound "+target.Obj().Func().Name,
-				func(_ objects.Value, callArgs []objects.Value) (objects.Value, error) {
+				func(vm *VM, _ objects.Value, callArgs []objects.Value) (objects.Value, error) {
 					all := append(append([]objects.Value{}, boundArgs...), callArgs...)
 					return vm.CallFunction(target, boundThis, all)
 				})
@@ -128,7 +138,7 @@ func (vm *VM) populateFunctionPrototype() {
 			return objects.Obj(bound), nil
 		})), "Function.prototype.bind")
 	vm.define(p, "apply", objects.Obj(vm.newNative("apply",
-		func(this objects.Value, args []objects.Value) (objects.Value, error) {
+		func(vm *VM, this objects.Value, args []objects.Value) (objects.Value, error) {
 			var rest []objects.Value
 			if arr := argAt(args, 1).Obj(); arr != nil && arr.IsArray() {
 				rest = append(rest, arr.Elems()...)
@@ -139,10 +149,10 @@ func (vm *VM) populateFunctionPrototype() {
 
 func (vm *VM) populateArrayPrototype() {
 	p := vm.arrayProto
-	def := func(name string, fn objects.NativeFunc) {
+	def := func(name string, fn native) {
 		vm.define(p, name, objects.Obj(vm.newNative(name, fn)), "Array.prototype."+name)
 	}
-	def("push", func(this objects.Value, args []objects.Value) (objects.Value, error) {
+	def("push", func(vm *VM, this objects.Value, args []objects.Value) (objects.Value, error) {
 		o := this.Obj()
 		if o == nil || !o.IsArray() {
 			return objects.Undefined(), throwf("push requires an array receiver")
@@ -150,7 +160,7 @@ func (vm *VM) populateArrayPrototype() {
 		o.SetElems(append(o.Elems(), args...))
 		return objects.Num(float64(o.Len())), nil
 	})
-	def("pop", func(this objects.Value, args []objects.Value) (objects.Value, error) {
+	def("pop", func(vm *VM, this objects.Value, args []objects.Value) (objects.Value, error) {
 		o := this.Obj()
 		if o == nil || !o.IsArray() || o.Len() == 0 {
 			return objects.Undefined(), nil
@@ -159,7 +169,7 @@ func (vm *VM) populateArrayPrototype() {
 		o.SetLen(o.Len() - 1)
 		return last, nil
 	})
-	def("join", func(this objects.Value, args []objects.Value) (objects.Value, error) {
+	def("join", func(vm *VM, this objects.Value, args []objects.Value) (objects.Value, error) {
 		o := this.Obj()
 		if o == nil || !o.IsArray() {
 			return objects.Str(""), nil
@@ -176,7 +186,7 @@ func (vm *VM) populateArrayPrototype() {
 		}
 		return objects.Str(strings.Join(parts, sep)), nil
 	})
-	def("indexOf", func(this objects.Value, args []objects.Value) (objects.Value, error) {
+	def("indexOf", func(vm *VM, this objects.Value, args []objects.Value) (objects.Value, error) {
 		o := this.Obj()
 		if o == nil || !o.IsArray() {
 			return objects.Num(-1), nil
@@ -189,7 +199,7 @@ func (vm *VM) populateArrayPrototype() {
 		}
 		return objects.Num(-1), nil
 	})
-	def("slice", func(this objects.Value, args []objects.Value) (objects.Value, error) {
+	def("slice", func(vm *VM, this objects.Value, args []objects.Value) (objects.Value, error) {
 		o := this.Obj()
 		if o == nil || !o.IsArray() {
 			return objects.Undefined(), throwf("slice requires an array receiver")
@@ -202,7 +212,7 @@ func (vm *VM) populateArrayPrototype() {
 		vm.Prof.Alloc()
 		return objects.Obj(vm.Space.NewArray(vm.arrayHC, out)), nil
 	})
-	def("concat", func(this objects.Value, args []objects.Value) (objects.Value, error) {
+	def("concat", func(vm *VM, this objects.Value, args []objects.Value) (objects.Value, error) {
 		o := this.Obj()
 		if o == nil || !o.IsArray() {
 			return objects.Undefined(), throwf("concat requires an array receiver")
@@ -218,7 +228,7 @@ func (vm *VM) populateArrayPrototype() {
 		vm.Prof.Alloc()
 		return objects.Obj(vm.Space.NewArray(vm.arrayHC, out)), nil
 	})
-	def("forEach", func(this objects.Value, args []objects.Value) (objects.Value, error) {
+	def("forEach", func(vm *VM, this objects.Value, args []objects.Value) (objects.Value, error) {
 		o := this.Obj()
 		if o == nil || !o.IsArray() {
 			return objects.Undefined(), throwf("forEach requires an array receiver")
@@ -232,7 +242,7 @@ func (vm *VM) populateArrayPrototype() {
 		}
 		return objects.Undefined(), nil
 	})
-	def("filter", func(this objects.Value, args []objects.Value) (objects.Value, error) {
+	def("filter", func(vm *VM, this objects.Value, args []objects.Value) (objects.Value, error) {
 		o := this.Obj()
 		if o == nil || !o.IsArray() {
 			return objects.Undefined(), throwf("filter requires an array receiver")
@@ -252,7 +262,7 @@ func (vm *VM) populateArrayPrototype() {
 		vm.Prof.Alloc()
 		return objects.Obj(vm.Space.NewArray(vm.arrayHC, out)), nil
 	})
-	def("reduce", func(this objects.Value, args []objects.Value) (objects.Value, error) {
+	def("reduce", func(vm *VM, this objects.Value, args []objects.Value) (objects.Value, error) {
 		o := this.Obj()
 		if o == nil || !o.IsArray() {
 			return objects.Undefined(), throwf("reduce requires an array receiver")
@@ -277,7 +287,7 @@ func (vm *VM) populateArrayPrototype() {
 		}
 		return acc, nil
 	})
-	def("some", func(this objects.Value, args []objects.Value) (objects.Value, error) {
+	def("some", func(vm *VM, this objects.Value, args []objects.Value) (objects.Value, error) {
 		o := this.Obj()
 		if o == nil || !o.IsArray() {
 			return objects.Bool(false), nil
@@ -295,7 +305,7 @@ func (vm *VM) populateArrayPrototype() {
 		}
 		return objects.Bool(false), nil
 	})
-	def("every", func(this objects.Value, args []objects.Value) (objects.Value, error) {
+	def("every", func(vm *VM, this objects.Value, args []objects.Value) (objects.Value, error) {
 		o := this.Obj()
 		if o == nil || !o.IsArray() {
 			return objects.Bool(true), nil
@@ -313,7 +323,7 @@ func (vm *VM) populateArrayPrototype() {
 		}
 		return objects.Bool(true), nil
 	})
-	def("reverse", func(this objects.Value, args []objects.Value) (objects.Value, error) {
+	def("reverse", func(vm *VM, this objects.Value, args []objects.Value) (objects.Value, error) {
 		o := this.Obj()
 		if o == nil || !o.IsArray() {
 			return objects.Undefined(), throwf("reverse requires an array receiver")
@@ -324,7 +334,7 @@ func (vm *VM) populateArrayPrototype() {
 		}
 		return this, nil
 	})
-	def("shift", func(this objects.Value, args []objects.Value) (objects.Value, error) {
+	def("shift", func(vm *VM, this objects.Value, args []objects.Value) (objects.Value, error) {
 		o := this.Obj()
 		if o == nil || !o.IsArray() || o.Len() == 0 {
 			return objects.Undefined(), nil
@@ -333,7 +343,7 @@ func (vm *VM) populateArrayPrototype() {
 		o.SetElems(append([]objects.Value{}, o.Elems()[1:]...))
 		return first, nil
 	})
-	def("unshift", func(this objects.Value, args []objects.Value) (objects.Value, error) {
+	def("unshift", func(vm *VM, this objects.Value, args []objects.Value) (objects.Value, error) {
 		o := this.Obj()
 		if o == nil || !o.IsArray() {
 			return objects.Undefined(), throwf("unshift requires an array receiver")
@@ -341,7 +351,7 @@ func (vm *VM) populateArrayPrototype() {
 		o.SetElems(append(append([]objects.Value{}, args...), o.Elems()...))
 		return objects.Num(float64(o.Len())), nil
 	})
-	def("sort", func(this objects.Value, args []objects.Value) (objects.Value, error) {
+	def("sort", func(vm *VM, this objects.Value, args []objects.Value) (objects.Value, error) {
 		o := this.Obj()
 		if o == nil || !o.IsArray() {
 			return objects.Undefined(), throwf("sort requires an array receiver")
@@ -376,7 +386,7 @@ func (vm *VM) populateArrayPrototype() {
 		}
 		return this, nil
 	})
-	def("map", func(this objects.Value, args []objects.Value) (objects.Value, error) {
+	def("map", func(vm *VM, this objects.Value, args []objects.Value) (objects.Value, error) {
 		o := this.Obj()
 		if o == nil || !o.IsArray() {
 			return objects.Undefined(), throwf("map requires an array receiver")
@@ -431,7 +441,7 @@ func (vm *VM) populateGlobals() {
 
 	// print and console.log.
 	printFn := objects.Obj(vm.newNative("print",
-		func(this objects.Value, args []objects.Value) (objects.Value, error) {
+		func(vm *VM, this objects.Value, args []objects.Value) (objects.Value, error) {
 			parts := make([]string, len(args))
 			for i, a := range args {
 				parts[i] = a.ToString()
@@ -449,7 +459,7 @@ func (vm *VM) populateGlobals() {
 	vm.extraBuiltins = append(vm.extraBuiltins, namedBuiltin{Name: "console", Obj: console})
 
 	// Object constructor and statics.
-	objectCtor := vm.newNative("Object", func(this objects.Value, args []objects.Value) (objects.Value, error) {
+	objectCtor := vm.newNative("Object", func(vm *VM, this objects.Value, args []objects.Value) (objects.Value, error) {
 		if o := argAt(args, 0).Obj(); o != nil {
 			return argAt(args, 0), nil
 		}
@@ -458,7 +468,7 @@ func (vm *VM) populateGlobals() {
 	})
 	vm.define(objectCtor, "prototype", objects.Obj(vm.objectProto), "Object.prototype-link")
 	vm.define(objectCtor, "create", objects.Obj(vm.newNative("create",
-		func(this objects.Value, args []objects.Value) (objects.Value, error) {
+		func(vm *VM, this objects.Value, args []objects.Value) (objects.Value, error) {
 			protoArg := argAt(args, 0)
 			var proto *objects.Object
 			if !protoArg.IsNull() {
@@ -474,7 +484,7 @@ func (vm *VM) populateGlobals() {
 			return objects.Obj(vm.Space.NewObject(hc)), nil
 		})), "Object.create")
 	vm.define(objectCtor, "getPrototypeOf", objects.Obj(vm.newNative("getPrototypeOf",
-		func(this objects.Value, args []objects.Value) (objects.Value, error) {
+		func(vm *VM, this objects.Value, args []objects.Value) (objects.Value, error) {
 			o := argAt(args, 0).Obj()
 			if o == nil {
 				return objects.Undefined(), throwf("Object.getPrototypeOf requires an object")
@@ -482,7 +492,7 @@ func (vm *VM) populateGlobals() {
 			return objects.Obj(o.Proto()), nil
 		})), "Object.getPrototypeOf")
 	vm.define(objectCtor, "keys", objects.Obj(vm.newNative("keys",
-		func(this objects.Value, args []objects.Value) (objects.Value, error) {
+		func(vm *VM, this objects.Value, args []objects.Value) (objects.Value, error) {
 			var keys []objects.Value
 			if o := argAt(args, 0).Obj(); o != nil {
 				for _, k := range o.OwnKeys() {
@@ -495,7 +505,7 @@ func (vm *VM) populateGlobals() {
 	defG("Object", objects.Obj(objectCtor))
 
 	// Array constructor.
-	arrayCtor := vm.newNative("Array", func(this objects.Value, args []objects.Value) (objects.Value, error) {
+	arrayCtor := vm.newNative("Array", func(vm *VM, this objects.Value, args []objects.Value) (objects.Value, error) {
 		vm.Prof.Alloc()
 		if len(args) == 1 && args[0].IsNumber() {
 			return objects.Obj(vm.Space.NewArray(vm.arrayHC, make([]objects.Value, int(args[0].Num())))), nil
@@ -505,7 +515,7 @@ func (vm *VM) populateGlobals() {
 	})
 	vm.define(arrayCtor, "prototype", objects.Obj(vm.arrayProto), "Array.prototype-link")
 	vm.define(arrayCtor, "isArray", objects.Obj(vm.newNative("isArray",
-		func(this objects.Value, args []objects.Value) (objects.Value, error) {
+		func(vm *VM, this objects.Value, args []objects.Value) (objects.Value, error) {
 			o := argAt(args, 0).Obj()
 			return objects.Bool(o != nil && o.IsArray()), nil
 		})), "Array.isArray")
@@ -514,35 +524,35 @@ func (vm *VM) populateGlobals() {
 	// Math namespace.
 	mathHC := vm.newRootHC(vm.objectProto, objects.Creator{Builtin: "Math#root"})
 	mathObj := vm.Space.NewObject(mathHC)
-	defM := func(name string, fn func(args []objects.Value) float64) {
+	defM := func(name string, fn func(vm *VM, args []objects.Value) float64) {
 		vm.define(mathObj, name, objects.Obj(vm.newNative(name,
-			func(this objects.Value, args []objects.Value) (objects.Value, error) {
-				return objects.Num(fn(args)), nil
+			func(vm *VM, this objects.Value, args []objects.Value) (objects.Value, error) {
+				return objects.Num(fn(vm, args)), nil
 			})), "Math."+name)
 	}
-	defM("floor", func(a []objects.Value) float64 { return math.Floor(argAt(a, 0).ToNumber()) })
-	defM("ceil", func(a []objects.Value) float64 { return math.Ceil(argAt(a, 0).ToNumber()) })
-	defM("round", func(a []objects.Value) float64 { return math.Round(argAt(a, 0).ToNumber()) })
-	defM("abs", func(a []objects.Value) float64 { return math.Abs(argAt(a, 0).ToNumber()) })
-	defM("sqrt", func(a []objects.Value) float64 { return math.Sqrt(argAt(a, 0).ToNumber()) })
-	defM("pow", func(a []objects.Value) float64 {
+	defM("floor", func(_ *VM, a []objects.Value) float64 { return math.Floor(argAt(a, 0).ToNumber()) })
+	defM("ceil", func(_ *VM, a []objects.Value) float64 { return math.Ceil(argAt(a, 0).ToNumber()) })
+	defM("round", func(_ *VM, a []objects.Value) float64 { return math.Round(argAt(a, 0).ToNumber()) })
+	defM("abs", func(_ *VM, a []objects.Value) float64 { return math.Abs(argAt(a, 0).ToNumber()) })
+	defM("sqrt", func(_ *VM, a []objects.Value) float64 { return math.Sqrt(argAt(a, 0).ToNumber()) })
+	defM("pow", func(_ *VM, a []objects.Value) float64 {
 		return math.Pow(argAt(a, 0).ToNumber(), argAt(a, 1).ToNumber())
 	})
-	defM("min", func(a []objects.Value) float64 {
+	defM("min", func(_ *VM, a []objects.Value) float64 {
 		m := math.Inf(1)
 		for _, v := range a {
 			m = math.Min(m, v.ToNumber())
 		}
 		return m
 	})
-	defM("max", func(a []objects.Value) float64 {
+	defM("max", func(_ *VM, a []objects.Value) float64 {
 		m := math.Inf(-1)
 		for _, v := range a {
 			m = math.Max(m, v.ToNumber())
 		}
 		return m
 	})
-	defM("random", func(a []objects.Value) float64 {
+	defM("random", func(vm *VM, a []objects.Value) float64 {
 		// Deterministic xorshift64*: runs are reproducible by design; the
 		// output multiplier scrambles small seeds.
 		vm.rng ^= vm.rng << 13
@@ -556,23 +566,23 @@ func (vm *VM) populateGlobals() {
 
 	// Free functions.
 	defG("parseInt", objects.Obj(vm.newNative("parseInt",
-		func(this objects.Value, args []objects.Value) (objects.Value, error) {
+		func(vm *VM, this objects.Value, args []objects.Value) (objects.Value, error) {
 			return objects.Num(math.Trunc(argAt(args, 0).ToNumber())), nil
 		})))
 	defG("parseFloat", objects.Obj(vm.newNative("parseFloat",
-		func(this objects.Value, args []objects.Value) (objects.Value, error) {
+		func(vm *VM, this objects.Value, args []objects.Value) (objects.Value, error) {
 			return objects.Num(argAt(args, 0).ToNumber()), nil
 		})))
 	defG("isNaN", objects.Obj(vm.newNative("isNaN",
-		func(this objects.Value, args []objects.Value) (objects.Value, error) {
+		func(vm *VM, this objects.Value, args []objects.Value) (objects.Value, error) {
 			return objects.Bool(math.IsNaN(argAt(args, 0).ToNumber())), nil
 		})))
 	defG("String", objects.Obj(vm.newNative("String",
-		func(this objects.Value, args []objects.Value) (objects.Value, error) {
+		func(vm *VM, this objects.Value, args []objects.Value) (objects.Value, error) {
 			return objects.Str(argAt(args, 0).ToString()), nil
 		})))
 	defG("Number", objects.Obj(vm.newNative("Number",
-		func(this objects.Value, args []objects.Value) (objects.Value, error) {
+		func(vm *VM, this objects.Value, args []objects.Value) (objects.Value, error) {
 			return objects.Num(argAt(args, 0).ToNumber()), nil
 		})))
 
@@ -605,46 +615,46 @@ func (vm *VM) objectCreateHC(proto *objects.Object) *objects.HiddenClass {
 // property loads on string primitives.
 func (vm *VM) setupStringMethods() {
 	vm.stringMethods = map[string]*objects.Object{}
-	def := func(name string, fn func(s string, args []objects.Value) objects.Value) {
+	def := func(name string, fn func(vm *VM, s string, args []objects.Value) objects.Value) {
 		m := vm.newNative(name,
-			func(this objects.Value, args []objects.Value) (objects.Value, error) {
-				return fn(this.ToString(), args), nil
+			func(vm *VM, this objects.Value, args []objects.Value) (objects.Value, error) {
+				return fn(vm, this.ToString(), args), nil
 			})
 		vm.stringMethods[name] = m
 		vm.registerBuiltinObject("String.prototype."+name, m)
 	}
-	def("charAt", func(s string, a []objects.Value) objects.Value {
+	def("charAt", func(_ *VM, s string, a []objects.Value) objects.Value {
 		i := int(argAt(a, 0).ToNumber())
 		if i < 0 || i >= len(s) {
 			return objects.Str("")
 		}
 		return objects.Str(s[i : i+1])
 	})
-	def("charCodeAt", func(s string, a []objects.Value) objects.Value {
+	def("charCodeAt", func(_ *VM, s string, a []objects.Value) objects.Value {
 		i := int(argAt(a, 0).ToNumber())
 		if i < 0 || i >= len(s) {
 			return objects.Num(math.NaN())
 		}
 		return objects.Num(float64(s[i]))
 	})
-	def("indexOf", func(s string, a []objects.Value) objects.Value {
+	def("indexOf", func(_ *VM, s string, a []objects.Value) objects.Value {
 		return objects.Num(float64(strings.Index(s, argAt(a, 0).ToString())))
 	})
-	def("slice", func(s string, a []objects.Value) objects.Value {
+	def("slice", func(_ *VM, s string, a []objects.Value) objects.Value {
 		start, end := sliceRange(len(s), argAt(a, 0), argAt(a, 1))
 		return objects.Str(s[start:end])
 	})
-	def("substring", func(s string, a []objects.Value) objects.Value {
+	def("substring", func(_ *VM, s string, a []objects.Value) objects.Value {
 		start, end := sliceRange(len(s), argAt(a, 0), argAt(a, 1))
 		return objects.Str(s[start:end])
 	})
-	def("toUpperCase", func(s string, a []objects.Value) objects.Value {
+	def("toUpperCase", func(_ *VM, s string, a []objects.Value) objects.Value {
 		return objects.Str(strings.ToUpper(s))
 	})
-	def("toLowerCase", func(s string, a []objects.Value) objects.Value {
+	def("toLowerCase", func(_ *VM, s string, a []objects.Value) objects.Value {
 		return objects.Str(strings.ToLower(s))
 	})
-	def("split", func(s string, a []objects.Value) objects.Value {
+	def("split", func(vm *VM, s string, a []objects.Value) objects.Value {
 		sep := argAt(a, 0).ToString()
 		var parts []string
 		if argAt(a, 0).IsUndefined() {
@@ -659,22 +669,22 @@ func (vm *VM) setupStringMethods() {
 		vm.Prof.Alloc()
 		return objects.Obj(vm.Space.NewArray(vm.arrayHC, elems))
 	})
-	def("replace", func(s string, a []objects.Value) objects.Value {
+	def("replace", func(_ *VM, s string, a []objects.Value) objects.Value {
 		return objects.Str(strings.Replace(s, argAt(a, 0).ToString(), argAt(a, 1).ToString(), 1))
 	})
-	def("trim", func(s string, a []objects.Value) objects.Value {
+	def("trim", func(_ *VM, s string, a []objects.Value) objects.Value {
 		return objects.Str(strings.TrimSpace(s))
 	})
-	def("lastIndexOf", func(s string, a []objects.Value) objects.Value {
+	def("lastIndexOf", func(_ *VM, s string, a []objects.Value) objects.Value {
 		return objects.Num(float64(strings.LastIndex(s, argAt(a, 0).ToString())))
 	})
-	def("concat", func(s string, a []objects.Value) objects.Value {
+	def("concat", func(_ *VM, s string, a []objects.Value) objects.Value {
 		for _, v := range a {
 			s += v.ToString()
 		}
 		return objects.Str(s)
 	})
-	def("toString", func(s string, a []objects.Value) objects.Value {
+	def("toString", func(_ *VM, s string, a []objects.Value) objects.Value {
 		return objects.Str(s)
 	})
 }
@@ -687,8 +697,8 @@ func (vm *VM) stringProperty(s, name string) objects.Value {
 	if name == "length" {
 		return objects.Num(float64(len(s)))
 	}
-	if m, ok := vm.stringMethods[name]; ok {
-		return objects.Obj(m)
+	if m, ok := vm.realm.b.stringMethods[name]; ok {
+		return objects.Obj(vm.heap.Object(m))
 	}
 	return objects.Undefined()
 }

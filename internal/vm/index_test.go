@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"ricjs/internal/bytecode"
 	"ricjs/internal/source"
 )
 
@@ -51,46 +52,72 @@ func TestBuiltinIdentityFirstWins(t *testing.T) {
 	}
 }
 
-// TestConventionalRunBuildsNoSlotIndex checks that the site index is
-// built only for a reader: a run without a reuser never calls SlotFor.
-func TestConventionalRunBuildsNoSlotIndex(t *testing.T) {
+// TestConventionalRunBuildsNoProtoIndex checks that the declaration-site
+// index is built only for its reader: a run without a snapshot never
+// calls FuncProtoAt.
+func TestConventionalRunBuildsNoProtoIndex(t *testing.T) {
 	v, _ := run(t, "function f(o) { return o.p; } var s = 0; for (var i = 0; i < 4; i++) s += f({p: i});")
-	if v.slotIndex != nil {
-		t.Fatalf("conventional run built a slot index of %d sites", len(v.slotIndex))
+	if v.protoIndex != nil {
+		t.Fatalf("conventional run built a declaration index of %d functions", len(v.protoIndex))
 	}
 }
 
-// TestSlotForSeesLaterScripts registers a second script after the site
-// index was first built, as a two-script Reuse session does, and checks
-// SlotFor resolves the slots of both scripts.
-func TestSlotForSeesLaterScripts(t *testing.T) {
+// TestFuncProtoAtSeesLaterScripts registers a second script after the
+// declaration index was first built and checks FuncProtoAt resolves the
+// functions of both scripts.
+func TestFuncProtoAtSeesLaterScripts(t *testing.T) {
 	v := New(Options{AddressSeed: 1})
 	first := compileFor(t, "a.js", "function f(o) { return o.p; } f({p: 1});")
 	second := compileFor(t, "b.js", "function g(o) { return o.q; } g({q: 2});")
 	v.RegisterProgram(first)
-	if v.SlotFor(source.Site{Script: "missing.js"}) != nil {
-		t.Fatal("unknown site resolved")
+	if v.FuncProtoAt(source.Site{Script: "missing.js"}) != nil {
+		t.Fatal("unknown declaration resolved")
 	}
-	if v.slotIndex == nil {
-		t.Fatal("SlotFor did not build the index")
+	if v.protoIndex == nil {
+		t.Fatal("FuncProtoAt did not build the index")
 	}
 	v.RegisterProgram(second)
-	for _, prog := range []string{"a.js", "b.js"} {
-		found := 0
-		for _, vec := range v.Vectors() {
-			for i := range vec.Slots {
-				s := &vec.Slots[i]
-				if s.Site.Script != prog {
-					continue
-				}
-				if got := v.SlotFor(s.Site); got == nil || got.Site != s.Site {
-					t.Errorf("%s: SlotFor(%s) does not return a registered slot", prog, s.Site)
-				}
-				found++
+	for _, prog := range []*bytecode.Program{first, second} {
+		for _, p := range prog.Toplevel.Protos {
+			site := source.Site{Script: p.Script, Pos: p.DeclPos}
+			if got := v.FuncProtoAt(site); got != p {
+				t.Errorf("FuncProtoAt(%s) = %v, want %s", site, got, p.FunctionName())
 			}
 		}
-		if found == 0 {
-			t.Errorf("%s registered no slots", prog)
+	}
+}
+
+// TestRegistrationsSeeLaterScripts registers two scripts and checks each
+// registration's slab: one slot per site in WalkProtos order, pointing at
+// the proto's own site entry, shared with the function's ICVector.
+func TestRegistrationsSeeLaterScripts(t *testing.T) {
+	v := New(Options{AddressSeed: 1})
+	first := compileFor(t, "a.js", "function f(o) { return o.p; } f({p: 1});")
+	second := compileFor(t, "b.js", "function g(o) { return o.q; } g({q: 2});")
+	v.RegisterProgram(first)
+	v.RegisterProgram(second)
+	v.RegisterProgram(first) // already registered: no new slab
+	regs := v.Registrations()
+	if len(regs) != 2 || regs[0].Prog != first || regs[1].Prog != second {
+		t.Fatalf("registrations = %v, want the two programs in order", regs)
+	}
+	for _, r := range regs {
+		ord := 0
+		r.Prog.Toplevel.WalkProtos(func(p *bytecode.FuncProto) {
+			vec := v.feedback[p]
+			for i := range p.Sites {
+				s := &r.Slab[ord]
+				if s.SiteInfo != &p.Sites[i] {
+					t.Errorf("%s: slab slot %d does not point at %s", r.Prog.Script, ord, p.Sites[i].Site)
+				}
+				if &vec.Slots[i] != s {
+					t.Errorf("%s: vector slot %d of %s is not slab slot %d", r.Prog.Script, i, p.FunctionName(), ord)
+				}
+				ord++
+			}
+		})
+		if ord == 0 || ord != len(r.Slab) {
+			t.Errorf("%s: slab holds %d slots for %d sites", r.Prog.Script, len(r.Slab), ord)
 		}
 	}
 }

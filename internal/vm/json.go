@@ -22,7 +22,7 @@ func (vm *VM) setupJSON() {
 	jsonHC := vm.newRootHC(vm.objectProto, objects.Creator{Builtin: "JSON#root"})
 	jsonObj := vm.Space.NewObject(jsonHC)
 	vm.define(jsonObj, "parse", objects.Obj(vm.newNative("parse",
-		func(this objects.Value, args []objects.Value) (objects.Value, error) {
+		func(vm *VM, this objects.Value, args []objects.Value) (objects.Value, error) {
 			text := argAt(args, 0).ToString()
 			p := &jsonParser{vm: vm, src: text}
 			v, err := p.parseValue()
@@ -36,7 +36,7 @@ func (vm *VM) setupJSON() {
 			return v, nil
 		})), "JSON.parse")
 	vm.define(jsonObj, "stringify", objects.Obj(vm.newNative("stringify",
-		func(this objects.Value, args []objects.Value) (objects.Value, error) {
+		func(vm *VM, this objects.Value, args []objects.Value) (objects.Value, error) {
 			var b strings.Builder
 			if !appendJSON(&b, argAt(args, 0), 0) {
 				return objects.Undefined(), nil

@@ -749,7 +749,7 @@ func (vm *VM) construct(ctorVal objects.Value, args []objects.Value) (objects.Va
 	if fd.Native != nil {
 		// Builtin constructors (Object, Array, ...) produce their own
 		// objects.
-		res, err := fd.Native(objects.Undefined(), args)
+		res, err := fd.Native(vm, objects.Undefined(), args)
 		if err != nil {
 			return objects.Undefined(), err
 		}

@@ -47,8 +47,23 @@ func (vm *VM) ObjectProto() *objects.Object { return vm.objectProto }
 // FuncProtoAt resolves a compiled function by its declaration site among
 // the programs registered in this VM. The snapshot format references
 // functions this way — by context-independent identity, like RIC's sites.
+// The first call indexes every function registered so far.
 func (vm *VM) FuncProtoAt(site source.Site) *bytecode.FuncProto {
+	if vm.protoIndex == nil {
+		vm.protoIndex = make(map[source.Site]*bytecode.FuncProto)
+		for _, r := range vm.programs {
+			r.Prog.Toplevel.WalkProtos(vm.indexProto)
+		}
+	}
 	return vm.protoIndex[site]
+}
+
+// indexProto adds a function to the declaration-site index; a later
+// registration of the same site replaces an earlier one.
+func (vm *VM) indexProto(p *bytecode.FuncProto) {
+	if !p.DeclPos.IsZero() {
+		vm.protoIndex[source.Site{Script: p.Script, Pos: p.DeclPos}] = p
+	}
 }
 
 // SetGlobalDirect defines a global property without going through the IC,

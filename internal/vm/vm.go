@@ -108,11 +108,9 @@ type VM struct {
 	// feedback maps each compiled function to its ICVector (out-of-line
 	// IC, paper Figure 3). Per-VM so code can be shared across VMs.
 	feedback map[*bytecode.FuncProto]*ic.Vector
-	// slotIndex locates a feedback slot by its context-independent site
-	// identity; RIC preloads through it. Only the reuser reads it, so it
-	// is nil until the first SlotFor call builds it; after that each
-	// registration extends it.
-	slotIndex map[source.Site]*ic.Slot
+	// programs lists every registered program with its slot slab, in
+	// registration order; RIC preloads through the slabs.
+	programs []Registration
 
 	// roots lists every root hidden class in creation order, for the
 	// extraction phase's deterministic walk.
@@ -123,7 +121,9 @@ type VM struct {
 	// immediately marked as validated at the startup").
 	builtinFinal []BuiltinHC
 
-	vectorOrder   []*ic.Vector
+	vectorOrder []*ic.Vector
+	// extraBuiltins and stringMethods are filled while setupBuiltins
+	// builds the realm; a VM reads the realm's.
 	extraBuiltins []namedBuiltin
 	stringMethods map[string]*objects.Object
 	createHCs     map[*objects.Object]*objects.HiddenClass
@@ -151,17 +151,21 @@ type VM struct {
 	// instruction when disabled, like tracing).
 	opStats *OpStats
 
-	// builtinRegs lists every (qualified name, object) registration of
-	// startup, in order. Only the snapshot subsystem and the static
-	// analysis read builtin identities, so the two-way index over it
-	// (builtinIDs) is built on first read, not by every VM.
+	// realm is the process's builtin template and heap this VM's copy of
+	// it; the VM's builtin pointers above point into heap.
+	realm *realm
+	heap  objects.Heap
+	// builtinRegs collects startup's (qualified name, object)
+	// registrations while setupBuiltins builds the realm. Only the
+	// snapshot subsystem and the static analysis read builtin identities,
+	// so a VM builds the two-way index over the realm's registrations
+	// (builtinIDs) on first read.
 	builtinRegs []namedBuiltin
 	builtinIDs  *builtinIdentity
-	// globalBaseline lists the global object's own properties at the end
-	// of startup; script-created globals are everything after these.
-	globalBaseline map[string]bool
 	// protoIndex resolves compiled functions by declaration site, for
-	// snapshot restoration.
+	// snapshot restoration. Only the snapshot reads it, so it is nil until
+	// the first FuncProtoAt call builds it; after that each registration
+	// extends it.
 	protoIndex map[source.Site]*bytecode.FuncProto
 	// restoreHCs caches per-prototype root hidden classes used by
 	// snapshot restoration.
@@ -175,9 +179,10 @@ type BuiltinHC struct {
 }
 
 // New creates a VM with a fresh heap and the builtin environment
-// installed. Profiling counters are reset after startup so measurements
-// cover script execution only, matching the paper's focus on library
-// initialization.
+// installed: a copy of the process's builtin template, addressed by the
+// VM's own space. Profiling counters are reset after startup so
+// measurements cover script execution only, matching the paper's focus
+// on library initialization.
 func New(opts Options) *VM {
 	vm := &VM{
 		Space:    objects.NewSpace(opts.AddressSeed),
@@ -199,12 +204,8 @@ func New(opts Options) *VM {
 	if vm.rng == 0 {
 		vm.rng = 0x9E3779B97F4A7C15
 	}
-	vm.setupBuiltins()
+	vm.instantiate(builtinRealm())
 	vm.finishStartup()
-	vm.globalBaseline = make(map[string]bool)
-	for _, name := range vm.global.OwnKeys() {
-		vm.globalBaseline[name] = true
-	}
 	vm.Prof.Reset()
 	// Tracing attaches only after startup, so the event stream covers
 	// script execution exactly like the (just reset) profiler counters do;
@@ -268,37 +269,37 @@ type builtinIdentity struct {
 }
 
 // registerBuiltinObject records a builtin object under a stable qualified
-// name. The identity index is rebuilt from the registrations on the next
-// read.
+// name while setupBuiltins builds the realm.
 func (vm *VM) registerBuiltinObject(name string, o *objects.Object) {
-	if o == nil {
-		return
+	if o != nil {
+		vm.builtinRegs = append(vm.builtinRegs, namedBuiltin{Name: name, Obj: o})
 	}
-	vm.builtinRegs = append(vm.builtinRegs, namedBuiltin{Name: name, Obj: o})
-	vm.builtinIDs = nil
 }
 
 // builtinIdentities returns the identity index, building it on first use
-// by replaying the registrations in order. The first registration of a
-// name, and the first of an object, wins: a later registration that
-// reuses either is dropped in both directions.
+// by replaying the realm's registrations in order against this VM's
+// copies. The first registration of a name, and the first of an object,
+// wins: a later registration that reuses either is dropped in both
+// directions.
 func (vm *VM) builtinIdentities() *builtinIdentity {
 	if vm.builtinIDs != nil {
 		return vm.builtinIDs
 	}
+	regs := vm.realm.b.builtinRegs
 	ids := &builtinIdentity{
-		byName: make(map[string]*objects.Object, len(vm.builtinRegs)),
-		byObj:  make(map[*objects.Object]string, len(vm.builtinRegs)),
+		byName: make(map[string]*objects.Object, len(regs)),
+		byObj:  make(map[*objects.Object]string, len(regs)),
 	}
-	for _, r := range vm.builtinRegs {
+	for _, r := range regs {
+		o := vm.heap.Object(r.Obj)
 		if _, taken := ids.byName[r.Name]; taken {
 			continue
 		}
-		if _, known := ids.byObj[r.Obj]; known {
+		if _, known := ids.byObj[o]; known {
 			continue
 		}
-		ids.byName[r.Name] = r.Obj
-		ids.byObj[r.Obj] = r.Name
+		ids.byName[r.Name] = o
+		ids.byObj[o] = r.Name
 		ids.order = append(ids.order, r.Name)
 	}
 	vm.builtinIDs = ids
@@ -323,8 +324,12 @@ func (vm *VM) BuiltinObjectByName(name string) *objects.Object {
 }
 
 // IsBaselineGlobal reports whether a global property existed at the end of
-// engine startup (i.e. was not created by script code).
-func (vm *VM) IsBaselineGlobal(name string) bool { return vm.globalBaseline[name] }
+// engine startup (i.e. was not created by script code): whether the
+// global object's post-startup hidden class lays it out.
+func (vm *VM) IsBaselineGlobal(name string) bool {
+	_, ok := vm.heap.HC(vm.realm.b.global.HC()).Offset(name)
+	return ok
+}
 
 // Output returns everything printed so far when no Stdout was provided.
 func (vm *VM) Output() string { return vm.buf.String() }
@@ -374,31 +379,6 @@ func (vm *VM) DumpICState() string {
 	return b.String()
 }
 
-// SlotFor returns the feedback slot registered for a site, or nil. RIC's
-// dependent-site preloading resolves sites through it. The first call
-// indexes every slot registered so far.
-func (vm *VM) SlotFor(site source.Site) *ic.Slot {
-	if vm.slotIndex == nil {
-		n := 0
-		for _, v := range vm.vectorOrder {
-			n += len(v.Slots)
-		}
-		vm.slotIndex = make(map[source.Site]*ic.Slot, n)
-		for _, v := range vm.vectorOrder {
-			vm.indexSlots(v)
-		}
-	}
-	return vm.slotIndex[site]
-}
-
-// indexSlots adds a vector's slots to the site index; a later
-// registration of the same site replaces an earlier one.
-func (vm *VM) indexSlots(v *ic.Vector) {
-	for i := range v.Slots {
-		vm.slotIndex[v.Slots[i].Site] = &v.Slots[i]
-	}
-}
-
 // newRootHC creates a root hidden class and records it for extraction.
 func (vm *VM) newRootHC(proto *objects.Object, creator objects.Creator) *objects.HiddenClass {
 	hc := vm.Space.NewRootHC(proto, creator)
@@ -406,24 +386,9 @@ func (vm *VM) newRootHC(proto *objects.Object, creator objects.Creator) *objects
 	return hc
 }
 
-// finishStartup registers the post-startup hidden classes of the builtin
-// objects and announces them to the hooks, which validates them in a
-// Reuse run.
+// finishStartup announces the post-startup hidden classes of the builtin
+// objects to the hooks, which validates them in a Reuse run.
 func (vm *VM) finishStartup() {
-	reg := func(name string, hc *objects.HiddenClass) {
-		vm.builtinFinal = append(vm.builtinFinal, BuiltinHC{Name: name, HC: hc})
-	}
-	reg("(global)", vm.global.HC())
-	reg("Object.prototype", vm.objectProto.HC())
-	reg("Function.prototype", vm.functionProto.HC())
-	reg("Array.prototype", vm.arrayProto.HC())
-	reg("EmptyObject", vm.emptyObjectHC)
-	reg("Array", vm.arrayHC)
-	reg("Function", vm.functionHC)
-	reg("FunctionPrototype", vm.fnProtoRootHC)
-	for _, extra := range vm.extraBuiltins {
-		reg(extra.Name, extra.Obj.HC())
-	}
 	if vm.hooks != nil {
 		for _, b := range vm.builtinFinal {
 			vm.hooks.OnHCCreated(objects.Creator{Builtin: b.Name}, nil, b.HC)
@@ -439,11 +404,22 @@ type namedBuiltin struct {
 	Obj  *objects.Object
 }
 
+// Registration is one registered program and the slot slab the
+// ICVectors of its functions share. The slab holds a slot for every site
+// of the program in WalkProtos order, so a site's ordinal in that walk
+// indexes its slot; RIC resolves preloads through those ordinals.
+type Registration struct {
+	Prog *bytecode.Program
+	Slab []ic.Slot
+}
+
 // RegisterProgram materializes ICVectors for every function in a compiled
 // program. The slots of all its functions share one slab and the vectors
 // one array, so registration allocates the same few blocks whatever the
-// program's size. Loading a program that is already registered returns
-// at once; functions registered earlier on their own keep their vectors.
+// program's size. Each slot points at its site's entry in the proto's
+// site table, which registration only reads. Loading a program that is
+// already registered returns at once; functions registered earlier on
+// their own keep their vectors, and their part of the slab goes unused.
 func (vm *VM) RegisterProgram(prog *bytecode.Program) {
 	if _, ok := vm.feedback[prog.Toplevel]; ok {
 		// Registration covers a whole function tree, so every function
@@ -454,55 +430,36 @@ func (vm *VM) RegisterProgram(prog *bytecode.Program) {
 	prog.Toplevel.WalkProtos(func(p *bytecode.FuncProto) {
 		if _, ok := vm.feedback[p]; !ok {
 			nfuncs++
-			nsites += len(p.Sites)
 		}
+		nsites += len(p.Sites)
 	})
 	slab := make([]ic.Slot, nsites)
 	vecs := make([]ic.Vector, nfuncs)
+	vm.programs = append(vm.programs, Registration{Prog: prog, Slab: slab})
 	prog.Toplevel.WalkProtos(func(p *bytecode.FuncProto) {
-		if _, ok := vm.feedback[p]; ok {
-			return
-		}
-		if len(p.NameIDs) != len(p.Names) {
-			// Protos built outside the compiler (tests) lack the interned
-			// name pool; registration is the last point before execution
-			// can index it.
-			p.NameIDs = make([]symtab.ID, len(p.Names))
-			for i, n := range p.Names {
-				p.NameIDs[i] = symtab.Intern(n)
-			}
-		}
-		if p.CallLabel == "" {
-			p.CallLabel = p.FunctionName() + " (" + p.Script + ")"
-		}
 		n := len(p.Sites)
 		slots := slab[:n:n]
 		slab = slab[n:]
-		for i, si := range p.Sites {
-			nameID := si.NameID
-			if nameID == symtab.None && si.Name != "" {
-				// Protos built outside the compiler (tests, decoded
-				// records) may lack pre-interned site names.
-				nameID = symtab.Intern(si.Name)
-			}
-			slots[i] = ic.Slot{Site: si.Site, Kind: si.Kind, Name: si.Name, NameID: nameID}
+		for i := range slots {
+			slots[i].SiteInfo = &p.Sites[i]
+		}
+		if _, ok := vm.feedback[p]; ok {
+			return
 		}
 		v := &vecs[0]
 		vecs = vecs[1:]
 		*v = ic.Vector{FuncName: p.FunctionName(), Slots: slots}
 		vm.feedback[p] = v
 		vm.vectorOrder = append(vm.vectorOrder, v)
-		if vm.slotIndex != nil {
-			vm.indexSlots(v)
-		}
-		if !p.DeclPos.IsZero() {
-			if vm.protoIndex == nil {
-				vm.protoIndex = make(map[source.Site]*bytecode.FuncProto)
-			}
-			vm.protoIndex[source.Site{Script: p.Script, Pos: p.DeclPos}] = p
+		if vm.protoIndex != nil {
+			vm.indexProto(p)
 		}
 	})
 }
+
+// Registrations returns every registered program with its slot slab, in
+// registration order.
+func (vm *VM) Registrations() []Registration { return vm.programs }
 
 // RunProgram executes a compiled script's toplevel with the global object
 // as `this`.
@@ -520,7 +477,7 @@ func (vm *VM) CallFunction(fn objects.Value, this objects.Value, args []objects.
 	fd := fn.Obj().Func()
 	vm.Prof.Charge(profiler.CostCall)
 	if fd.Native != nil {
-		return fd.Native(this, args)
+		return fd.Native(vm, this, args)
 	}
 	proto := fd.Code.(*bytecode.FuncProto)
 	return vm.runFunction(proto, fd.Ctx, this, args)

@@ -432,21 +432,24 @@ func TestAddressesDifferAcrossVMs(t *testing.T) {
 	}
 }
 
-func TestVectorsAndSlotIndex(t *testing.T) {
+func TestVectorsAndRegistrationSlab(t *testing.T) {
 	vm, _ := run(t, "function f(o) { return o.p; } f({p: 1});")
 	if len(vm.Vectors()) < 2 {
 		t.Fatalf("vectors = %d", len(vm.Vectors()))
 	}
+	slab := vm.Registrations()[0].Slab
 	found := false
 	for _, v := range vm.Vectors() {
 		for i := range v.Slots {
-			if v.Slots[i].Name == "p" && vm.SlotFor(v.Slots[i].Site) == &v.Slots[i] {
-				found = true
+			for j := range slab {
+				if v.Slots[i].Name == "p" && &slab[j] == &v.Slots[i] {
+					found = true
+				}
 			}
 		}
 	}
 	if !found {
-		t.Fatal("slot index must resolve site identities")
+		t.Fatal("the registration slab must hold the vectors' slots")
 	}
 }
 
@@ -567,6 +570,7 @@ func TestBadOpcodeThrows(t *testing.T) {
 		Script: "bad.js",
 		Code:   []uint32{9999},
 	}
+	proto.Seal()
 	_, err := New(Options{AddressSeed: 1}).RunProgram(&bytecode.Program{Script: "bad.js", Toplevel: proto})
 	if err == nil || !strings.Contains(err.Error(), "bad opcode") {
 		t.Fatalf("bad opcode produced %v, want a bad-opcode error", err)
