@@ -43,6 +43,17 @@ if [ -n "$unsafe_users" ]; then
   exit 1
 fi
 
+echo "== deps: the library links no network stack =="
+# The records live beside the code cache on one host (DESIGN.md §13), so
+# the ricjs package needs no HTTP client or TLS; linking them costs every
+# binary that imports it several MB of text and resident memory.
+net_deps=$(go list -deps . | grep -xE 'net/http|crypto/tls' || true)
+if [ -n "$net_deps" ]; then
+  echo "ci.sh: the ricjs package must not depend on:" >&2
+  echo "$net_deps" >&2
+  exit 1
+fi
+
 echo "== go test -race =="
 # -race also enables checkptr, so this step checks every unsafe.Pointer
 # conversion in objects.Value (alignment, and that each pointer stays
@@ -54,26 +65,13 @@ echo "== pool stress: concurrent record serving under -race =="
 # gate: 48 sessions over 6 shared keys must produce exactly one
 # extraction per key and byte-identical output, with zero races. The
 # pool tests run at GOMAXPROCS 1 and 4, so the record cache's sync.Map
-# is stressed both interleaved on one P and in parallel. The realm tests
-# ride along: engines copied from the one builtin template must match a
-# direct construction and share no mutable state.
+# is stressed both interleaved on one P and in parallel. The pattern also
+# takes TestSessionPoolStoreFaultsUnderRace, so the ladder's store-fault
+# rungs run concurrently under -race. The realm tests ride along: engines
+# copied from the one builtin template must match a direct construction
+# and share no mutable state.
 go test -race -count=1 -cpu 1,4 -run 'TestSessionPool|TestSharedRecordImmutableUnderConcurrentReuse|TestSharedRecordValidateConcurrent|TestRealmIsolation|TestRealmCloneMatchesConstruction' . ./internal/vm
 go test -race -count=1 -run 'TestConcurrentLoad' ./internal/codecache
-
-echo "== network chaos sweep: faulted remote record tier =="
-# Every fault mode (dead, slow, torn, corrupting, flapping server) must
-# complete all sessions with byte-identical output, materialize each key
-# exactly once, and trip the breaker exactly where expected. ricbench
-# exits nonzero if any mode breaks its degradation contract.
-go run ./cmd/ricbench -netfaults >/dev/null
-
-echo "== ricserved smoke: one extraction fleet-wide =="
-# Builds and runs the real server binary, serves the same key from two
-# pooled clients one after the other, and asserts exactly one extraction
-# across the fleet plus a clean SIGTERM drain. Nodes that race on a key
-# each extract at most once, which TestRemoteConcurrentColdStart checks.
-# The partition and store-fault tests ride along under -race.
-go test -race -count=1 -run 'TestRicservedFleetSmoke|TestRemote|TestSessionPoolStoreFaultsUnderRace' .
 
 echo "== progen differential sweep: fixed seed range =="
 # Seeds 200-260 are dense in keyed-element, delete-to-dictionary, and

@@ -34,7 +34,6 @@ func main() {
 		ablation   = flag.Bool("ablation", false, "design-choice ablations")
 		faults     = flag.Bool("faults", false, "fault-injection sweep: corrupted records vs conventional runs")
 		faultSeed  = flag.Int64("fault-seed", 1, "seed for the deterministic fault injector")
-		netFaults  = flag.Bool("netfaults", false, "network chaos sweep: pooled sessions with a faulted remote record tier vs conventional runs")
 		snapshotF  = flag.Bool("snapshot", false, "compare RIC with heap-snapshot restoration (§9)")
 		traceF     = flag.Bool("trace", false, "structured IC-event totals, Initial vs Reuse run")
 		opstatsF   = flag.Bool("opstats", false, "executed-opcode and adjacent-pair dispatch histogram")
@@ -129,7 +128,7 @@ func main() {
 
 	all := !(*fig1 || *fig5 || *table1 || *table4 || *fig8 || *fig9 ||
 		*overheads || *websites || *ablation || *snapshotF || *faults ||
-		*netFaults || *traceF || *opstatsF)
+		*traceF || *opstatsF)
 
 	needRuns := all || *fig5 || *table1 || *table4 || *fig8 || *fig9 || *overheads
 	var runs []bench.LibraryRun
@@ -179,19 +178,6 @@ func main() {
 			os.Exit(1)
 		}
 		bench.ReportFaults(os.Stdout, trials)
-		for _, trial := range trials {
-			if !trial.OK() {
-				os.Exit(1)
-			}
-		}
-	})
-	section(*netFaults, func() {
-		trials, err := bench.NetFaultSweep()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ricbench:", err)
-			os.Exit(1)
-		}
-		bench.ReportNetFaults(os.Stdout, trials)
 		for _, trial := range trials {
 			if !trial.OK() {
 				os.Exit(1)

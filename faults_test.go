@@ -278,3 +278,39 @@ func TestQuarantineFailureSurfaces(t *testing.T) {
 		t.Fatalf("poison file must be gone, got (%v, %v)", rec, err)
 	}
 }
+
+// TestRecordStoreQuarantinedReadDirFault covers the ReadDir fault hook:
+// listing quarantined records over a failing disk must surface the error,
+// not report an empty (healthy-looking) quarantine.
+func TestRecordStoreQuarantinedReadDirFault(t *testing.T) {
+	dir := t.TempDir()
+	healthy, err := ricjs.OpenRecordStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, script, src := poolLib(3)
+	eng := ricjs.NewEngine(ricjs.Options{})
+	if err := eng.Run(script, src); err != nil {
+		t.Fatal(err)
+	}
+	if err := healthy.Save(key, eng.ExtractRecord(key)); err != nil {
+		t.Fatal(err)
+	}
+	if err := healthy.Quarantine(key); err != nil {
+		t.Fatal(err)
+	}
+
+	ffs := &faultinject.FaultFS{Base: ricjs.NewOSFS(), ReadDirErr: faultinject.ErrIO}
+	broken, err := ricjs.OpenRecordStoreFS(dir, ffs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if names, err := broken.Quarantined(); err == nil {
+		t.Fatalf("Quarantined() over a failing disk returned %v; must surface the error", names)
+	}
+	// The healthy handle still sees the quarantined record: the fault was
+	// the disk, not the data.
+	if names, err := healthy.Quarantined(); err != nil || len(names) != 1 {
+		t.Fatalf("healthy Quarantined() = %v, %v", names, err)
+	}
+}

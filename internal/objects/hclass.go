@@ -69,11 +69,12 @@ type HiddenClass struct {
 	fields []symtab.ID
 	// offsets indexes fields by ID for layouts larger than
 	// layoutLinearMax. It is built by the first OffsetID call on such a
-	// layout, so classes that are only passed through on the way to a
-	// larger one (builtin prototypes, big namespaces) never build it; nil
-	// until then and always nil below the threshold. A hidden class
-	// belongs to one engine's Space and is never shared across
-	// goroutines, so the lazy build needs no lock.
+	// layout that finds its field, so classes that only ever miss — the
+	// transient classes an object passes through while growing one
+	// property at a time, each asked once for the property about to be
+	// added — never build it; nil until then and always nil below the
+	// threshold. A hidden class belongs to one engine's Space and is
+	// never shared across goroutines, so the lazy build needs no lock.
 	offsets map[symtab.ID]int
 
 	// Transition table: parallel ID/target arrays scanned linearly up to
@@ -176,23 +177,23 @@ func (h *HiddenClass) Offset(name string) (int, bool) {
 }
 
 // OffsetID returns the slot offset of a property symbol. Small layouts
-// are scanned linearly (a few integer compares); larger ones probe the
-// ID-keyed index, built on the first lookup. This is the hidden-class
-// half of the IC fast path's cost model: no string hashing on any layout
-// size.
+// are scanned linearly (a few integer compares). A larger one is scanned
+// too until a lookup finds its field; that lookup builds the ID-keyed
+// index, which every later lookup probes. This is the hidden-class half
+// of the IC fast path's cost model: no string hashing on any layout size.
 func (h *HiddenClass) OffsetID(id symtab.ID) (int, bool) {
-	if len(h.fields) > layoutLinearMax {
-		if h.offsets == nil {
-			h.offsets = make(map[symtab.ID]int, len(h.fields))
-			for i, f := range h.fields {
-				h.offsets[f] = i
-			}
-		}
+	if h.offsets != nil {
 		off, ok := h.offsets[id]
 		return off, ok
 	}
 	for i, f := range h.fields {
 		if f == id {
+			if len(h.fields) > layoutLinearMax {
+				h.offsets = make(map[symtab.ID]int, len(h.fields))
+				for j, g := range h.fields {
+					h.offsets[g] = j
+				}
+			}
 			return i, true
 		}
 	}

@@ -301,3 +301,36 @@ func TestLazyLayoutIndex(t *testing.T) {
 		}
 	}
 }
+
+// TestGrowingObjectBuildsNoTransientIndex grows one object to 40
+// properties the way a store site does: each SetNamedID first looks the
+// property up on the current class, misses, and transitions. Every class
+// the object passed through was asked only for a field it lacks, so none
+// may have built an offset index; the first hit on the final class builds
+// its own.
+func TestGrowingObjectBuildsNoTransientIndex(t *testing.T) {
+	const n = 40
+	s := NewSpace(1)
+	o := s.NewObject(s.NewRootHC(nil, Creator{Builtin: "Grown"}))
+	ids := make([]symtab.ID, n)
+	chain := []*HiddenClass{o.HC()}
+	for i := range ids {
+		ids[i] = symtab.Intern(fmt.Sprintf("grown%d", i))
+		o.SetNamedID(s, ids[i], fmt.Sprintf("grown%d", i), Num(float64(i)), siteCreator(uint32(i+1), 1))
+		chain = append(chain, o.HC())
+	}
+	for c, hc := range chain {
+		if hc.NumFields() != c {
+			t.Fatalf("class %d has %d fields", c, hc.NumFields())
+		}
+		if hc.offsets != nil {
+			t.Errorf("class of %d fields built an offset index on a miss", c)
+		}
+	}
+	if off, ok := o.HC().OffsetID(ids[n/2]); !ok || off != n/2 {
+		t.Fatalf("final class: field %d gave (%d, %v)", n/2, off, ok)
+	}
+	if o.HC().offsets == nil {
+		t.Error("final class: a hit did not build the offset index")
+	}
+}

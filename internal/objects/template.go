@@ -136,7 +136,7 @@ func (t *Template) Instantiate(s *Space) Heap {
 	transIDs := make([]symtab.ID, t.ntrans)
 	transTargets := make([]*HiddenClass, t.ntrans)
 
-	// A large layout's offsets index is left for its first lookup to
+	// A large layout's offsets index is left for its first hit to
 	// build, as on any new class.
 	for i, src := range t.hcs {
 		dst := &h.hcs[i]

@@ -66,22 +66,6 @@ type PoolSnapshot struct {
 	// pool store loads, renamed to .ric.bad with the key treated as cold
 	// (EvPoolQuarantine).
 	QuarantinedRecords uint64
-	// RemoteHits counts records served by the remote record service
-	// (EvPoolRemoteHit).
-	RemoteHits uint64
-	// RemoteMisses counts remote lookups the service answered with "no
-	// record", a cold fleet cache (EvPoolRemoteMiss).
-	RemoteMisses uint64
-	// RemoteErrors counts failed remote-tier operations, including breaker
-	// short-circuits (EvPoolRemoteError).
-	RemoteErrors uint64
-	// RemotePublishes counts extracted records published to the service
-	// (EvPoolRemotePublish).
-	RemotePublishes uint64
-	// RemoteDegradedSessions counts sessions that fell off the remote tier
-	// and continued down the ladder — the counter that makes a dead or
-	// partitioned record server visible (EvPoolRemoteDegraded).
-	RemoteDegradedSessions uint64
 }
 
 // RecordsDecoded returns how many times a record was materialized in
@@ -103,12 +87,7 @@ func (p *PoolCounters) Snapshot() PoolSnapshot {
 		ConventionalRuns:   n(trace.EvPoolConventional),
 		DegradedSessions:   n(trace.EvPoolDegraded),
 
-		ShardLockAcquires:      p.shardLocks.Load(),
-		QuarantinedRecords:     n(trace.EvPoolQuarantine),
-		RemoteHits:             n(trace.EvPoolRemoteHit),
-		RemoteMisses:           n(trace.EvPoolRemoteMiss),
-		RemoteErrors:           n(trace.EvPoolRemoteError),
-		RemotePublishes:        n(trace.EvPoolRemotePublish),
-		RemoteDegradedSessions: n(trace.EvPoolRemoteDegraded),
+		ShardLockAcquires:  p.shardLocks.Load(),
+		QuarantinedRecords: n(trace.EvPoolQuarantine),
 	}
 }

@@ -96,7 +96,7 @@ const (
 	// EvPoolExtract is an Initial run's record extraction on a cold key.
 	EvPoolExtract
 	// EvPoolPublish is a record publication into the shared cache; Name
-	// says where the record came from ("extract", "store" or "remote").
+	// says where the record came from ("extract" or "store").
 	EvPoolPublish
 	// EvPoolAbandon is an owned cache entry settled without a record
 	// (failed extraction; the key stays retryable).
@@ -111,25 +111,8 @@ const (
 
 	// EvPoolQuarantine is a corrupt stored record set aside (renamed to
 	// .ric.bad) during a pool session's store load; the session proceeds
-	// down the tier ladder as if the key were cold.
+	// to extraction as if the key were cold.
 	EvPoolQuarantine
-	// EvPoolRemoteHit is a record fetched from the remote record service.
-	EvPoolRemoteHit
-	// EvPoolRemoteMiss is the remote record service answering that it has
-	// no record for the key (a cold fleet cache, not a failure).
-	EvPoolRemoteMiss
-	// EvPoolRemoteError is a failed remote-tier operation: timeout,
-	// connection refused, torn or corrupt payload, or the client's
-	// circuit breaker refusing the request. N is 1 when the breaker
-	// short-circuited (no network touch).
-	EvPoolRemoteError
-	// EvPoolRemotePublish is an extracted record published to the remote
-	// record service for the rest of the fleet.
-	EvPoolRemotePublish
-	// EvPoolRemoteDegraded is a session falling off the remote tier — the
-	// service erred or timed out — and continuing down the ladder (local
-	// store → extract → conventional). At most one per session.
-	EvPoolRemoteDegraded
 
 	// NumTypes is the number of event types (array sizing).
 	NumTypes
@@ -162,12 +145,7 @@ var typeNames = [NumTypes]string{
 	EvPoolStoreError:   "pool-store-error",
 	EvPoolDegraded:     "pool-degraded",
 
-	EvPoolQuarantine:     "pool-quarantine",
-	EvPoolRemoteHit:      "pool-remote-hit",
-	EvPoolRemoteMiss:     "pool-remote-miss",
-	EvPoolRemoteError:    "pool-remote-error",
-	EvPoolRemotePublish:  "pool-remote-publish",
-	EvPoolRemoteDegraded: "pool-remote-degraded",
+	EvPoolQuarantine: "pool-quarantine",
 }
 
 // String returns the stable wire name of the event type. These names are

@@ -24,18 +24,10 @@ type PoolOptions struct {
 	Cache *CodeCache
 	// Store optionally backs the in-memory record cache with persistence:
 	// cold keys try a store load before extracting, and freshly extracted
-	// records are saved back (both best-effort — store I/O failure never
-	// fails a session, it only shows up in Stats().StoreErrors).
+	// records are saved back. Both are best-effort: store I/O failure
+	// never fails a session, it only pushes the session down the ladder
+	// (store → extract → conventional) and shows up in Stats().StoreErrors.
 	Store *RecordStore
-	// Remote optionally layers the distributed record service above the
-	// local store: cold keys try a remote fetch first, and extracted
-	// records are published for other nodes. Nodes do not coordinate
-	// extraction; nodes that race on a cold key each extract it once, as
-	// the records are identical. Strictly best-effort — a dead, slow,
-	// partitioned, or corrupt-serving server never fails a session, it
-	// only pushes the session down the tier ladder (remote → store →
-	// extract → conventional), visibly in Stats() and the trace.
-	Remote *RemoteTier
 	// IncludeGlobals extends extraction to global-object state (paper §6).
 	IncludeGlobals bool
 	// MaxSteps bounds every session's scripts (0 = unlimited).
@@ -74,7 +66,7 @@ type SessionMode int
 
 const (
 	// SessionReuse means the session ran with a record from the shared
-	// cache or one of its backing tiers.
+	// cache or its backing store.
 	SessionReuse SessionMode = iota
 	// SessionInitial means the session found its key cold, performed the
 	// Initial run, and published the extracted record for everyone else.
@@ -134,19 +126,16 @@ type recordEntry struct {
 // performs the Initial run and publishes the record; sessions for the
 // same key that arrive while it is in flight run conventionally, so
 // extraction is never duplicated in a process and no session blocks on
-// another. The remote tier shares records across processes without
-// coordinating extraction: nodes that race on a cold key each extract it
-// once and publish identical bytes. Published records are
-// immutable and shared by reference; all per-session reuse state (hidden
-// class validation, preload progress) lives in each engine's private
-// Reuser, so N sessions can safely share one decoded *Record.
+// another. Published records are immutable and shared by reference; all
+// per-session reuse state (hidden class validation, preload progress)
+// lives in each engine's private Reuser, so N sessions can safely share
+// one decoded *Record.
 //
 // A SessionPool is safe for concurrent use; call Serve from as many
 // goroutines as desired.
 type SessionPool struct {
 	cache          *CodeCache
 	store          *RecordStore
-	remote         *RemoteTier
 	includeGlobals bool
 	maxSteps       uint64
 	traceCap       int
@@ -167,7 +156,6 @@ func NewSessionPool(opts PoolOptions) *SessionPool {
 	return &SessionPool{
 		cache:          cache,
 		store:          opts.Store,
-		remote:         opts.Remote,
 		includeGlobals: opts.IncludeGlobals,
 		maxSteps:       opts.MaxSteps,
 		traceCap:       opts.TraceCapacity,
@@ -191,10 +179,11 @@ func (p *SessionPool) CachedRecords() int {
 }
 
 // maxPoolEvents bounds the outcomes one session can queue. The longest
-// path through Serve — a failed remote fetch and store load before an
-// extraction whose store save and remote publish fail too — queues 9
-// (an Initial run has no record, so it cannot also degrade).
-const maxPoolEvents = 16
+// path through Serve queues 6: Session and AcquireOwn; a Quarantine or a
+// StoreError from the store load (LoadStatus reports at most one);
+// Extract and Publish; and a StoreError from the save. An Initial run has
+// no record, so it cannot also degrade.
+const maxPoolEvents = 6
 
 // poolEvents is what happened to one session on its way through the pool.
 // note is the only way the pool records an outcome: it bumps the pool
@@ -213,25 +202,6 @@ func (ev *poolEvents) note(t trace.Type) {
 	ev.stats.Note(t)
 	ev.queue[ev.n] = t
 	ev.n++
-}
-
-// has reports whether the session already recorded an outcome of type t.
-func (ev *poolEvents) has(t trace.Type) bool {
-	for _, q := range ev.queue[:ev.n] {
-		if q == t {
-			return true
-		}
-	}
-	return false
-}
-
-// remoteFailed records a failed remote-tier operation and marks the
-// session as having fallen off the remote tier, at most once per session.
-func (ev *poolEvents) remoteFailed() {
-	ev.note(trace.EvPoolRemoteError)
-	if !ev.has(trace.EvPoolRemoteDegraded) {
-		ev.note(trace.EvPoolRemoteDegraded)
-	}
 }
 
 // settleTrace emits a session's queued pool events and hands its buffer
@@ -289,7 +259,7 @@ func (p *SessionPool) resolve(ent *recordEntry, ev *poolEvents) *Record {
 }
 
 // publish settles an owned entry with a record that came from the named
-// tier.
+// source ("store" or "extract").
 func (p *SessionPool) publish(ent *recordEntry, rec *Record, from string, ev *poolEvents) {
 	ent.rec.Store(rec)
 	ev.publish = from
@@ -328,21 +298,11 @@ func (p *SessionPool) Serve(req SessionRequest) (*SessionResult, error) {
 		return p.finish(req, rec, mode, tr, &ev)
 	}
 
-	// Cold key, this session owns the in-process extraction slot. The tier
-	// ladder runs remote service → backing store → extraction, every rung
-	// best-effort: a failed tier pushes the session down, never out.
-	if p.remote != nil {
-		if rec := p.remoteAcquire(req.Key, &ev); rec != nil {
-			p.publish(owned, rec, "remote", &ev)
-			// Warm the local tier so the next process on this host skips
-			// the network.
-			p.storeSave(req.Key, rec, &ev)
-			return p.finish(req, rec, SessionReuse, tr, &ev)
-		}
-	}
-
-	// A backing-store load beats re-extracting: the record was produced by
-	// a previous process on this host.
+	// Cold key, this session owns the in-process extraction slot. The
+	// ladder runs backing store → extraction, every rung best-effort: a
+	// failed rung pushes the session down, never out. A store load beats
+	// re-extracting: the record was produced by a previous process on this
+	// host.
 	if p.store != nil {
 		stored, quarantined, err := p.store.LoadStatus(req.Key)
 		if quarantined {
@@ -353,11 +313,6 @@ func (p *SessionPool) Serve(req SessionRequest) (*SessionResult, error) {
 		} else if stored != nil {
 			ev.note(trace.EvPoolStoreLoad)
 			p.publish(owned, stored, "store", &ev)
-			// The fleet cache missed but this host has the record: warm the
-			// remote tier for every other node.
-			if p.remote != nil && ev.has(trace.EvPoolRemoteMiss) {
-				p.remotePublish(req.Key, stored, &ev)
-			}
 			return p.finish(req, stored, SessionReuse, tr, &ev)
 		}
 	}
@@ -373,49 +328,11 @@ func (p *SessionPool) Serve(req SessionRequest) (*SessionResult, error) {
 	record := eng.ExtractRecord(req.Key)
 	ev.note(trace.EvPoolExtract)
 	p.publish(owned, record, "extract", &ev)
-	p.storeSave(req.Key, record, &ev)
-	if p.remote != nil {
-		p.remotePublish(req.Key, record, &ev)
+	if p.store != nil && p.store.Save(req.Key, record) != nil {
+		ev.note(trace.EvPoolStoreError)
 	}
 	ev.settleTrace(tr, res, req.Key)
 	return res, nil
-}
-
-// remoteAcquire resolves a cold key against the remote tier, recording the
-// outcome. Only a decoded record comes back; every failure mode returns
-// nil and pushes the session down the ladder.
-func (p *SessionPool) remoteAcquire(key string, ev *poolEvents) *Record {
-	rec, outcome := p.remote.fetch(key)
-	switch outcome {
-	case remoteHit:
-		ev.note(trace.EvPoolRemoteHit)
-		return rec
-	case remoteMiss:
-		ev.note(trace.EvPoolRemoteMiss)
-	default:
-		ev.remoteFailed()
-	}
-	return nil
-}
-
-// remotePublish uploads a record to the service best-effort, recording
-// the outcome; a failure marks the session remote-degraded.
-func (p *SessionPool) remotePublish(key string, rec *Record, ev *poolEvents) {
-	if p.remote.publishRecord(key, rec) {
-		ev.note(trace.EvPoolRemotePublish)
-		return
-	}
-	ev.remoteFailed()
-}
-
-// storeSave persists a record to the backing store best-effort.
-func (p *SessionPool) storeSave(key string, rec *Record, ev *poolEvents) {
-	if p.store == nil {
-		return
-	}
-	if serr := p.store.Save(key, rec); serr != nil {
-		ev.note(trace.EvPoolStoreError)
-	}
 }
 
 // finish runs a session that owns no extraction and settles its trace.

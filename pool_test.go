@@ -8,8 +8,10 @@ import (
 
 	"ricjs"
 	"ricjs/internal/bytecode"
+	"ricjs/internal/faultinject"
 	"ricjs/internal/parser"
 	"ricjs/internal/ric"
+	"ricjs/internal/trace"
 	"ricjs/internal/vm"
 	"ricjs/internal/workloads"
 )
@@ -384,4 +386,214 @@ func TestSharedRecordValidateConcurrent(t *testing.T) {
 		}(fresh[g])
 	}
 	wg.Wait()
+}
+
+// TestSessionPoolStoreFaultsUnderRace drives concurrent pooled sessions
+// against a store whose reads and renames both fail: every session must
+// complete with byte-identical output, each key must extract exactly once
+// (the retryable-key discipline survives store failure), every session
+// must be counted by exactly one serving mode, and the failures must be
+// counted. Run under -race this also proves the fault paths are data-race
+// free.
+func TestSessionPoolStoreFaultsUnderRace(t *testing.T) {
+	const (
+		nkeys    = 4
+		sessions = 16
+	)
+	want := sequentialOutputs(t, nkeys)
+	ffs := &faultinject.FaultFS{
+		Base:      ricjs.NewOSFS(),
+		ReadErr:   faultinject.ErrIO,
+		RenameErr: faultinject.ErrIO,
+	}
+	store, err := ricjs.OpenRecordStoreFS(t.TempDir(), ffs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := ricjs.NewSessionPool(ricjs.PoolOptions{Store: store})
+
+	results := make([]*ricjs.SessionResult, sessions)
+	errs := make([]error, sessions)
+	keys := make([]string, sessions)
+	var wg sync.WaitGroup
+	for s := 0; s < sessions; s++ {
+		key, script, src := poolLib(s % nkeys)
+		keys[s] = key
+		wg.Add(1)
+		go func(s int, req ricjs.SessionRequest) {
+			defer wg.Done()
+			results[s], errs[s] = pool.Serve(req)
+		}(s, ricjs.SessionRequest{
+			Key:     key,
+			Scripts: []ricjs.SessionScript{{Name: script, Src: src}},
+		})
+	}
+	wg.Wait()
+
+	initials := 0
+	for s := 0; s < sessions; s++ {
+		if errs[s] != nil {
+			t.Fatalf("session %d: store faults must never fail a session: %v", s, errs[s])
+		}
+		if results[s].Output != want[keys[s]] {
+			t.Fatalf("session %d (%s): output %q, want %q", s, keys[s], results[s].Output, want[keys[s]])
+		}
+		if results[s].Mode == ricjs.SessionInitial {
+			initials++
+		}
+	}
+	st := pool.Stats()
+	if st.Extractions != nkeys || initials != nkeys {
+		t.Fatalf("Extractions = %d with %d SessionInitial results, want exactly %d", st.Extractions, initials, nkeys)
+	}
+	if total := st.Extractions + st.StoreLoads + st.ReuseHits + st.ConventionalRuns; total != sessions {
+		t.Fatalf("extractions(%d) + store loads(%d) + reuse(%d) + conventional(%d) = %d, want %d",
+			st.Extractions, st.StoreLoads, st.ReuseHits, st.ConventionalRuns, total, sessions)
+	}
+	// Each cold key fails one load and one save: 2*nkeys store errors.
+	if st.StoreErrors != 2*nkeys {
+		t.Fatalf("StoreErrors = %d, want %d (one failed load + one failed save per key)", st.StoreErrors, 2*nkeys)
+	}
+	if st.StoreLoads != 0 {
+		t.Fatalf("StoreLoads = %d, want 0 through a failing disk", st.StoreLoads)
+	}
+}
+
+// TestPoolQuarantineVisible plants corrupt record bytes behind a key and
+// proves the quarantine is observable end to end: the pool counter, the
+// trace event, and a session that still completes by re-extracting.
+func TestPoolQuarantineVisible(t *testing.T) {
+	store, err := ricjs.OpenRecordStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, script, src := poolLib(5)
+	if err := store.SaveBytes(key, []byte("RICREC\xffgarbage")); err != nil {
+		t.Fatal(err)
+	}
+	want := sequentialOutputs(t, 6)[key]
+
+	pool := ricjs.NewSessionPool(ricjs.PoolOptions{Store: store, TraceCapacity: -1})
+	res, err := pool.Serve(ricjs.SessionRequest{
+		Key:     key,
+		Scripts: []ricjs.SessionScript{{Name: script, Src: src}},
+	})
+	if err != nil {
+		t.Fatalf("corrupt stored record must never fail a session: %v", err)
+	}
+	if res.Mode != ricjs.SessionInitial || res.Output != want {
+		t.Fatalf("mode %v output %q, want initial run with output %q", res.Mode, res.Output, want)
+	}
+	if st := pool.Stats(); st.QuarantinedRecords != 1 {
+		t.Fatalf("QuarantinedRecords = %d, want 1 (stats %+v)", st.QuarantinedRecords, st)
+	}
+	if res.Trace == nil || res.Trace.Count(trace.EvPoolQuarantine) != 1 {
+		t.Fatalf("trace quarantine events = %d, want 1", res.Trace.Count(trace.EvPoolQuarantine))
+	}
+	// The poison is gone: the next pool serves the re-extracted record from
+	// the store without quarantining again.
+	pool2 := ricjs.NewSessionPool(ricjs.PoolOptions{Store: store})
+	res2, err := pool2.Serve(ricjs.SessionRequest{
+		Key:     key,
+		Scripts: []ricjs.SessionScript{{Name: script, Src: src}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res2.Mode != ricjs.SessionReuse {
+		t.Fatalf("post-quarantine mode = %v, want reuse of the repaired record", res2.Mode)
+	}
+	if st := pool2.Stats(); st.QuarantinedRecords != 0 {
+		t.Fatalf("repaired store quarantined again: %+v", st)
+	}
+}
+
+// TestSessionPoolLongestEventPath drives the longest path through Serve,
+// a cold key whose store load and store save both fail, and checks that
+// all six queued pool events reach the session's trace in order and
+// agree with the pool's counters. The load fails either as an I/O error
+// or as a corrupt record that is quarantined; LoadStatus reports one or
+// the other, never both.
+func TestSessionPoolLongestEventPath(t *testing.T) {
+	key, script, src := poolLib(2)
+	want := sequentialOutputs(t, 3)[key]
+	cases := []struct {
+		name    string
+		corrupt bool // plant a corrupt record, so the load quarantines it
+		ffs     faultinject.FaultFS
+		load    trace.Type
+	}{
+		{"load-error", false, faultinject.FaultFS{ReadErr: faultinject.ErrIO, WriteErr: faultinject.ErrNoSpace}, trace.EvPoolStoreError},
+		{"quarantine", true, faultinject.FaultFS{WriteErr: faultinject.ErrNoSpace}, trace.EvPoolQuarantine},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if tc.corrupt {
+				healthy, err := ricjs.OpenRecordStore(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := healthy.SaveBytes(key, []byte("RICREC\xffgarbage")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ffs := tc.ffs
+			ffs.Base = ricjs.NewOSFS()
+			store, err := ricjs.OpenRecordStoreFS(dir, &ffs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool := ricjs.NewSessionPool(ricjs.PoolOptions{Store: store, TraceCapacity: -1})
+			before := pool.Stats()
+			res, err := pool.Serve(ricjs.SessionRequest{
+				Key:     key,
+				Scripts: []ricjs.SessionScript{{Name: script, Src: src}},
+			})
+			if err != nil {
+				t.Fatalf("store faults must never fail a session: %v", err)
+			}
+			if res.Mode != ricjs.SessionInitial || res.Output != want {
+				t.Fatalf("mode %v output %q, want initial run with output %q", res.Mode, res.Output, want)
+			}
+
+			wantEvents := []trace.Type{
+				trace.EvPoolSession, trace.EvPoolAcquireOwn, tc.load,
+				trace.EvPoolExtract, trace.EvPoolPublish, trace.EvPoolStoreError,
+			}
+			var got []trace.Type
+			for _, e := range res.Trace.Events() {
+				if strings.HasPrefix(e.Type.String(), "pool-") {
+					got = append(got, e.Type)
+					if e.Type == trace.EvPoolPublish && e.Name != "extract" {
+						t.Errorf("publish source = %q, want extract", e.Name)
+					}
+				}
+			}
+			if fmt.Sprint(got) != fmt.Sprint(wantEvents) {
+				t.Fatalf("pool events = %v, want %v", got, wantEvents)
+			}
+
+			after := pool.Stats()
+			deltas := []struct {
+				name    string
+				counter uint64
+				ev      trace.Type
+			}{
+				{"Sessions", after.Sessions - before.Sessions, trace.EvPoolSession},
+				{"Extractions", after.Extractions - before.Extractions, trace.EvPoolExtract},
+				{"StoreErrors", after.StoreErrors - before.StoreErrors, trace.EvPoolStoreError},
+				{"QuarantinedRecords", after.QuarantinedRecords - before.QuarantinedRecords, trace.EvPoolQuarantine},
+				{"StoreLoads", after.StoreLoads - before.StoreLoads, trace.EvPoolStoreLoad},
+				{"ReuseHits", after.ReuseHits - before.ReuseHits, trace.EvPoolAcquireHit},
+				{"ConventionalRuns", after.ConventionalRuns - before.ConventionalRuns, trace.EvPoolConventional},
+				{"DegradedSessions", after.DegradedSessions - before.DegradedSessions, trace.EvPoolDegraded},
+			}
+			for _, d := range deltas {
+				if n := res.Trace.Count(d.ev); d.counter != n {
+					t.Errorf("%s rose by %d but the session traced %d %v events", d.name, d.counter, n, d.ev)
+				}
+			}
+		})
+	}
 }

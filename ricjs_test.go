@@ -202,7 +202,7 @@ func TestRecordAcrossDifferentAddressSpaces(t *testing.T) {
 
 	// Extraction is address-independent too: every profile's record
 	// encodes byte-identically whatever addresses its Initial run saw, so
-	// fleet nodes that race on a cold key publish the same bytes.
+	// processes that extract the same key save the same bytes.
 	for _, p := range workloads.Profiles {
 		var first []byte
 		for _, seed := range []uint64{0, 0, 12345} {

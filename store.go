@@ -174,9 +174,9 @@ func (s *RecordStore) Load(key string) (*Record, error) {
 
 // LoadStatus is Load with quarantine visibility: quarantined reports that
 // this call found a corrupt record and set it aside. Load swallows that
-// fact by design (a quarantine is self-healing, not an error), but
-// fleet-level callers — the SessionPool — must count it, or a store
-// silently eating .ric.bad files is invisible in aggregate stats.
+// fact by design (a quarantine is self-healing, not an error), but the
+// SessionPool must count it, or a store silently eating .ric.bad files
+// is invisible in aggregate stats.
 func (s *RecordStore) LoadStatus(key string) (rec *Record, quarantined bool, err error) {
 	data, err := s.fs.ReadFile(s.path(key))
 	if os.IsNotExist(err) {

@@ -314,11 +314,6 @@ func TestSessionPoolTraceReconciliation(t *testing.T) {
 		{"ConventionalRuns", ps.ConventionalRuns, merged.Count(trace.EvPoolConventional)},
 		{"DegradedSessions", ps.DegradedSessions, merged.Count(trace.EvPoolDegraded)},
 		{"QuarantinedRecords", ps.QuarantinedRecords, merged.Count(trace.EvPoolQuarantine)},
-		{"RemoteHits", ps.RemoteHits, merged.Count(trace.EvPoolRemoteHit)},
-		{"RemoteMisses", ps.RemoteMisses, merged.Count(trace.EvPoolRemoteMiss)},
-		{"RemoteErrors", ps.RemoteErrors, merged.Count(trace.EvPoolRemoteError)},
-		{"RemotePublishes", ps.RemotePublishes, merged.Count(trace.EvPoolRemotePublish)},
-		{"RemoteDegradedSessions", ps.RemoteDegradedSessions, merged.Count(trace.EvPoolRemoteDegraded)},
 	}
 	for _, c := range poolChecks {
 		if c.counter != c.events {
