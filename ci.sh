@@ -20,11 +20,13 @@ fi
 echo "== go vet =="
 go vet ./...
 
-echo "== opcheck: opcode + value-type-table exhaustiveness =="
-# Runs both analyzers: opcheck (disassembly entry, VM dispatch case,
-# transfer case per opcode) and typecheck-transfer (opValueKind case per
-# named opcode, so typed-shape inference never silently weakens).
-go run ./cmd/opcheck ./internal/bytecode ./internal/vm ./internal/analysis
+echo "== opcode exhaustiveness: names, dispatch, transfer, value types =="
+# Every opcode needs an opNames mnemonic equal to its constant's name, a
+# VM dispatch case, a case in the analysis's transfer switch (step), and
+# a case in its value-type table (opValueKind, so typed-shape inference
+# never silently weakens). Each rule also has a test that feeds its
+# checker a source with one case missing and expects that opcode back.
+go test -count=1 -run 'CoversEveryOp|CoverageReportsMissingOp' ./internal/bytecode ./internal/vm ./internal/analysis
 
 echo "== go build =="
 go build ./...
@@ -172,6 +174,31 @@ if go run ./cmd/riclint -js keyed.js=testdata/keyed.js testdata/keyed-forged.ric
   echo "ci.sh: riclint accepted lying fixture keyed-forged.ric" >&2
   exit 1
 fi
+
+echo "== ricjs CLI: plain, -record and -reuse runs agree =="
+# ricjs is the one interactive inspection tool. For each fixture a plain
+# run, a -record run and a -reuse -stats -icstate run must print the same
+# non-empty program output (statistics and IC state go to stderr), and
+# reusing point.js's record must avert IC misses.
+smoke=$(mktemp -d)
+trap 'rm -rf "$smoke"' EXIT
+go build -o "$smoke/ricjs" ./cmd/ricjs
+for js in point keyed dict values; do
+  "$smoke/ricjs" "testdata/$js.js" >"$smoke/$js.plain"
+  "$smoke/ricjs" -record "$smoke/$js.ric" "testdata/$js.js" >"$smoke/$js.record" 2>/dev/null
+  "$smoke/ricjs" -reuse "$smoke/$js.ric" -stats -icstate "testdata/$js.js" >"$smoke/$js.reuse" 2>"$smoke/$js.stderr"
+  if [ ! -s "$smoke/$js.plain" ] || ! cmp -s "$smoke/$js.plain" "$smoke/$js.record" ||
+    ! cmp -s "$smoke/$js.plain" "$smoke/$js.reuse"; then
+    echo "ci.sh: ricjs stdout for $js.js is empty or differs across plain, -record and -reuse runs" >&2
+    exit 1
+  fi
+done
+averted=$(sed -n 's/.* \([0-9][0-9]*\) misses averted.*/\1/p' "$smoke/point.stderr")
+if [ -z "$averted" ] || [ "$averted" -eq 0 ]; then
+  echo "ci.sh: ricjs -reuse on point.js averted no IC misses" >&2
+  exit 1
+fi
+echo "ricjs: 4 fixtures agree; point.js averted $averted misses"
 
 echo "== perf gate: deterministic counters vs BENCH_baseline.json =="
 # Instruction counts and record sizes are bit-for-bit reproducible, so

@@ -48,8 +48,7 @@ func main() {
 	flag.Parse()
 
 	var bench struct {
-		Libraries []gated  `json:"libraries"`
-		Errors    []string `json:"errors,omitempty"`
+		Libraries []gated `json:"libraries"`
 	}
 	if err := json.NewDecoder(io.LimitReader(os.Stdin, 16<<20)).Decode(&bench); err != nil {
 		fmt.Fprintln(os.Stderr, "perfgate: reading ricbench JSON from stdin:", err)
@@ -152,11 +151,6 @@ func main() {
 	}
 	for name := range byName {
 		fmt.Printf("perfgate: workload %q disappeared from the benchmark\n", name)
-		regressions++
-	}
-
-	for _, e := range bench.Errors {
-		fmt.Printf("perfgate: REGRESSION ricbench reported error: %s\n", e)
 		regressions++
 	}
 

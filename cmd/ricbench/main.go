@@ -36,7 +36,6 @@ func main() {
 		faultSeed  = flag.Int64("fault-seed", 1, "seed for the deterministic fault injector")
 		snapshotF  = flag.Bool("snapshot", false, "compare RIC with heap-snapshot restoration (§9)")
 		traceF     = flag.Bool("trace", false, "structured IC-event totals, Initial vs Reuse run")
-		opstatsF   = flag.Bool("opstats", false, "executed-opcode and adjacent-pair dispatch histogram")
 		reps       = flag.Int("reps", 5, "timing repetitions per Reuse run (median reported)")
 		workloadsF = flag.String("workloads", "", "glob over workload names or kinds to measure (e.g. 'Json*', 'keyed'; default all)")
 		format     = flag.String("format", "text", "output format: text or json (json runs the full evaluation)")
@@ -81,11 +80,9 @@ func main() {
 	}
 
 	if *format == "json" {
-		// The core evaluation failing emits nothing (plus a nonzero exit);
-		// a failed optional block lands in the document's `errors` field
-		// instead of truncating it. Either way stdout never carries a
-		// partial JSON document: the whole document is marshaled to memory
-		// and written in one piece at the end.
+		// A failed evaluation emits nothing (plus a nonzero exit): stdout
+		// never carries a partial JSON document, because the whole document
+		// is marshaled to memory and written in one piece at the end.
 		runs, err := bench.MeasureAll(bench.Options{Reps: *reps, Workloads: *workloadsF})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ricbench:", err)
@@ -96,28 +93,14 @@ func main() {
 			fmt.Fprintln(os.Stderr, "ricbench:", err)
 			os.Exit(1)
 		}
-		res := bench.BuildJSON(runs, &wr)
-		exit := 0
-		if *opstatsF {
-			os, oerr := bench.MeasureOpStats(bench.Options{Workloads: *workloadsF})
-			if oerr != nil {
-				res.Errors = append(res.Errors, "opstats: "+oerr.Error())
-				exit = 1
-			} else {
-				res.AddOpStats(os)
-			}
-		}
 		var buf bytes.Buffer
-		if err := bench.EncodeJSON(&buf, res); err != nil {
+		if err := bench.WriteJSON(&buf, runs, &wr); err != nil {
 			fmt.Fprintln(os.Stderr, "ricbench:", err)
 			os.Exit(1)
 		}
 		if _, err := os.Stdout.Write(buf.Bytes()); err != nil {
 			fmt.Fprintln(os.Stderr, "ricbench:", err)
 			os.Exit(1)
-		}
-		if exit != 0 {
-			os.Exit(exit)
 		}
 		return
 	}
@@ -128,7 +111,7 @@ func main() {
 
 	all := !(*fig1 || *fig5 || *table1 || *table4 || *fig8 || *fig9 ||
 		*overheads || *websites || *ablation || *snapshotF || *faults ||
-		*traceF || *opstatsF)
+		*traceF)
 
 	needRuns := all || *fig5 || *table1 || *table4 || *fig8 || *fig9 || *overheads
 	var runs []bench.LibraryRun
@@ -190,17 +173,6 @@ func main() {
 			os.Exit(1)
 		}
 	})
-	// The opstats section is opt-in only: it is engineering evidence about
-	// the interpreter, not part of the paper's evaluation.
-	if *opstatsF {
-		os_, err := bench.MeasureOpStats(bench.Options{Workloads: *workloadsF})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ricbench:", err)
-			os.Exit(1)
-		}
-		bench.ReportOpStats(os.Stdout, os_)
-		fmt.Println()
-	}
 	// The trace section is opt-in only (never part of `all`): its totals
 	// restate the Table 1/4 aggregates at per-event granularity.
 	if *traceF {

@@ -9,12 +9,11 @@ import "ricjs/internal/bytecode"
 // or callee summaries (loads, calls, allocation, Add's string overload),
 // and for opcodes that push nothing.
 //
-// The switch must be exhaustive over every named opcode: the
-// typecheck-transfer analyzer in internal/lint rejects a build where an
-// opcode has an opNames entry but no case here, mirroring the opcheck
-// rule for the main transfer switch. The fixed-kind cases are live code —
-// step() pushes primVal(fixedOpKind(op)) for them — so the table cannot
-// drift from the interpreter.
+// The switch must be exhaustive over every opcode:
+// TestOpValueKindCoversEveryOp fails when an opcode has no case here,
+// mirroring TestTransferCoversEveryOp for the main transfer switch. The
+// fixed-kind cases are live code — step() pushes primVal(fixedOpKind(op))
+// for them — so the table cannot drift from the interpreter.
 func opValueKind(op bytecode.Op) (kind uint8, ok bool) {
 	switch op {
 

@@ -14,12 +14,7 @@ type JSONResults struct {
 	Libraries []JSONLibrary    `json:"libraries"`
 	Averages  JSONAverages     `json:"averages"`
 	Website   *JSONWebsite     `json:"website,omitempty"`
-	OpStats   *JSONOpStats     `json:"opStats,omitempty"`
 	Paper     JSONPaperAnchors `json:"paper"`
-	// Errors lists measurements that failed after the core evaluation
-	// succeeded (e.g. the opstats block). The document is still
-	// complete and parseable; ricbench exits nonzero when it is non-empty.
-	Errors []string `json:"errors,omitempty"`
 }
 
 // JSONLibrary carries one library's measurements across the three runs.
@@ -93,8 +88,8 @@ type JSONPaperAnchors struct {
 	ICMissInstrSharePct float64 `json:"icMissInstructionSharePct"`
 }
 
-// BuildJSON assembles the machine-readable results.
-func BuildJSON(runs []LibraryRun, website *WebsiteRun) JSONResults {
+// buildJSON assembles the machine-readable results.
+func buildJSON(runs []LibraryRun, website *WebsiteRun) JSONResults {
 	out := JSONResults{
 		Paper: JSONPaperAnchors{
 			InitialMissRatePct:  49.19,
@@ -151,53 +146,11 @@ func BuildJSON(runs []LibraryRun, website *WebsiteRun) JSONResults {
 	return out
 }
 
-// JSONOpStats is the dispatch-histogram block (`ricbench -opstats`): the
-// executed-opcode and adjacent-pair top lists. Deterministic for a fixed
-// workload set.
-type JSONOpStats struct {
-	Workloads     int             `json:"workloads"`
-	TotalExecuted uint64          `json:"totalExecuted"`
-	TopOps        []JSONOpCount   `json:"topOps"`
-	TopPairs      []JSONPairCount `json:"topPairs"`
-}
-
-// JSONOpCount is one opcode row of the histogram.
-type JSONOpCount struct {
-	Op       string  `json:"op"`
-	Count    uint64  `json:"count"`
-	SharePct float64 `json:"sharePct"`
-}
-
-// JSONPairCount is one adjacent-pair row.
-type JSONPairCount struct {
-	First  string `json:"first"`
-	Second string `json:"second"`
-	Count  uint64 `json:"count"`
-}
-
-// AddOpStats attaches the dispatch histogram to the results.
-func (r *JSONResults) AddOpStats(res OpStatsResult) {
-	out := &JSONOpStats{Workloads: res.Workloads, TotalExecuted: res.Total}
-	for _, o := range res.TopOps {
-		out.TopOps = append(out.TopOps, JSONOpCount{Op: o.Op, Count: o.Count, SharePct: o.SharePct})
-	}
-	for _, p := range res.TopPairs {
-		out.TopPairs = append(out.TopPairs, JSONPairCount{First: p.First, Second: p.Second, Count: p.Count})
-	}
-	r.OpStats = out
-}
-
 // WriteJSON emits the results as indented JSON.
 func WriteJSON(w io.Writer, runs []LibraryRun, website *WebsiteRun) error {
-	return EncodeJSON(w, BuildJSON(runs, website))
-}
-
-// EncodeJSON emits an assembled result set as indented JSON; use it with
-// BuildJSON + AddOpStats when the evaluation includes optional blocks.
-func EncodeJSON(w io.Writer, res JSONResults) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(res)
+	return enc.Encode(buildJSON(runs, website))
 }
 
 func msDuration(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

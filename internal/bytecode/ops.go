@@ -131,8 +131,8 @@ const (
 	numOps
 )
 
-// NumOps is the size of the opcode space, for histogram and table sizing
-// outside this package.
+// NumOps is the size of the opcode space, for the tests outside this
+// package that check every opcode has a dispatch or transfer case.
 const NumOps = int(numOps)
 
 // operandCounts[op] is the number of operand words following the opcode.

@@ -59,27 +59,6 @@ type Options struct {
 	// the runtime helper (like SiteObserver does for all IC accesses),
 	// which performs identical accounting to the inline paths.
 	StoreObserver func(o *objects.Object)
-	// CollectOpStats enables the executed-opcode and adjacent-pair
-	// histogram (ricbench -opstats). Deterministic: it counts dispatched
-	// opcodes in the abstract accounting layer, not wall-clock samples.
-	CollectOpStats bool
-}
-
-// OpStats is the executed-opcode and adjacent-pair histogram collected by
-// Options.CollectOpStats (ricbench -opstats). Counts come from the
-// dispatch loop itself — the same points the abstract accounting layer
-// charges — so they are deterministic for a deterministic program. Pairs
-// is a flat [NumOps][NumOps] matrix indexed a*NumOps+b, counting b
-// dispatched at exactly the offset a fell through to (taken jumps break
-// the chain).
-type OpStats struct {
-	Ops   [bytecode.NumOps]uint64
-	Pairs [bytecode.NumOps * bytecode.NumOps]uint64
-}
-
-// Pair returns the count of the adjacent pair (a, b).
-func (s *OpStats) Pair(a, b bytecode.Op) uint64 {
-	return s.Pairs[int(a)*bytecode.NumOps+int(b)]
 }
 
 // VM is one engine execution context: heap, globals, feedback vectors,
@@ -146,11 +125,6 @@ type VM struct {
 	steps     uint64
 	callStack []string
 
-	// opStats, when non-nil, accumulates the executed-opcode and
-	// adjacent-pair histogram at dispatch (one predictable branch per
-	// instruction when disabled, like tracing).
-	opStats *OpStats
-
 	// realm is the process's builtin template and heap this VM's copy of
 	// it; the VM's builtin pointers above point into heap.
 	realm *realm
@@ -195,9 +169,6 @@ func New(opts Options) *VM {
 		rng:      opts.RandSeed,
 		maxSteps: opts.MaxSteps,
 	}
-	if opts.CollectOpStats {
-		vm.opStats = &OpStats{}
-	}
 	if vm.out == nil {
 		vm.out = &vm.buf
 	}
@@ -213,9 +184,6 @@ func New(opts Options) *VM {
 	vm.tr = opts.Trace
 	return vm
 }
-
-// OpStats returns the VM's histogram, or nil when collection is disabled.
-func (vm *VM) OpStats() *OpStats { return vm.opStats }
 
 // Trace returns the VM's trace buffer (nil when tracing is disabled).
 func (vm *VM) Trace() *trace.Buffer { return vm.tr }
@@ -611,22 +579,9 @@ func (vm *VM) exec(f *frame) (objects.Value, error) {
 	// sections open and close inside a single helper call), so the batched
 	// total attributes identically to per-op charging.
 	var ops uint64
-	// Opcode/pair histogram state (ricbench -opstats). A pair is counted
-	// only when the current pc is exactly where the previous instruction
-	// fell through to, so taken jumps break the chain naturally.
-	stats := vm.opStats
-	var statsPrevOp bytecode.Op
-	statsPrevEnd := -1
 	for pc < len(code) {
 		op := bytecode.Op(code[pc])
 		ops++
-		if stats != nil {
-			stats.Ops[op]++
-			if pc == statsPrevEnd {
-				stats.Pairs[int(statsPrevOp)*bytecode.NumOps+int(op)]++
-			}
-			statsPrevOp, statsPrevEnd = op, pc+1+op.OperandCount()
-		}
 		if maxSteps > 0 {
 			vm.steps++
 			if vm.steps > maxSteps {

@@ -531,36 +531,6 @@ func runScript(t *testing.T, v *VM, src string) {
 	}
 }
 
-// TestOpStatsCollection checks the dispatch-loop histogram: opcode counts
-// accumulate, adjacent pairs are counted only on fall-through, and a VM
-// without collection reports nil.
-func TestOpStatsCollection(t *testing.T) {
-	v := New(Options{AddressSeed: 1, CollectOpStats: true})
-	runScript(t, v, `
-		function g(o) { var t = o.a; return t; }
-		var r = g({a: 1}) + g({a: 2});
-		print(r);
-	`)
-	if got := v.Output(); got != "3\n" {
-		t.Fatalf("output %q, want %q", got, "3\n")
-	}
-	s := v.OpStats()
-	if s == nil {
-		t.Fatal("CollectOpStats VM returned nil OpStats")
-	}
-	if s.Ops[bytecode.OpLoadLocal] == 0 || s.Ops[bytecode.OpLoadNamed] == 0 {
-		t.Fatalf("opcode counts missing: LoadLocal=%d LoadNamed=%d",
-			s.Ops[bytecode.OpLoadLocal], s.Ops[bytecode.OpLoadNamed])
-	}
-	// g's body dispatches `o.a` right after loading the local, twice.
-	if got := s.Pair(bytecode.OpLoadLocal, bytecode.OpLoadNamed); got < 2 {
-		t.Fatalf("Pair(LoadLocal, LoadNamed) = %d, want >= 2", got)
-	}
-	if plain := New(Options{AddressSeed: 1}); plain.OpStats() != nil {
-		t.Fatal("plain VM reported a non-nil OpStats")
-	}
-}
-
 // TestBadOpcodeThrows pins the dispatch loop's default case: an opcode
 // outside the instruction set raises a catchable VM error, it does not
 // crash the interpreter.

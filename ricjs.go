@@ -150,10 +150,6 @@ type Options struct {
 	// excluded, and a degradation resets the buffer alongside the fresh
 	// profiler so the two stay reconcilable.
 	Trace *trace.Buffer
-	// CollectOpStats makes the VM count executed opcodes and adjacent
-	// opcode pairs (the ricbench -opstats histogram). Deterministic for a
-	// deterministic program; costs one array update per dispatch.
-	CollectOpStats bool
 }
 
 // NewTrace allocates a trace buffer to pass as Options.Trace. capacity
@@ -298,13 +294,12 @@ func NewEngine(opts Options) *Engine {
 		hooks = e.reuser
 	}
 	e.vm = vm.New(vm.Options{
-		AddressSeed:    opts.AddressSeed,
-		Hooks:          hooks,
-		Stdout:         e.runWriter(),
-		MaxSteps:       opts.MaxSteps,
-		RandSeed:       opts.RandSeed,
-		Trace:          opts.Trace,
-		CollectOpStats: opts.CollectOpStats,
+		AddressSeed: opts.AddressSeed,
+		Hooks:       hooks,
+		Stdout:      e.runWriter(),
+		MaxSteps:    opts.MaxSteps,
+		RandSeed:    opts.RandSeed,
+		Trace:       opts.Trace,
 	})
 	if e.reuser != nil {
 		// The VM announced builtin hidden classes during construction;
@@ -449,12 +444,11 @@ func (e *Engine) degrade(cause *EngineError) {
 	// lifetime (the replay below re-emits the session's events).
 	e.opts.Trace.Reset()
 	e.vm = vm.New(vm.Options{
-		AddressSeed:    e.opts.AddressSeed,
-		Stdout:         replayWriter,
-		MaxSteps:       e.opts.MaxSteps,
-		RandSeed:       e.opts.RandSeed,
-		Trace:          e.opts.Trace,
-		CollectOpStats: e.opts.CollectOpStats,
+		AddressSeed: e.opts.AddressSeed,
+		Stdout:      replayWriter,
+		MaxSteps:    e.opts.MaxSteps,
+		RandSeed:    e.opts.RandSeed,
+		Trace:       e.opts.Trace,
 	})
 	e.vm.Prof.Degrade()
 	e.opts.Trace.Emit(trace.EvDegrade, source.Site{}, cause.Phase, 0)
@@ -535,7 +529,3 @@ func (e *Engine) ICState() string { return e.vm.DumpICState() }
 // VM exposes the underlying virtual machine for advanced inspection
 // (extraction internals, tests, tooling).
 func (e *Engine) VM() *vm.VM { return e.vm }
-
-// OpStats returns the executed-opcode histogram collected under
-// Options.CollectOpStats, or nil when collection is disabled.
-func (e *Engine) OpStats() *vm.OpStats { return e.vm.OpStats() }
