@@ -4,8 +4,10 @@
 // reproducible (the profiler charges fixed costs per operation and the
 // codec is deterministic), so they can be gated exactly, with zero flake —
 // unlike wall-clock timings, which perfgate deliberately ignores. The gate
-// diffs `conventionalInstructions`, `ricInstructions`, and `recordBytes`
-// per workload against the committed BENCH_baseline.json and fails on any
+// diffs `conventionalInstructions`, `ricInstructions`, `recordBytes` and
+// `residentBytes` (the layout-determined memory of the compiled program
+// and the decoded record's HCVT, fixed by the build's struct sizes) per
+// workload against the committed BENCH_baseline.json and fails on any
 // regression beyond the tolerance (default 2%). `typedSlots` is gated in
 // the opposite direction — it counts the slot-type claims the offline
 // analysis inferred (ricbench runs it outside the timed extraction), so a
@@ -32,6 +34,7 @@ type gated struct {
 	ConventionalInstructions uint64 `json:"conventionalInstructions"`
 	RICInstructions          uint64 `json:"ricInstructions"`
 	RecordBytes              uint64 `json:"recordBytes"`
+	ResidentBytes            uint64 `json:"residentBytes"`
 	StaticTypes              struct {
 		TypedSlots uint64 `json:"typedSlots"`
 	} `json:"staticTypes"`
@@ -147,6 +150,7 @@ func main() {
 		check(w.Name, "conventionalInstructions", old.ConventionalInstructions, w.ConventionalInstructions)
 		check(w.Name, "ricInstructions", old.RICInstructions, w.RICInstructions)
 		check(w.Name, "recordBytes", old.RecordBytes, w.RecordBytes)
+		check(w.Name, "residentBytes", old.ResidentBytes, w.ResidentBytes)
 		checkFloor(w.Name, "typedSlots", old.StaticTypes.TypedSlots, w.StaticTypes.TypedSlots)
 	}
 	for name := range byName {

@@ -112,9 +112,9 @@ func printSites(out io.Writer, p *bytecode.FuncProto, res *analysis.Result) {
 	}
 	fmt.Fprintf(out, "sites of %s:\n", p.FunctionName())
 	for i, s := range p.Sites {
-		fmt.Fprintf(out, "  [%d] %s %s %q", i, s.Site, s.Kind, s.Name)
+		fmt.Fprintf(out, "  [%d] %s %s %q", i, s.Site(), s.Kind, s.Name)
 		if res != nil {
-			fmt.Fprintf(out, "  %s", predictionText(res, res.At(s.Site)))
+			fmt.Fprintf(out, "  %s", predictionText(res, res.At(s.Site())))
 		}
 		fmt.Fprintln(out)
 	}

@@ -83,3 +83,40 @@ func TestTypedClaimsDoNotChangeReuse(t *testing.T) {
 		})
 	}
 }
+
+// TestRecordRowsPacked checks that the HCVT rows of every record a pool
+// can hold carry no spare capacity: records from ExtractRecord, from
+// DecodeRecord and from MergeRecords, over every profile. The sum of the
+// row capacities must equal the dependents the record counts.
+func TestRecordRowsPacked(t *testing.T) {
+	packed := func(what string, rec *Record) {
+		t.Helper()
+		capacity := 0
+		for _, row := range rec.r.Deps {
+			capacity += cap(row)
+		}
+		if want := rec.Stats().DependentSlots; capacity != want {
+			t.Errorf("%s: HCVT rows hold %d dependents in a capacity of %d", what, want, capacity)
+		}
+	}
+	var records []*Record
+	for _, p := range workloads.Profiles {
+		e := NewEngine(Options{Cache: NewCodeCache()})
+		if err := e.Run(p.Script, p.Source()); err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		rec := e.ExtractRecord(p.Name)
+		packed(p.Name+" extracted", rec)
+		decoded, err := DecodeRecord(rec.Encode())
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		packed(p.Name+" decoded", decoded)
+		records = append(records, rec)
+	}
+	merged, err := MergeRecords(records...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	packed("merged", merged)
+}

@@ -294,10 +294,11 @@ func (a *analyzer) escapeFn(o *absObj) {
 // ---- Site records ----
 
 func (a *analyzer) siteRecFor(si ic.SiteInfo) *siteRecord {
-	rec := a.sites[si.Site]
+	site := si.Site()
+	rec := a.sites[site]
 	if rec == nil {
-		rec = &siteRecord{site: si.Site, kind: si.Kind, name: si.Name}
-		a.sites[si.Site] = rec
+		rec = &siteRecord{site: site, kind: si.Kind, name: si.Name}
+		a.sites[site] = rec
 	}
 	return rec
 }

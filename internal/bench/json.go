@@ -48,6 +48,9 @@ type JSONLibrary struct {
 	RecordBytes    int     `json:"recordBytes"`
 	DependentSlots int     `json:"dependentSlots"`
 	MissesAverted  uint64  `json:"missesAverted"`
+	// ResidentBytes is the layout-determined memory of the compiled
+	// program and the decoded record's HCVT; perfgate caps it.
+	ResidentBytes int `json:"residentBytes"`
 
 	// Typed-shape static inference: what the offline analysis
 	// inferred.
@@ -123,6 +126,7 @@ func buildJSON(runs []LibraryRun, website *WebsiteRun) JSONResults {
 			RecordBytes:         r.RecordBytes,
 			DependentSlots:      r.RecordStats.DependentSlots,
 			MissesAverted:       r.RIC.MissesSaved,
+			ResidentBytes:       r.ResidentBytes,
 			StaticTypes: JSONStaticTypes{
 				SitesAnalyzed: r.StaticTypes.SitesAnalyzed,
 				TypedShapes:   r.StaticTypes.TypedShapes,

@@ -9,6 +9,7 @@ import (
 
 	"ricjs"
 	"ricjs/internal/analysis"
+	"ricjs/internal/bytecode"
 	"ricjs/internal/codecache"
 	"ricjs/internal/workloads"
 )
@@ -32,6 +33,9 @@ type LibraryRun struct {
 	RecordStats  RecordStats
 	StaticTypes  StaticTypeStats
 	ValidatedHCs int
+	// ResidentBytes is what a pool keeps alive for the library's
+	// compiled tables and its decoded record's HCVT (see residentBytes).
+	ResidentBytes int
 }
 
 // RecordStats mirrors the extraction statistics without re-exporting the
@@ -138,11 +142,14 @@ func MeasureLibrary(p workloads.Profile, opts Options) (LibraryRun, error) {
 			RejectedSites:   record.Stats().RejectedSites,
 		},
 	}
-	static, err := analyzeOffline(p.Script, src)
+	prog, err := codecache.New().Load(p.Script, src)
 	if err != nil {
 		return LibraryRun{}, err
 	}
-	run.StaticTypes = static
+	run.StaticTypes = analyzeOffline(prog)
+	if run.ResidentBytes, err = residentBytes(prog, encoded); err != nil {
+		return LibraryRun{}, err
+	}
 
 	// Two warmup rounds settle allocator and cache state before timing;
 	// the first round also captures the (deterministic) statistics.
@@ -180,19 +187,14 @@ func MeasureLibrary(p workloads.Profile, opts Options) (LibraryRun, error) {
 	return run, nil
 }
 
-// analyzeOffline compiles one script and runs the static value-type
-// analysis over it, summarizing the typed-shape inference the perf gate
-// floors.
-func analyzeOffline(script, src string) (StaticTypeStats, error) {
-	prog, err := codecache.New().Load(script, src)
-	if err != nil {
-		return StaticTypeStats{}, err
-	}
+// analyzeOffline runs the static value-type analysis over one compiled
+// script, summarizing the typed-shape inference the perf gate floors.
+func analyzeOffline(prog *bytecode.Program) StaticTypeStats {
 	res := analysis.Analyze(prog)
 	var st StaticTypeStats
 	st.SitesAnalyzed = len(res.Sites())
 	st.TypedShapes, st.TypedSlots = res.TypedStats()
-	return st, nil
+	return st
 }
 
 // MeasureAll measures every library of Table 3 plus the workload zoo,

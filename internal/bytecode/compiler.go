@@ -31,14 +31,15 @@ func Compile(prog *ast.Program) (*Program, error) {
 		script: prog.Script,
 		scope:  top,
 		res:    res,
-		proto: &FuncProto{
+		proto: res.begin(&FuncProto{
 			Name:   "<main>",
 			Script: prog.Script,
-		},
+		}),
 	}
 	if err := fc.compileBody(prog.Body); err != nil {
 		return nil, err
 	}
+	res.finish(fc.proto)
 	// Protos are shared read-only across VMs afterwards (codecache), so
 	// every derived field, the per-call stack labels included, is fixed
 	// here, not lazily on the call path.
@@ -78,6 +79,51 @@ type fnScope struct {
 type resolver struct {
 	script string
 	scopes map[*ast.FunctionLit]*fnScope
+	// spare holds the table buffers of finished functions (see begin).
+	spare []tables
+}
+
+// tables is one function's six tables while it compiles.
+type tables struct {
+	code    []uint32
+	consts  []Const
+	names   []string
+	nameIDs []symtab.ID
+	protos  []*FuncProto
+	sites   []ic.SiteInfo
+}
+
+// begin points a new proto's tables at spare buffers, so the appends that
+// build them reuse memory an earlier function of the script grew instead
+// of allocating afresh.
+func (r *resolver) begin(p *FuncProto) *FuncProto {
+	if n := len(r.spare); n > 0 {
+		t := r.spare[n-1]
+		r.spare = r.spare[:n-1]
+		p.Code, p.Consts, p.Names = t.code[:0], t.consts[:0], t.names[:0]
+		p.NameIDs, p.Protos, p.Sites = t.nameIDs[:0], t.protos[:0], t.sites[:0]
+	}
+	return p
+}
+
+// finish copies a compiled function's tables into exactly sized slices,
+// which the proto keeps for as long as the program is cached, and hands
+// the buffers they grew in to the next function.
+func (r *resolver) finish(p *FuncProto) {
+	r.spare = append(r.spare, tables{p.Code, p.Consts, p.Names, p.NameIDs, p.Protos, p.Sites})
+	p.Code, p.Consts, p.Names = clone(p.Code), clone(p.Consts), clone(p.Names)
+	p.NameIDs, p.Protos, p.Sites = clone(p.NameIDs), clone(p.Protos), clone(p.Sites)
+}
+
+// clone copies s into a slice whose capacity equals its length, or
+// returns nil when s is empty.
+func clone[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	t := make([]T, len(s))
+	copy(t, s)
+	return t
 }
 
 func newResolver(script string) *resolver {
@@ -421,8 +467,9 @@ func (fc *funcCompiler) addSite(pos source.Pos, kind ic.AccessKind, name string)
 	if name != "" {
 		nameID = symtab.Intern(name)
 	}
+	// Seal points the site at the proto's Script.
 	fc.proto.Sites = append(fc.proto.Sites, ic.SiteInfo{
-		Site:   source.Site{Script: fc.script, Pos: pos},
+		Pos:    pos,
 		Kind:   kind,
 		Name:   name,
 		NameID: nameID,
@@ -543,16 +590,17 @@ func (fc *funcCompiler) makeClosure(fn *ast.FunctionLit) error {
 		parent: fc,
 		scope:  sc,
 		res:    fc.res,
-		proto: &FuncProto{
+		proto: fc.res.begin(&FuncProto{
 			Name:      fn.Name,
 			Script:    fc.script,
 			DeclPos:   fn.P,
 			NumParams: len(fn.Params),
-		},
+		}),
 	}
 	if err := nested.compileBody(fn.Body); err != nil {
 		return err
 	}
+	fc.res.finish(nested.proto)
 	fc.proto.Protos = append(fc.proto.Protos, nested.proto)
 	fc.emit(OpMakeClosure, uint32(len(fc.proto.Protos)-1))
 	return nil

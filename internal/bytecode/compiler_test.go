@@ -139,7 +139,7 @@ func TestMemberSitesGetFeedbackSlots(t *testing.T) {
 		t.Errorf("site 2 = %+v", fn.Sites[2])
 	}
 	// Sites carry distinct positions.
-	if fn.Sites[0].Site == fn.Sites[1].Site {
+	if fn.Sites[0].Site() == fn.Sites[1].Site() {
 		t.Error("store and load sites must differ")
 	}
 }

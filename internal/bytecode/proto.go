@@ -92,9 +92,9 @@ func (p *FuncProto) Disassemble() string {
 		case OpLoadConst:
 			fmt.Fprintf(&b, "  ; %s", p.Consts[p.Code[pc+1]])
 		case OpLoadNamed, OpStoreNamed, OpLoadGlobal, OpStoreGlobal:
-			fmt.Fprintf(&b, "  ; %s @%s", p.Names[p.Code[pc+1]], p.Sites[p.Code[pc+2]].Site)
+			fmt.Fprintf(&b, "  ; %s @%s", p.Names[p.Code[pc+1]], p.Sites[p.Code[pc+2]].Site())
 		case OpLoadKeyed, OpStoreKeyed:
-			fmt.Fprintf(&b, "  ; @%s", p.Sites[p.Code[pc+1]].Site)
+			fmt.Fprintf(&b, "  ; @%s", p.Sites[p.Code[pc+1]].Site())
 		case OpDeclGlobal, OpDeleteNamed:
 			fmt.Fprintf(&b, "  ; %s", p.Names[p.Code[pc+1]])
 		case OpMakeClosure:
@@ -116,10 +116,10 @@ func (p *FuncProto) WalkProtos(fn func(*FuncProto)) {
 
 // Seal fills the fields derived from the rest of a proto, for p and
 // every nested proto: the interned name pool (NameIDs), the interned site
-// names and the stack-trace label. Compile seals every program it
-// returns; a proto built by hand must be sealed before a VM runs it,
-// because VMs share protos read-only and never fill them in. Sealing a
-// sealed proto changes nothing.
+// names, each site's script and the stack-trace label. Compile seals
+// every program it returns; a proto built by hand must be sealed before a
+// VM runs it, because VMs share protos read-only and never fill them in.
+// Sealing a sealed proto changes nothing.
 func (p *FuncProto) Seal() {
 	p.WalkProtos(func(fp *FuncProto) {
 		if len(fp.NameIDs) != len(fp.Names) {
@@ -129,8 +129,12 @@ func (p *FuncProto) Seal() {
 			}
 		}
 		for i := range fp.Sites {
-			if si := &fp.Sites[i]; si.NameID == symtab.None && si.Name != "" {
+			si := &fp.Sites[i]
+			if si.NameID == symtab.None && si.Name != "" {
 				si.NameID = symtab.Intern(si.Name)
+			}
+			if si.Script == nil {
+				si.Script = &fp.Script
 			}
 		}
 		if fp.CallLabel == "" {

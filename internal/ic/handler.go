@@ -228,13 +228,14 @@ func (k KeyedNamed) String() string {
 
 // CIDescriptor describes a context-independent handler in a form that can
 // be persisted inside an ICRecord and rebuilt in another execution. Name
-// is set for keyed handlers.
+// is set for keyed handlers. Fields are ordered widest first, so the two
+// kinds share the word after Offset (24 bytes, not 32).
 type CIDescriptor struct {
-	Kind   HandlerKind
-	Offset int32
 	// Name and Inner describe KeyedNamed handlers.
-	Name  string
-	Inner HandlerKind
+	Name   string
+	Offset int32
+	Kind   HandlerKind
+	Inner  HandlerKind
 }
 
 // DescribeCI returns the persistable descriptor of a context-independent

@@ -9,6 +9,13 @@ import (
 	"ricjs/internal/source"
 )
 
+// siteInfo builds a site descriptor outside any proto, with its own copy
+// of the script name to point at.
+func siteInfo(site source.Site, kind AccessKind, name string) *SiteInfo {
+	script := site.Script
+	return &SiteInfo{Script: &script, Pos: site.Pos, Kind: kind, Name: name}
+}
+
 func hcChain(t *testing.T, n int) (*objects.Space, []*objects.HiddenClass) {
 	t.Helper()
 	s := objects.NewSpace(1)
@@ -227,11 +234,7 @@ func TestStateString(t *testing.T) {
 
 func TestVectorString(t *testing.T) {
 	_, hcs := hcChain(t, 1)
-	v := &Vector{FuncName: "f", Slots: []Slot{{SiteInfo: &SiteInfo{
-		Site: source.At("t.js", 1, 5),
-		Kind: AccessLoad,
-		Name: "x",
-	}}}}
+	v := &Vector{FuncName: "f", Slots: []Slot{{SiteInfo: siteInfo(source.At("t.js", 1, 5), AccessLoad, "x")}}}
 	v.Slot(0).Add(hcs[0], LoadField{Offset: 0})
 	out := v.String()
 	for _, want := range []string{"ICVector(f)", "t.js:1:5", "monomorphic", "LoadField[0]"} {

@@ -129,7 +129,7 @@ func TestKeyedSlotTransitionTable(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			_, hcs := hcChain(t, MaxPolymorphic+2)
-			slot := &Slot{SiteInfo: &SiteInfo{Site: source.At("t.js", 2, 1), Kind: c.access}}
+			slot := &Slot{SiteInfo: siteInfo(source.At("t.js", 2, 1), c.access, "")}
 			for i, o := range c.ops {
 				switch o.kind {
 				case "add":

@@ -74,7 +74,7 @@ func TestSlotTransitionTable(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			_, hcs := hcChain(t, MaxPolymorphic+2)
-			slot := &Slot{SiteInfo: &SiteInfo{Site: source.At("t.js", 1, 1), Kind: AccessLoad, Name: "p"}}
+			slot := &Slot{SiteInfo: siteInfo(source.At("t.js", 1, 1), AccessLoad, "p")}
 			for i, o := range c.ops {
 				switch o.kind {
 				case "add":
@@ -255,7 +255,7 @@ func TestInsertDenormalizesHandlers(t *testing.T) {
 // marker included.
 func TestVectorStringRendersEntries(t *testing.T) {
 	_, hcs := hcChain(t, 2)
-	v := &Vector{FuncName: "f", Slots: []Slot{{SiteInfo: &SiteInfo{Site: source.At("t.js", 3, 7), Kind: AccessLoad, Name: "p"}}}}
+	v := &Vector{FuncName: "f", Slots: []Slot{{SiteInfo: siteInfo(source.At("t.js", 3, 7), AccessLoad, "p")}}}
 	slot := v.Slot(0)
 	slot.Add(hcs[0], LoadField{Offset: 0})
 	slot.Preload(hcs[1], LoadField{Offset: 1})

@@ -154,18 +154,30 @@ func fastFor(h Handler) (FastOp, int32) {
 // SiteInfo describes one object access site: the immutable half of a
 // feedback slot. The compiler emits one per site into the function's
 // site table; every VM's slot for that site points at the same entry.
+//
+// The layout is 40 bytes: a program keeps one entry per site resident for
+// as long as its code is cached, so the script name is not repeated per
+// site but pointed at in the owning proto (bytecode.FuncProto.Script),
+// and Kind packs beside NameID.
 type SiteInfo struct {
-	// Site identifies the access site context-independently.
-	Site source.Site
+	// Script points at the owning script's name; Seal fills it in with
+	// the proto's Script. Site reads it.
+	Script *string
+	// Pos is the site's position in Script.
+	Pos source.Pos
 	// Kind is the access kind served by the site.
 	Kind AccessKind
-	// Name is the property (or global) name accessed at the site.
-	Name string
 	// NameID is Name interned at compile time; the VM's dispatch and the
 	// hidden-class lookups it triggers use the ID, so a slot access hashes
 	// no strings.
 	NameID symtab.ID
+	// Name is the property (or global) name accessed at the site.
+	Name string
 }
+
+// Site identifies the access site context-independently. It is built on
+// each call, so hot paths call it only where the site is reported.
+func (s *SiteInfo) Site() source.Site { return source.Site{Script: *s.Script, Pos: s.Pos} }
 
 // Slot is the feedback for one object access site: the per-VM IC state
 // plus a pointer to the program's site descriptor, which slots of every
@@ -296,7 +308,7 @@ func (v *Vector) String() string {
 	fmt.Fprintf(&b, "ICVector(%s)", v.FuncName)
 	for i := range v.Slots {
 		s := &v.Slots[i]
-		fmt.Fprintf(&b, "\n  [%d] %s %s %q %s", i, s.Site, s.Kind, s.Name, s.State)
+		fmt.Fprintf(&b, "\n  [%d] %s %s %q %s", i, s.Site(), s.Kind, s.Name, s.State)
 		for _, e := range s.Entries {
 			fmt.Fprintf(&b, " (HC#%d -> %s", e.HC.ID(), e.H)
 			if e.Preloaded {

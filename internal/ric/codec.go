@@ -286,6 +286,11 @@ func (d *decoder) bounded(signed bool, lo, hi int64) (int64, error) {
 	return int64(u), nil
 }
 
+// minDepBytes is the shortest encoding of one HCVT dependent: nine
+// integers (script, line, column, access kind, site name, handler kind,
+// offset, handler name, inner kind) of at least one byte each.
+const minDepBytes = 9
+
 // plausibleCount rejects section counts that could not possibly fit in the
 // remaining input (every element is at least one byte), so a corrupt count
 // fails fast instead of allocating huge slices or looping pointlessly.
@@ -435,6 +440,15 @@ func Decode(data []byte) (*Record, error) {
 		n, err := d.uvarint()
 		if err != nil {
 			return nil, fmt.Errorf("ric: deps[%d]: %w", i, err)
+		}
+		// Each row is allocated once at its exact size. A count the
+		// remaining input cannot hold is rejected first, so a corrupt one
+		// can only size a row as large as the input could fill.
+		if n > uint64(d.buf.Len())/minDepBytes {
+			return nil, fmt.Errorf("ric: deps[%d]: count %d exceeds remaining input", i, n)
+		}
+		if n > 0 {
+			r.Deps[i] = make([]DepEntry, 0, n)
 		}
 		for j := uint64(0); j < n; j++ {
 			site, err := d.site()

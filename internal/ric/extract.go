@@ -115,11 +115,11 @@ func Extract(v *vm.VM, label string, cfg Config) *Record {
 				}
 				desc, ci := ic.DescribeCI(e.H)
 				if !ci {
-					rec.RejectedSites[slot.Site] = true
+					rec.RejectedSites[slot.Site()] = true
 					continue
 				}
 				rec.Deps[id] = append(rec.Deps[id], DepEntry{
-					Site:   slot.Site,
+					Site:   slot.Site(),
 					Kind:   slot.Kind,
 					Name:   slot.Name,
 					NameID: slot.NameID,
@@ -128,6 +128,8 @@ func Extract(v *vm.VM, label string, cfg Config) *Record {
 			}
 		}
 	}
+
+	packDeps(rec.Deps)
 
 	rec.Stats = Stats{
 		HiddenClasses:   int(rec.HCCount),

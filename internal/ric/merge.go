@@ -143,6 +143,7 @@ func Merge(records ...*Record) (*Record, error) {
 			out.RejectedSites[site] = true
 		}
 	}
+	packDeps(out.Deps)
 
 	// Typed-shape claims: an appended row keeps its claims verbatim; a
 	// unified row (builtins shared by several records) keeps a claim only

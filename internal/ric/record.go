@@ -44,18 +44,19 @@ type Pair struct {
 // Kind and Name pin the access the Initial run saw at the site; preloading
 // verifies the live slot matches, so a record from a different program
 // version whose site positions coincidentally collide can never install a
-// handler for the wrong property.
+// handler for the wrong property. Fields are ordered widest first, so
+// NameID and Kind share one word (72 bytes, not 88).
 type DepEntry struct {
 	Site source.Site
-	Kind ic.AccessKind
 	Name string
+	Desc ic.CIDescriptor
 	// NameID is Name resolved against the process-global symbol table,
 	// filled once at extraction or record decode; the preload path compares
 	// it against the live slot's NameID so per-dependent matching never
 	// hashes the string again. It is never persisted (symbol IDs are not
 	// stable across processes — the wire format carries names).
 	NameID symtab.ID
-	Desc   ic.CIDescriptor
+	Kind   ic.AccessKind
 }
 
 // SlotClaim is one typed-shape claim of an HCVT row: the slot at Offset of
@@ -154,6 +155,28 @@ type verdict struct {
 	prog *bytecode.Program
 	err  error
 	ords [][]int32
+}
+
+// packDeps moves every HCVT row into one exactly sized backing array, in
+// row order, so a resident record keeps no spare capacity from the
+// appends that built its rows and its dependents sit in one allocation.
+// Empty rows become nil.
+func packDeps(rows [][]DepEntry) {
+	n := 0
+	for _, row := range rows {
+		n += len(row)
+	}
+	flat := make([]DepEntry, n)
+	for i, row := range rows {
+		if len(row) == 0 {
+			rows[i] = nil
+			continue
+		}
+		packed := flat[:len(row):len(row)]
+		copy(packed, row)
+		rows[i] = packed
+		flat = flat[len(row):]
+	}
 }
 
 // validateShape checks internal consistency; the decoder and tests use it
@@ -279,7 +302,7 @@ func (r *Record) validate(progs []*bytecode.Program) ([][]int32, error) {
 		ord := int32(0)
 		p.Toplevel.WalkProtos(func(fp *bytecode.FuncProto) {
 			for i := range fp.Sites {
-				sites[fp.Sites[i].Site] = siteRef{info: &fp.Sites[i], ord: ord}
+				sites[fp.Sites[i].Site()] = siteRef{info: &fp.Sites[i], ord: ord}
 				ord++
 			}
 			if !fp.DeclPos.IsZero() {

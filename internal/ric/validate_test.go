@@ -138,7 +138,7 @@ func TestReusePreloadsScriptRegisteredAfterIndex(t *testing.T) {
 	for _, vec := range v.Vectors() {
 		for i := range vec.Slots {
 			s := &vec.Slots[i]
-			if s.Site.Script != "b.js" {
+			if *s.Script != "b.js" {
 				continue
 			}
 			for _, e := range s.Entries {
@@ -188,9 +188,9 @@ func TestVerdictOrdinalsResolveSlab(t *testing.T) {
 					continue
 				}
 				s := &regs[0].Slab[o]
-				if s.Site != d.Site || s.Kind != d.Kind || s.Name != d.Name {
+				if s.Site() != d.Site || s.Kind != d.Kind || s.Name != d.Name {
 					t.Errorf("%s: dependent %s %s %q resolves to slot %s %s %q",
-						p.Name, d.Site, d.Kind, d.Name, s.Site, s.Kind, s.Name)
+						p.Name, d.Site, d.Kind, d.Name, s.Site(), s.Kind, s.Name)
 				}
 				resolved++
 			}

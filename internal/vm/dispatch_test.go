@@ -219,7 +219,7 @@ func TestStaleProtoHandlerEvicted(t *testing.T) {
 	}
 	sum := tr.Summary()
 	for _, sc := range sum.Sites {
-		if sc.Site != site.Site {
+		if sc.Site != site.Site() {
 			continue
 		}
 		if got := sc.Counts[trace.EvICMissOther]; got != 2 {

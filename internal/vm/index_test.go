@@ -108,7 +108,7 @@ func TestRegistrationsSeeLaterScripts(t *testing.T) {
 			for i := range p.Sites {
 				s := &r.Slab[ord]
 				if s.SiteInfo != &p.Sites[i] {
-					t.Errorf("%s: slab slot %d does not point at %s", r.Prog.Script, ord, p.Sites[i].Site)
+					t.Errorf("%s: slab slot %d does not point at %s", r.Prog.Script, ord, p.Sites[i].Site())
 				}
 				if &vec.Slots[i] != s {
 					t.Errorf("%s: vector slot %d of %s is not slab slot %d", r.Prog.Script, i, p.FunctionName(), ord)

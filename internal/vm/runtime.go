@@ -37,10 +37,10 @@ func (vm *VM) burn(n uint64) {
 // classifyMiss labels an IC miss for the Table 4 breakdown. Without hooks
 // (Initial or Conventional runs), global-object misses are still labelled
 // so the Initial run's statistics are interpretable.
-func (vm *VM) classifyMiss(site source.Site, receiver *objects.Object) profiler.MissKind {
+func (vm *VM) classifyMiss(si *ic.SiteInfo, receiver *objects.Object) profiler.MissKind {
 	isGlobal := receiver == vm.global
 	if vm.hooks != nil {
-		return vm.hooks.ClassifyMiss(site, isGlobal)
+		return vm.hooks.ClassifyMiss(si.Site(), isGlobal)
 	}
 	if isGlobal {
 		return profiler.MissGlobal
@@ -54,7 +54,9 @@ func (vm *VM) classifyMiss(site source.Site, receiver *objects.Object) profiler.
 func (vm *VM) notifyHC(creator objects.Creator, incoming, outgoing *objects.HiddenClass) {
 	vm.Prof.HCCreated()
 	vm.Prof.Charge(profiler.CostHCTransition)
-	vm.emit(trace.EvHCCreated, creator.Site, creator.Builtin, 0)
+	if vm.tr != nil {
+		vm.tr.Emit(trace.EvHCCreated, creator.Site, creator.Builtin, 0)
+	}
 	if vm.hooks != nil && !creator.IsZero() {
 		vm.hooks.OnHCCreated(creator, incoming, outgoing)
 	}
@@ -62,11 +64,16 @@ func (vm *VM) notifyHC(creator objects.Creator, incoming, outgoing *objects.Hidd
 
 // observeSite reports a slot-mediated access to the configured site
 // observer: the receiver's hidden class is exactly what the feedback slot
-// could cache for this access.
+// could cache for this access. Like emit, it inlines to one nil check and
+// builds the site only past it, in reportSite.
 func (vm *VM) observeSite(slot *ic.Slot, o *objects.Object) {
 	if vm.siteObs != nil {
-		vm.siteObs(slot.Site, slot.Kind, o.HC())
+		vm.reportSite(slot, o)
 	}
+}
+
+func (vm *VM) reportSite(slot *ic.Slot, o *objects.Object) {
+	vm.siteObs(slot.Site(), slot.Kind, o.HC())
 }
 
 // ---- Named loads ----
@@ -100,7 +107,7 @@ func (vm *VM) loadNamed(objVal objects.Value, slot *ic.Slot) (objects.Value, err
 		// so no miss is recorded, but the access is slower than a
 		// monomorphic hit.
 		vm.Prof.Hit(ic.MaxPolymorphic, false)
-		vm.emit(trace.EvICHit, slot.Site, slot.Name, int64(ic.MaxPolymorphic))
+		vm.emit(trace.EvICHit, slot.SiteInfo, slot.Name, int64(ic.MaxPolymorphic))
 		vm.Prof.Charge(profiler.CostGenericAccess)
 		v, _ := o.GetNamedID(slot.NameID, slot.Name)
 		return v, nil
@@ -112,7 +119,7 @@ func (vm *VM) loadNamed(objVal objects.Value, slot *ic.Slot) (objects.Value, err
 			// Field handlers carry no validity condition beyond the
 			// hidden-class match, so the staleness check is skipped.
 			vm.Prof.Hit(idx, false)
-			vm.emit(trace.EvICHit, slot.Site, slot.Name, int64(idx))
+			vm.emit(trace.EvICHit, slot.SiteInfo, slot.Name, int64(idx))
 			return o.Slot(int(e.FastOffset)), nil
 		}
 		if vm.staleProtoHandler(e.H) {
@@ -122,7 +129,7 @@ func (vm *VM) loadNamed(objVal objects.Value, slot *ic.Slot) (objects.Value, err
 			slot.Remove(hc)
 		} else {
 			vm.Prof.Hit(idx, e.Preloaded)
-			vm.emit(hitEvent(e.Preloaded), slot.Site, slot.Name, int64(idx))
+			vm.emit(hitEvent(e.Preloaded), slot.SiteInfo, slot.Name, int64(idx))
 			if e.Preloaded {
 				// A preloaded entry averts exactly one miss: its first
 				// access.
@@ -139,23 +146,23 @@ func (vm *VM) loadNamed(objVal objects.Value, slot *ic.Slot) (objects.Value, err
 	// sequenced explicitly rather than deferred: a defer anywhere in this
 	// function would make every hit-path return walk the runtime's defer
 	// chain, which dominates the cost of a monomorphic hit.
-	kind := vm.classifyMiss(slot.Site, o)
+	kind := vm.classifyMiss(slot.SiteInfo, o)
 	vm.Prof.Miss(kind)
-	vm.emit(missEvent(kind), slot.Site, slot.Name, 0)
+	vm.emit(missEvent(kind), slot.SiteInfo, slot.Name, 0)
 	vm.Prof.BeginICMiss()
 	missStart := vm.Prof.ICMissInstrCount()
 	vm.Prof.Charge(profiler.CostMissEntry)
 
 	incoming := o.HC()
-	handler, value := vm.resolveLoad(o, slot.NameID, slot.Name, slot.Site)
+	handler, value := vm.resolveLoad(o, slot.NameID, slot.Name, slot.SiteInfo)
 
 	ci := handler.ContextIndependent()
 	vm.Prof.HandlerMade(ci)
-	vm.emit(handlerEvent(ci), slot.Site, slot.Name, 0)
+	vm.emit(handlerEvent(ci), slot.SiteInfo, slot.Name, 0)
 	vm.Prof.Charge(profiler.CostHandlerGen)
 	slot.Add(incoming, handler)
 	if slot.State == ic.Megamorphic {
-		vm.emit(trace.EvMegamorphic, slot.Site, slot.Name, 0)
+		vm.emit(trace.EvMegamorphic, slot.SiteInfo, slot.Name, 0)
 	}
 	vm.Prof.Charge(profiler.CostVectorUpdate)
 	vm.burn((vm.Prof.ICMissInstrCount() - missStart) * missBurnWork)
@@ -166,7 +173,7 @@ func (vm *VM) loadNamed(objVal objects.Value, slot *ic.Slot) (objects.Value, err
 // resolveLoad performs a generic named load and generates the handler the
 // runtime would install for it (the paper's §2.4 runtime work). Shared by
 // the named and keyed miss paths; id must be name's interned symbol.
-func (vm *VM) resolveLoad(o *objects.Object, id symtab.ID, name string, site source.Site) (ic.Handler, objects.Value) {
+func (vm *VM) resolveLoad(o *objects.Object, id symtab.ID, name string, si *ic.SiteInfo) (ic.Handler, objects.Value) {
 	switch {
 	case o.IsArray() && id == symtab.SymLength:
 		return ic.LoadArrayLength{}, objects.Num(float64(o.Len()))
@@ -174,7 +181,7 @@ func (vm *VM) resolveLoad(o *objects.Object, id symtab.ID, name string, site sou
 		// Lazily materialize the function's prototype object; first access
 		// transitions the function object's hidden class, making this a
 		// triggering site.
-		protoObj := vm.functionPrototype(o, objects.Creator{Site: site})
+		protoObj := vm.functionPrototype(o, objects.Creator{Site: si.Site()})
 		off, _ := o.OwnOffsetID(symtab.SymPrototype)
 		return ic.LoadField{Offset: off}, objects.Obj(protoObj)
 	default:
@@ -270,7 +277,7 @@ func (vm *VM) storeNamed(objVal objects.Value, v objects.Value, slot *ic.Slot) e
 	vm.observeSite(slot, o)
 	if slot.State == ic.Megamorphic {
 		vm.Prof.Hit(ic.MaxPolymorphic, false)
-		vm.emit(trace.EvICHit, slot.Site, slot.Name, int64(ic.MaxPolymorphic))
+		vm.emit(trace.EvICHit, slot.SiteInfo, slot.Name, int64(ic.MaxPolymorphic))
 		vm.Prof.Charge(profiler.CostGenericAccess)
 		vm.genericStore(o, slot.Name, v, slot)
 		return nil
@@ -279,14 +286,14 @@ func (vm *VM) storeNamed(objVal objects.Value, v objects.Value, slot *ic.Slot) e
 		if e.Fast == ic.FastStoreField && !e.Preloaded {
 			// Denormalized hit: one byte compare and a direct field write.
 			vm.Prof.Hit(idx, false)
-			vm.emit(trace.EvICHit, slot.Site, slot.Name, int64(idx))
+			vm.emit(trace.EvICHit, slot.SiteInfo, slot.Name, int64(idx))
 			o.SetSlot(int(e.FastOffset), v)
 			vm.observeStore(o)
 			vm.maybeInvalidateCtorHCID(o, slot.NameID)
 			return nil
 		}
 		vm.Prof.Hit(idx, e.Preloaded)
-		vm.emit(hitEvent(e.Preloaded), slot.Site, slot.Name, int64(idx))
+		vm.emit(hitEvent(e.Preloaded), slot.SiteInfo, slot.Name, int64(idx))
 		if e.Preloaded {
 			e.Preloaded = false
 		}
@@ -296,23 +303,23 @@ func (vm *VM) storeNamed(objVal objects.Value, v objects.Value, slot *ic.Slot) e
 	}
 
 	// IC miss.
-	kind := vm.classifyMiss(slot.Site, o)
+	kind := vm.classifyMiss(slot.SiteInfo, o)
 	vm.Prof.Miss(kind)
-	vm.emit(missEvent(kind), slot.Site, slot.Name, 0)
+	vm.emit(missEvent(kind), slot.SiteInfo, slot.Name, 0)
 	vm.Prof.BeginICMiss()
 	missStart := vm.Prof.ICMissInstrCount()
 	vm.Prof.Charge(profiler.CostMissEntry)
 
 	incoming := o.HC()
-	handler := vm.resolveStore(o, slot.NameID, slot.Name, v, slot.Site)
+	handler := vm.resolveStore(o, slot.NameID, slot.Name, v, slot.SiteInfo)
 
 	ci := handler.ContextIndependent()
 	vm.Prof.HandlerMade(ci)
-	vm.emit(handlerEvent(ci), slot.Site, slot.Name, 0)
+	vm.emit(handlerEvent(ci), slot.SiteInfo, slot.Name, 0)
 	vm.Prof.Charge(profiler.CostHandlerGen)
 	slot.Add(incoming, handler)
 	if slot.State == ic.Megamorphic {
-		vm.emit(trace.EvMegamorphic, slot.Site, slot.Name, 0)
+		vm.emit(trace.EvMegamorphic, slot.SiteInfo, slot.Name, 0)
 	}
 	vm.Prof.Charge(profiler.CostVectorUpdate)
 	vm.burn((vm.Prof.ICMissInstrCount() - missStart) * missBurnWork)
@@ -334,7 +341,7 @@ func (vm *VM) observeStore(o *objects.Object) {
 // the runtime would install for it. Shared by the named and keyed miss
 // paths. A new-property store transitions the hidden class and announces
 // the triggering event.
-func (vm *VM) resolveStore(o *objects.Object, id symtab.ID, name string, v objects.Value, site source.Site) ic.Handler {
+func (vm *VM) resolveStore(o *objects.Object, id symtab.ID, name string, v objects.Value, si *ic.SiteInfo) ic.Handler {
 	incoming := o.HC()
 	if off, ok := o.OwnOffsetID(id); ok {
 		vm.Prof.Charge(uint64(off+1) * profiler.CostLookupStep)
@@ -343,7 +350,7 @@ func (vm *VM) resolveStore(o *objects.Object, id symtab.ID, name string, v objec
 		return ic.StoreField{Offset: off}
 	}
 	vm.Prof.Charge(uint64(max(1, incoming.NumFields())) * profiler.CostLookupStep)
-	creator := objects.Creator{Site: site, Global: o == vm.global}
+	creator := objects.Creator{Site: si.Site(), Global: o == vm.global}
 	next, created := o.AddOwnID(vm.Space, id, name, v, creator)
 	vm.observeStore(o)
 	if created {
@@ -372,7 +379,7 @@ func (vm *VM) runStoreHandler(h ic.Handler, o *objects.Object, name string, v ob
 func (vm *VM) genericStore(o *objects.Object, name string, v objects.Value, slot *ic.Slot) {
 	creator := objects.Creator{Global: o == vm.global}
 	if slot != nil {
-		creator.Site = slot.Site
+		creator.Site = slot.Site()
 	}
 	incoming := o.HC()
 	next, created := o.SetNamed(vm.Space, name, v, creator)
@@ -462,7 +469,7 @@ func (vm *VM) loadKeyed(objVal, key objects.Value, slot *ic.Slot) (objects.Value
 	vm.observeSite(slot, o)
 	if slot.State == ic.Megamorphic {
 		vm.Prof.Hit(ic.MaxPolymorphic, false)
-		vm.emit(trace.EvICHit, slot.Site, slot.Name, int64(ic.MaxPolymorphic))
+		vm.emit(trace.EvICHit, slot.SiteInfo, slot.Name, int64(ic.MaxPolymorphic))
 		vm.Prof.Charge(profiler.CostGenericAccess)
 		return vm.genericKeyedLoad(o, key), nil
 	}
@@ -475,7 +482,7 @@ func (vm *VM) loadKeyed(objVal, key objects.Value, slot *ic.Slot) (objects.Value
 		case ic.LoadElement:
 			if elementAccess {
 				vm.Prof.Hit(pos, e.Preloaded)
-				vm.emit(hitEvent(e.Preloaded), slot.Site, slot.Name, int64(pos))
+				vm.emit(hitEvent(e.Preloaded), slot.SiteInfo, slot.Name, int64(pos))
 				if e.Preloaded {
 					slot.Entries[pos].Preloaded = false
 				}
@@ -484,7 +491,7 @@ func (vm *VM) loadKeyed(objVal, key objects.Value, slot *ic.Slot) (objects.Value
 		case ic.KeyedNamed:
 			if !elementAccess && h.Name == key.ToString() && !vm.staleProtoHandler(h.Inner) {
 				vm.Prof.Hit(pos, e.Preloaded)
-				vm.emit(hitEvent(e.Preloaded), slot.Site, h.Name, int64(pos))
+				vm.emit(hitEvent(e.Preloaded), slot.SiteInfo, h.Name, int64(pos))
 				if e.Preloaded {
 					slot.Entries[pos].Preloaded = false
 				}
@@ -493,21 +500,21 @@ func (vm *VM) loadKeyed(objVal, key objects.Value, slot *ic.Slot) (objects.Value
 		}
 		// Same hidden class, different key flavour or name: per-entry
 		// caching cannot discriminate further; go megamorphic.
-		kind := vm.classifyMiss(slot.Site, o)
+		kind := vm.classifyMiss(slot.SiteInfo, o)
 		vm.Prof.Miss(kind)
-		vm.emit(missEvent(kind), slot.Site, slot.Name, 0)
+		vm.emit(missEvent(kind), slot.SiteInfo, slot.Name, 0)
 		vm.Prof.BeginICMiss()
 		vm.Prof.Charge(profiler.CostMissEntry + profiler.CostGenericAccess)
 		slot.ForceMegamorphic()
-		vm.emit(trace.EvMegamorphic, slot.Site, slot.Name, 0)
+		vm.emit(trace.EvMegamorphic, slot.SiteInfo, slot.Name, 0)
 		vm.Prof.EndICMiss()
 		return vm.genericKeyedLoad(o, key), nil
 	}
 
 	// Keyed IC miss.
-	kind := vm.classifyMiss(slot.Site, o)
+	kind := vm.classifyMiss(slot.SiteInfo, o)
 	vm.Prof.Miss(kind)
-	vm.emit(missEvent(kind), slot.Site, slot.Name, 0)
+	vm.emit(missEvent(kind), slot.SiteInfo, slot.Name, 0)
 	vm.Prof.BeginICMiss()
 	missStart := vm.Prof.ICMissInstrCount()
 	vm.Prof.Charge(profiler.CostMissEntry)
@@ -521,17 +528,17 @@ func (vm *VM) loadKeyed(objVal, key objects.Value, slot *ic.Slot) (objects.Value
 	} else {
 		name := key.ToString()
 		nameID := symtab.Intern(name)
-		inner, v := vm.resolveLoad(o, nameID, name, slot.Site)
+		inner, v := vm.resolveLoad(o, nameID, name, slot.SiteInfo)
 		handler = ic.KeyedNamed{Name: name, NameID: nameID, Inner: inner}
 		value = v
 	}
 	ci := handler.ContextIndependent()
 	vm.Prof.HandlerMade(ci)
-	vm.emit(handlerEvent(ci), slot.Site, slot.Name, 0)
+	vm.emit(handlerEvent(ci), slot.SiteInfo, slot.Name, 0)
 	vm.Prof.Charge(profiler.CostHandlerGen)
 	slot.Add(incoming, handler)
 	if slot.State == ic.Megamorphic {
-		vm.emit(trace.EvMegamorphic, slot.Site, slot.Name, 0)
+		vm.emit(trace.EvMegamorphic, slot.SiteInfo, slot.Name, 0)
 	}
 	vm.Prof.Charge(profiler.CostVectorUpdate)
 	vm.burn((vm.Prof.ICMissInstrCount() - missStart) * missBurnWork)
@@ -576,7 +583,7 @@ func (vm *VM) storeKeyed(objVal, key, v objects.Value, slot *ic.Slot) error {
 	vm.observeSite(slot, o)
 	if slot.State == ic.Megamorphic {
 		vm.Prof.Hit(ic.MaxPolymorphic, false)
-		vm.emit(trace.EvICHit, slot.Site, slot.Name, int64(ic.MaxPolymorphic))
+		vm.emit(trace.EvICHit, slot.SiteInfo, slot.Name, int64(ic.MaxPolymorphic))
 		vm.Prof.Charge(profiler.CostGenericAccess)
 		vm.genericKeyedStore(o, key, v)
 		return nil
@@ -587,7 +594,7 @@ func (vm *VM) storeKeyed(objVal, key, v objects.Value, slot *ic.Slot) error {
 		case ic.StoreElement:
 			if elementAccess {
 				vm.Prof.Hit(pos, e.Preloaded)
-				vm.emit(hitEvent(e.Preloaded), slot.Site, slot.Name, int64(pos))
+				vm.emit(hitEvent(e.Preloaded), slot.SiteInfo, slot.Name, int64(pos))
 				if e.Preloaded {
 					slot.Entries[pos].Preloaded = false
 				}
@@ -597,7 +604,7 @@ func (vm *VM) storeKeyed(objVal, key, v objects.Value, slot *ic.Slot) error {
 		case ic.KeyedNamed:
 			if !elementAccess && h.Name == key.ToString() {
 				vm.Prof.Hit(pos, e.Preloaded)
-				vm.emit(hitEvent(e.Preloaded), slot.Site, h.Name, int64(pos))
+				vm.emit(hitEvent(e.Preloaded), slot.SiteInfo, h.Name, int64(pos))
 				if e.Preloaded {
 					slot.Entries[pos].Preloaded = false
 				}
@@ -606,22 +613,22 @@ func (vm *VM) storeKeyed(objVal, key, v objects.Value, slot *ic.Slot) error {
 				return nil
 			}
 		}
-		kind := vm.classifyMiss(slot.Site, o)
+		kind := vm.classifyMiss(slot.SiteInfo, o)
 		vm.Prof.Miss(kind)
-		vm.emit(missEvent(kind), slot.Site, slot.Name, 0)
+		vm.emit(missEvent(kind), slot.SiteInfo, slot.Name, 0)
 		vm.Prof.BeginICMiss()
 		vm.Prof.Charge(profiler.CostMissEntry + profiler.CostGenericAccess)
 		slot.ForceMegamorphic()
-		vm.emit(trace.EvMegamorphic, slot.Site, slot.Name, 0)
+		vm.emit(trace.EvMegamorphic, slot.SiteInfo, slot.Name, 0)
 		vm.Prof.EndICMiss()
 		vm.genericKeyedStore(o, key, v)
 		return nil
 	}
 
 	// Keyed IC miss.
-	kind := vm.classifyMiss(slot.Site, o)
+	kind := vm.classifyMiss(slot.SiteInfo, o)
 	vm.Prof.Miss(kind)
-	vm.emit(missEvent(kind), slot.Site, slot.Name, 0)
+	vm.emit(missEvent(kind), slot.SiteInfo, slot.Name, 0)
 	vm.Prof.BeginICMiss()
 	missStart := vm.Prof.ICMissInstrCount()
 	vm.Prof.Charge(profiler.CostMissEntry)
@@ -634,17 +641,17 @@ func (vm *VM) storeKeyed(objVal, key, v objects.Value, slot *ic.Slot) error {
 	} else {
 		name := key.ToString()
 		nameID := symtab.Intern(name)
-		inner := vm.resolveStore(o, nameID, name, v, slot.Site)
+		inner := vm.resolveStore(o, nameID, name, v, slot.SiteInfo)
 		handler = ic.KeyedNamed{Name: name, NameID: nameID, Inner: inner}
 		vm.maybeInvalidateCtorHCID(o, nameID)
 	}
 	ci := handler.ContextIndependent()
 	vm.Prof.HandlerMade(ci)
-	vm.emit(handlerEvent(ci), slot.Site, slot.Name, 0)
+	vm.emit(handlerEvent(ci), slot.SiteInfo, slot.Name, 0)
 	vm.Prof.Charge(profiler.CostHandlerGen)
 	slot.Add(incoming, handler)
 	if slot.State == ic.Megamorphic {
-		vm.emit(trace.EvMegamorphic, slot.Site, slot.Name, 0)
+		vm.emit(trace.EvMegamorphic, slot.SiteInfo, slot.Name, 0)
 	}
 	vm.Prof.Charge(profiler.CostVectorUpdate)
 	vm.burn((vm.Prof.ICMissInstrCount() - missStart) * missBurnWork)

@@ -188,12 +188,21 @@ func New(opts Options) *VM {
 // Trace returns the VM's trace buffer (nil when tracing is disabled).
 func (vm *VM) Trace() *trace.Buffer { return vm.tr }
 
-// emit records one trace event. The nil check keeps the disabled-tracing
-// cost on the IC fast path to a single predictable branch.
-func (vm *VM) emit(t trace.Type, site source.Site, name string, n int64) {
+// emit records one trace event at an access site. The nil check keeps the
+// disabled-tracing cost on the IC fast path to a single predictable
+// branch, inlined at each caller; the site is built from si only past it,
+// in emitAt.
+func (vm *VM) emit(t trace.Type, si *ic.SiteInfo, name string, n int64) {
 	if vm.tr != nil {
-		vm.tr.Emit(t, site, name, n)
+		vm.emitAt(t, si, name, n)
 	}
+}
+
+// emitAt is emit past its nil check. The dispatch loop's inline hit paths
+// call it inside their own check, so the site is built out of line there
+// too.
+func (vm *VM) emitAt(t trace.Type, si *ic.SiteInfo, name string, n int64) {
+	vm.tr.Emit(t, si.Site(), name, n)
 }
 
 // missEvent maps the profiler's miss classification to its event type.
@@ -633,7 +642,7 @@ func (vm *VM) exec(f *frame) (objects.Value, error) {
 				if e, idx := slot.Find(o.HC()); e != nil && e.Fast == ic.FastLoadField && !e.Preloaded {
 					prof.Hit(idx, false)
 					if vm.tr != nil {
-						vm.tr.Emit(trace.EvICHit, slot.Site, slot.Name, int64(idx))
+						vm.emitAt(trace.EvICHit, slot.SiteInfo, slot.Name, int64(idx))
 					}
 					stack = append(stack, o.Slot(int(e.FastOffset)))
 					pc += 3
@@ -652,7 +661,7 @@ func (vm *VM) exec(f *frame) (objects.Value, error) {
 				if e, idx := slot.Find(o.HC()); e != nil && e.Fast == ic.FastStoreField && !e.Preloaded {
 					prof.Hit(idx, false)
 					if vm.tr != nil {
-						vm.tr.Emit(trace.EvICHit, slot.Site, slot.Name, int64(idx))
+						vm.emitAt(trace.EvICHit, slot.SiteInfo, slot.Name, int64(idx))
 					}
 					o.SetSlot(int(e.FastOffset), v)
 					vm.maybeInvalidateCtorHCID(o, slot.NameID)
@@ -671,7 +680,7 @@ func (vm *VM) exec(f *frame) (objects.Value, error) {
 				if e, idx := slot.Find(o.HC()); e != nil && e.Fast == ic.FastLoadField && !e.Preloaded {
 					prof.Hit(idx, false)
 					if vm.tr != nil {
-						vm.tr.Emit(trace.EvICHit, slot.Site, slot.Name, int64(idx))
+						vm.emitAt(trace.EvICHit, slot.SiteInfo, slot.Name, int64(idx))
 					}
 					stack[len(stack)-1] = o.Slot(int(e.FastOffset))
 					pc += 3
@@ -696,7 +705,7 @@ func (vm *VM) exec(f *frame) (objects.Value, error) {
 				if e, idx := slot.Find(o.HC()); e != nil && e.Fast == ic.FastStoreField && !e.Preloaded {
 					prof.Hit(idx, false)
 					if vm.tr != nil {
-						vm.tr.Emit(trace.EvICHit, slot.Site, slot.Name, int64(idx))
+						vm.emitAt(trace.EvICHit, slot.SiteInfo, slot.Name, int64(idx))
 					}
 					o.SetSlot(int(e.FastOffset), v)
 					vm.maybeInvalidateCtorHCID(o, slot.NameID)
@@ -723,7 +732,7 @@ func (vm *VM) exec(f *frame) (objects.Value, error) {
 					if e := &slot.Entries[0]; e.HC == o.HC() && e.Fast == ic.FastLoadElement && !e.Preloaded {
 						prof.Hit(0, false)
 						if vm.tr != nil {
-							vm.tr.Emit(trace.EvICHit, slot.Site, slot.Name, 0)
+							vm.emitAt(trace.EvICHit, slot.SiteInfo, slot.Name, 0)
 						}
 						stack = stack[:len(stack)-2]
 						stack = append(stack, o.Elem(idx))
