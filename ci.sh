@@ -69,11 +69,15 @@ echo "== pool stress: concurrent record serving under -race =="
 # pool tests run at GOMAXPROCS 1 and 4, so the record cache's sync.Map
 # is stressed both interleaved on one P and in parallel. The pattern also
 # takes TestSessionPoolStoreFaultsUnderRace, so the ladder's store-fault
-# rungs run concurrently under -race. The realm tests ride along: engines
-# copied from the one builtin template must match a direct construction
-# and share no mutable state.
+# rungs run concurrently under -race, and the TestSessionPoolEvict* tests,
+# so records are evicted, reloaded and published by four goroutines at
+# once while hot keys are read lock-free. The realm tests ride along:
+# engines copied from the one builtin template must match a direct
+# construction and share no mutable state. The code cache's eviction
+# test (TestEvictUnderConcurrentLoad) runs beside its concurrent-load
+# tests.
 go test -race -count=1 -cpu 1,4 -run 'TestSessionPool|TestSharedRecordImmutableUnderConcurrentReuse|TestSharedRecordValidateConcurrent|TestRealmIsolation|TestRealmCloneMatchesConstruction' . ./internal/vm
-go test -race -count=1 -run 'TestConcurrentLoad' ./internal/codecache
+go test -race -count=1 -run 'TestConcurrentLoad|TestEvict' ./internal/codecache
 
 echo "== progen differential sweep: fixed seed range =="
 # Seeds 200-260 are dense in keyed-element, delete-to-dictionary, and

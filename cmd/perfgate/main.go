@@ -5,9 +5,9 @@
 // codec is deterministic), so they can be gated exactly, with zero flake —
 // unlike wall-clock timings, which perfgate deliberately ignores. The gate
 // diffs `conventionalInstructions`, `ricInstructions`, `recordBytes` and
-// `residentBytes` (the layout-determined memory of the compiled program
-// and the decoded record's HCVT, fixed by the build's struct sizes) per
-// workload against the committed BENCH_baseline.json and fails on any
+// `residentBytes` (what the code cache and the record cache charge for the
+// compiled program and the decoded record, fixed by the build's struct
+// sizes and the allocator's size classes) per workload against the committed BENCH_baseline.json and fails on any
 // regression beyond the tolerance (default 2%). `typedSlots` is gated in
 // the opposite direction — it counts the slot-type claims the offline
 // analysis inferred (ricbench runs it outside the timed extraction), so a

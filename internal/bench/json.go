@@ -48,8 +48,8 @@ type JSONLibrary struct {
 	RecordBytes    int     `json:"recordBytes"`
 	DependentSlots int     `json:"dependentSlots"`
 	MissesAverted  uint64  `json:"missesAverted"`
-	// ResidentBytes is the layout-determined memory of the compiled
-	// program and the decoded record's HCVT; perfgate caps it.
+	// ResidentBytes is what the caches charge for the compiled program
+	// and the decoded record; perfgate caps it.
 	ResidentBytes int `json:"residentBytes"`
 
 	// Typed-shape static inference: what the offline analysis

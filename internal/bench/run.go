@@ -10,7 +10,8 @@ import (
 	"ricjs"
 	"ricjs/internal/analysis"
 	"ricjs/internal/bytecode"
-	"ricjs/internal/codecache"
+	"ricjs/internal/parser"
+	"ricjs/internal/ric"
 	"ricjs/internal/workloads"
 )
 
@@ -33,8 +34,9 @@ type LibraryRun struct {
 	RecordStats  RecordStats
 	StaticTypes  StaticTypeStats
 	ValidatedHCs int
-	// ResidentBytes is what a pool keeps alive for the library's
-	// compiled tables and its decoded record's HCVT (see residentBytes).
+	// ResidentBytes is what the caches charge for the library's compiled
+	// program and its decoded record (bytecode.Program.ResidentBytes plus
+	// ric.Record.ResidentBytes).
 	ResidentBytes int
 }
 
@@ -142,14 +144,16 @@ func MeasureLibrary(p workloads.Profile, opts Options) (LibraryRun, error) {
 			RejectedSites:   record.Stats().RejectedSites,
 		},
 	}
-	prog, err := codecache.New().Load(p.Script, src)
+	prog, err := compile(p.Script, src)
 	if err != nil {
 		return LibraryRun{}, err
 	}
 	run.StaticTypes = analyzeOffline(prog)
-	if run.ResidentBytes, err = residentBytes(prog, encoded); err != nil {
+	decoded, err := ric.Decode(encoded)
+	if err != nil {
 		return LibraryRun{}, err
 	}
+	run.ResidentBytes = prog.ResidentBytes() + decoded.ResidentBytes()
 
 	// Two warmup rounds settle allocator and cache state before timing;
 	// the first round also captures the (deterministic) statistics.
@@ -185,6 +189,15 @@ func MeasureLibrary(p workloads.Profile, opts Options) (LibraryRun, error) {
 	run.ConvTime = median(convTimes)
 	run.RICTime = median(ricTimes)
 	return run, nil
+}
+
+// compile parses and compiles one script outside any code cache.
+func compile(name, src string) (*bytecode.Program, error) {
+	ast, err := parser.Parse(name, src)
+	if err != nil {
+		return nil, err
+	}
+	return bytecode.Compile(ast)
 }
 
 // analyzeOffline runs the static value-type analysis over one compiled

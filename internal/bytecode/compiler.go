@@ -44,7 +44,9 @@ func Compile(prog *ast.Program) (*Program, error) {
 	// every derived field, the per-call stack labels included, is fixed
 	// here, not lazily on the call path.
 	fc.proto.Seal()
-	return &Program{Script: prog.Script, Toplevel: fc.proto}, nil
+	p := &Program{Script: prog.Script, Toplevel: fc.proto}
+	p.resident = p.residentBytes()
+	return p, nil
 }
 
 // ---- Resolution (pass 1) ----

@@ -3,7 +3,9 @@ package bytecode
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
+	"ricjs/internal/heapsize"
 	"ricjs/internal/ic"
 	"ricjs/internal/source"
 	"ricjs/internal/symtab"
@@ -147,6 +149,54 @@ func (p *FuncProto) Seal() {
 type Program struct {
 	Script   string
 	Toplevel *FuncProto
+
+	// serial identifies this compile for as long as the process runs; see
+	// Serial.
+	serial atomic.Uint64
+	// resident is the heap the program keeps alive, fixed by Compile; see
+	// ResidentBytes.
+	resident int
+}
+
+// lastSerial is the last serial number handed to a program.
+var lastSerial atomic.Uint64
+
+// Serial returns a number that identifies this program among every
+// program of the process, assigned on first use. Two compiles of the same
+// source get different serials. A cache keyed by the serial, unlike one
+// keyed by the pointer, does not keep the program alive once nothing else
+// holds it.
+func (p *Program) Serial() uint64 {
+	if s := p.serial.Load(); s != 0 {
+		return s
+	}
+	p.serial.CompareAndSwap(0, lastSerial.Add(1))
+	return p.serial.Load()
+}
+
+// ResidentBytes is the heap the compiled program keeps alive: every
+// proto and the capacity of each of its tables, and the strings the
+// compiler allocated (string constants and stack-trace labels), each
+// rounded to its allocation size class. Identifiers and the script name
+// are not counted: they point into the caller's name and source text.
+// Compile computes the figure once; a hand-built program reports 0.
+func (p *Program) ResidentBytes() int { return p.resident }
+
+// residentBytes computes ResidentBytes.
+func (p *Program) residentBytes() int {
+	n := heapsize.Alloc(heapsize.Of[Program]())
+	p.Toplevel.WalkProtos(func(fp *FuncProto) {
+		n += heapsize.Alloc(heapsize.Of[FuncProto]()) +
+			heapsize.Slice(fp.Code) + heapsize.Slice(fp.Consts) + heapsize.Slice(fp.Names) +
+			heapsize.Slice(fp.NameIDs) + heapsize.Slice(fp.Protos) + heapsize.Slice(fp.Sites) +
+			heapsize.String(fp.CallLabel)
+		for _, c := range fp.Consts {
+			if c.Kind == ConstString {
+				n += heapsize.String(c.Str)
+			}
+		}
+	})
+	return n
 }
 
 // CountSites returns the total number of feedback sites across all

@@ -3,12 +3,20 @@
 // compiles source to bytecode; Reuse runs — both Conventional and RIC —
 // skip parsing and compilation, so the measured difference between them
 // isolates IC effects, as in the paper's methodology (§6).
+//
+// The cache is bounded in bytes. Each program is charged what it keeps
+// alive, and CLOCK eviction (package clockring) lets go of programs no
+// session has loaded since the hand last passed them, so a long-running
+// process keeps its hot scripts compiled without keeping every script it
+// ever saw.
 package codecache
 
 import (
 	"sync"
 
 	"ricjs/internal/bytecode"
+	"ricjs/internal/clockring"
+	"ricjs/internal/heapsize"
 	"ricjs/internal/parser"
 )
 
@@ -17,18 +25,40 @@ import (
 // the map's own string hash.
 type key struct{ name, src string }
 
+// entry is one cached program with its reference bit.
+type entry struct {
+	ref  clockring.Ref
+	key  key
+	prog *bytecode.Program
+}
+
+// Stats counts a cache's loads.
+type Stats struct {
+	// Hits counts loads served a cached program.
+	Hits int
+	// Misses counts loads that compiled a program.
+	Misses int
+	// Evictions counts programs dropped to keep the cache within its
+	// budget, a program larger than the whole budget included: it is
+	// served and dropped at once.
+	Evictions int
+}
+
 // Cache maps scripts to compiled programs. It is safe for concurrent use
 // so many engine instances (benchmark iterations) can share one.
 type Cache struct {
 	mu       sync.Mutex
-	programs map[key]*bytecode.Program
-	hits     int
-	misses   int
+	programs map[key]*entry
+	ring     clockring.Ring[*entry]
+	stats    Stats
 }
 
-// New creates an empty cache.
-func New() *Cache {
-	return &Cache{programs: make(map[key]*bytecode.Program)}
+// New creates an empty cache that charges its programs at most budget
+// bytes in all.
+func New(budget int) *Cache {
+	c := &Cache{programs: make(map[key]*entry)}
+	c.ring.Budget = budget
+	return c
 }
 
 // Load returns the compiled form of a script, compiling and caching it on
@@ -37,10 +67,11 @@ func New() *Cache {
 func (c *Cache) Load(name, src string) (*bytecode.Program, error) {
 	k := key{name, src}
 	c.mu.Lock()
-	if p, ok := c.programs[k]; ok {
-		c.hits++
+	if e, ok := c.programs[k]; ok {
+		c.stats.Hits++
+		e.ref.Touch()
 		c.mu.Unlock()
-		return p, nil
+		return e.prog, nil
 	}
 	c.mu.Unlock()
 
@@ -55,21 +86,43 @@ func (c *Cache) Load(name, src string) (*bytecode.Program, error) {
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if p, ok := c.programs[k]; ok {
+	if e, ok := c.programs[k]; ok {
 		// Another goroutine compiled concurrently; keep the first.
-		c.hits++
-		return p, nil
+		c.stats.Hits++
+		e.ref.Touch()
+		return e.prog, nil
 	}
-	c.misses++
-	c.programs[k] = prog
+	c.stats.Misses++
+	// A program is charged its compiled tables plus the name and source
+	// text its key pins.
+	e := &entry{key: k, prog: prog}
+	bytes := prog.ResidentBytes() + heapsize.String(name) + heapsize.String(src)
+	if !c.ring.Admit(e, &e.ref, bytes, c.evict) {
+		c.stats.Evictions++
+		return prog, nil
+	}
+	c.programs[k] = e
 	return prog, nil
 }
 
-// Stats returns (hits, misses) counts.
-func (c *Cache) Stats() (hits, misses int) {
+// evict drops a program the ring's hand chose. The caller holds c.mu.
+func (c *Cache) evict(e *entry) {
+	delete(c.programs, e.key)
+	c.stats.Evictions++
+}
+
+// Stats returns the cache's load counts.
+func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses
+	return c.stats
+}
+
+// Used returns the bytes charged to the cached programs.
+func (c *Cache) Used() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ring.Used()
 }
 
 // Len returns the number of cached programs.

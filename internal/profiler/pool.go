@@ -66,6 +66,10 @@ type PoolSnapshot struct {
 	// pool store loads, renamed to .ric.bad with the key treated as cold
 	// (EvPoolQuarantine).
 	QuarantinedRecords uint64
+	// RecordEvictions counts published records dropped from the shared
+	// cache to keep it within its byte budget, a record larger than the
+	// whole budget included (EvPoolEvict).
+	RecordEvictions uint64
 }
 
 // RecordsDecoded returns how many times a record was materialized in
@@ -89,5 +93,6 @@ func (p *PoolCounters) Snapshot() PoolSnapshot {
 
 		ShardLockAcquires:  p.shardLocks.Load(),
 		QuarantinedRecords: n(trace.EvPoolQuarantine),
+		RecordEvictions:    n(trace.EvPoolEvict),
 	}
 }

@@ -156,13 +156,8 @@ func (r *Record) Encode() []byte {
 	for _, s := range sortedSites(r.SiteTOAST) {
 		collect(s)
 	}
-	builtinNames := make([]string, 0, len(r.BuiltinTOAST))
-	for n := range r.BuiltinTOAST {
-		builtinNames = append(builtinNames, n)
-	}
-	sort.Strings(builtinNames)
-	for _, n := range builtinNames {
-		e.symIdx(n)
+	for _, b := range r.BuiltinTOAST {
+		e.symIdx(b.Name)
 	}
 	for _, s := range sortedSites(r.RejectedSites) {
 		collect(s)
@@ -213,10 +208,10 @@ func (r *Record) Encode() []byte {
 		}
 	}
 
-	e.uvarint(uint64(len(builtinNames)))
-	for _, n := range builtinNames {
-		e.sym(n)
-		e.uvarint(uint64(r.BuiltinTOAST[n]))
+	e.uvarint(uint64(len(r.BuiltinTOAST)))
+	for _, b := range r.BuiltinTOAST {
+		e.sym(b.Name)
+		e.uvarint(uint64(b.ID))
 	}
 
 	rejected := sortedSites(r.RejectedSites)
@@ -372,7 +367,6 @@ func Decode(data []byte) (*Record, error) {
 	d := &decoder{buf: bytes.NewReader(body[len(recordTag)+1:])}
 	r := &Record{
 		SiteTOAST:     make(map[source.Site][]Pair),
-		BuiltinTOAST:  make(map[string]int32),
 		RejectedSites: make(map[source.Site]bool),
 		TypedSlots:    make(map[int32][]SlotClaim),
 	}
@@ -417,7 +411,10 @@ func Decode(data []byte) (*Record, error) {
 		}
 		id := symtab.None
 		if s != "" {
+			// The record keeps the symbol table's copy of the name, so
+			// every resident record naming it shares one string.
 			id = symtab.Intern(s)
+			s = symtab.NameOf(id)
 		}
 		d.syms = append(d.syms, s)
 		d.symIDs = append(d.symIDs, id)
@@ -536,6 +533,7 @@ func Decode(data []byte) (*Record, error) {
 	if err := d.plausibleCount(nBuiltins, "builtin TOAST"); err != nil {
 		return nil, err
 	}
+	r.BuiltinTOAST = make([]Builtin, 0, nBuiltins)
 	for i := uint64(0); i < nBuiltins; i++ {
 		name, _, err := d.name()
 		if err != nil {
@@ -545,7 +543,9 @@ func Decode(data []byte) (*Record, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ric: builtin TOAST: %w", err)
 		}
-		r.BuiltinTOAST[name] = int32(id)
+		// Encode writes the table in name order; validateShape rejects
+		// any other order, so lookups can binary-search it.
+		r.BuiltinTOAST = append(r.BuiltinTOAST, Builtin{Name: name, ID: int32(id)})
 	}
 
 	nRejected, err := d.uvarint()
@@ -619,5 +619,6 @@ func Decode(data []byte) (*Record, error) {
 	for _, claims := range r.TypedSlots {
 		r.Stats.TypedSlotClaims += len(claims)
 	}
+	r.resident = r.residentBytes()
 	return r, nil
 }

@@ -4,6 +4,7 @@ import (
 	"ricjs/internal/ic"
 	"ricjs/internal/objects"
 	"ricjs/internal/source"
+	"ricjs/internal/symtab"
 	"ricjs/internal/vm"
 )
 
@@ -24,10 +25,10 @@ func Extract(v *vm.VM, label string, cfg Config) *Record {
 	rec := &Record{
 		Script:          label,
 		SiteTOAST:       make(map[source.Site][]Pair),
-		BuiltinTOAST:    make(map[string]int32),
 		RejectedSites:   make(map[source.Site]bool),
 		IncludesGlobals: cfg.IncludeGlobals,
 	}
+	builtins := make(map[string]int32)
 
 	// 1. Enumerate hidden classes deterministically: roots in creation
 	// order, transition subtrees in sorted-property order.
@@ -67,8 +68,8 @@ func Extract(v *vm.VM, label string, cfg Config) *Record {
 		case !cfg.IncludeGlobals && (creator.Global || globalShapes[hc]):
 			// Global-object shape history is load-order dependent.
 		case creator.IsBuiltin():
-			if _, exists := rec.BuiltinTOAST[creator.Builtin]; !exists {
-				rec.BuiltinTOAST[creator.Builtin] = ids[hc]
+			if _, exists := builtins[creator.Builtin]; !exists {
+				builtins[creator.Builtin] = ids[hc]
 			}
 		default:
 			in := int32(-1)
@@ -90,9 +91,10 @@ func Extract(v *vm.VM, label string, cfg Config) *Record {
 			if !cfg.IncludeGlobals && globalShapes[b.HC] {
 				continue
 			}
-			rec.BuiltinTOAST[b.Name] = id
+			builtins[b.Name] = id
 		}
 	}
+	rec.BuiltinTOAST = builtinTable(builtins)
 
 	// 3. HCVT dependent lists: scan every ICVector slot entry. A
 	// context-independent handler makes (site, hidden class) a dependent
@@ -102,9 +104,12 @@ func Extract(v *vm.VM, label string, cfg Config) *Record {
 	for _, vec := range v.Vectors() {
 		for i := range vec.Slots {
 			slot := &vec.Slots[i]
-			if slot.Kind.IsGlobal() && !cfg.IncludeGlobals {
+			if len(slot.Entries) == 0 || slot.Kind.IsGlobal() && !cfg.IncludeGlobals {
 				continue
 			}
+			// The site's name is a slice of the script's source, which a
+			// record must not pin; the symbol table's copy is shared.
+			name := symtab.NameOf(slot.NameID)
 			for _, e := range slot.Entries {
 				id, ok := ids[e.HC]
 				if !ok {
@@ -121,7 +126,7 @@ func Extract(v *vm.VM, label string, cfg Config) *Record {
 				rec.Deps[id] = append(rec.Deps[id], DepEntry{
 					Site:   slot.Site(),
 					Kind:   slot.Kind,
-					Name:   slot.Name,
+					Name:   name,
 					NameID: slot.NameID,
 					Desc:   desc,
 				})
@@ -130,6 +135,7 @@ func Extract(v *vm.VM, label string, cfg Config) *Record {
 	}
 
 	packDeps(rec.Deps)
+	rec.resident = rec.residentBytes()
 
 	rec.Stats = Stats{
 		HiddenClasses:   int(rec.HCCount),

@@ -30,7 +30,7 @@ print(o.y);
 	_, rec := initialRun(t, src, Config{})
 
 	// The "Empty Obj." builtin entry (paper Figure 7(c), TOAST row 1).
-	emptyID, ok := rec.BuiltinTOAST["EmptyObject"]
+	emptyID, ok := rec.BuiltinID("EmptyObject")
 	if !ok {
 		t.Fatal("TOAST lacks the Empty Obj. entry")
 	}

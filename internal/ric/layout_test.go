@@ -4,6 +4,10 @@ import (
 	"runtime"
 	"testing"
 	"unsafe"
+
+	"ricjs/internal/symtab"
+	"ricjs/internal/vm"
+	"ricjs/internal/workloads"
 )
 
 // TestDepEntrySize pins the size of one HCVT dependent: a resident record
@@ -67,6 +71,35 @@ func TestDecodeForgedDepCountAllocatesLittle(t *testing.T) {
 		}
 		if got > c.limit {
 			t.Errorf("%s: decoding a forged count %d allocated %d bytes, want at most %d", c.name, c.count, got, c.limit)
+		}
+	}
+}
+
+// TestRecordNamesShareSymbolTable checks that an extracted and a decoded
+// record hold the symbol table's copy of every dependent's name. A
+// compiled site's name is a slice of the script's source, so a record
+// holding it would keep the whole source alive after the code cache
+// evicted the program.
+func TestRecordNamesShareSymbolTable(t *testing.T) {
+	for _, p := range workloads.Profiles {
+		prog := compileSrc(t, p.Script, p.Source())
+		v := vm.New(vm.Options{AddressSeed: 1})
+		if _, err := v.RunProgram(prog); err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		extracted := Extract(v, p.Script, Config{})
+		decoded, err := Decode(extracted.Encode())
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		for _, rec := range []*Record{extracted, decoded} {
+			for _, row := range rec.Deps {
+				for _, d := range row {
+					if d.Name != "" && unsafe.StringData(d.Name) != unsafe.StringData(symtab.NameOf(d.NameID)) {
+						t.Fatalf("%s: dependent %s names %q with its own string, not the symbol table's", p.Name, d.Site, d.Name)
+					}
+				}
+			}
 		}
 	}
 }

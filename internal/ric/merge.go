@@ -52,7 +52,6 @@ func Merge(records ...*Record) (*Record, error) {
 	out := &Record{
 		Script:          mergedLabel(records),
 		SiteTOAST:       make(map[source.Site][]Pair),
-		BuiltinTOAST:    make(map[string]int32),
 		RejectedSites:   make(map[source.Site]bool),
 		IncludesGlobals: records[0].IncludesGlobals,
 	}
@@ -67,14 +66,9 @@ func Merge(records ...*Record) (*Record, error) {
 		for j := range remap[i] {
 			remap[i][j] = -1
 		}
-		// Builtin rows first, sorted for determinism.
-		names := make([]string, 0, len(r.BuiltinTOAST))
-		for name := range r.BuiltinTOAST {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			old := r.BuiltinTOAST[name]
+		// Builtin rows first, in the table's name order.
+		for _, b := range r.BuiltinTOAST {
+			name, old := b.Name, b.ID
 			if unified, ok := builtinID[name]; ok {
 				if remap[i][old] == -1 {
 					remap[i][old] = unified
@@ -99,13 +93,14 @@ func Merge(records ...*Record) (*Record, error) {
 	out.Deps = make([][]DepEntry, next)
 
 	// Pass 2: rebuild the tables under the merged numbering.
+	builtins := make(map[string]int32)
 	type pairKey struct{ in, out int32 }
 	seenPairs := make(map[source.Site]map[pairKey]bool)
 	seenDeps := make(map[int32]map[DepEntry]bool)
 	for i, r := range records {
-		for name, old := range r.BuiltinTOAST {
-			if _, ok := out.BuiltinTOAST[name]; !ok {
-				out.BuiltinTOAST[name] = remap[i][old]
+		for _, b := range r.BuiltinTOAST {
+			if _, ok := builtins[b.Name]; !ok {
+				builtins[b.Name] = remap[i][b.ID]
 			}
 		}
 		for site, pairs := range r.SiteTOAST {
@@ -144,6 +139,7 @@ func Merge(records ...*Record) (*Record, error) {
 		}
 	}
 	packDeps(out.Deps)
+	out.BuiltinTOAST = builtinTable(builtins)
 
 	// Typed-shape claims: an appended row keeps its claims verbatim; a
 	// unified row (builtins shared by several records) keeps a claim only
@@ -210,6 +206,7 @@ func Merge(records ...*Record) (*Record, error) {
 	if err := out.validateShape(); err != nil {
 		return nil, fmt.Errorf("ric: merge produced invalid record: %w", err)
 	}
+	out.resident = out.residentBytes()
 	return out, nil
 }
 

@@ -15,11 +15,8 @@ func makeRecord(label string, builtins map[string]int32, hcCount int32,
 		HCCount:       hcCount,
 		Deps:          make([][]DepEntry, hcCount),
 		SiteTOAST:     map[source.Site][]Pair{},
-		BuiltinTOAST:  map[string]int32{},
+		BuiltinTOAST:  builtinTable(builtins),
 		RejectedSites: map[source.Site]bool{},
-	}
-	for k, v := range builtins {
-		r.BuiltinTOAST[k] = v
 	}
 	for k, v := range sites {
 		r.SiteTOAST[k] = v
@@ -50,7 +47,7 @@ func TestMergeUnifiesBuiltins(t *testing.T) {
 	if m.HCCount != 3 {
 		t.Fatalf("HCCount = %d, want 3", m.HCCount)
 	}
-	emptyID, ok := m.BuiltinTOAST["EmptyObject"]
+	emptyID, ok := m.BuiltinID("EmptyObject")
 	if !ok {
 		t.Fatal("EmptyObject entry lost")
 	}
@@ -194,9 +191,27 @@ func TestMergeErrorPaths(t *testing.T) {
 		// A record claiming a builtin hidden class beyond its own table
 		// used to drive the remap tables out of range and panic.
 		bad := good()
-		bad.BuiltinTOAST["Array"] = bad.HCCount + 3
+		bad.BuiltinTOAST = builtinTable(map[string]int32{"Array": bad.HCCount + 3})
 		if _, err := Merge(good(), bad); err == nil {
 			t.Fatal("out-of-range builtin id must fail, not panic")
+		}
+	})
+	t.Run("builtin-table-unsorted", func(t *testing.T) {
+		// Lookups binary-search the builtin table, so one out of name
+		// order, or naming a builtin twice, must be rejected: as a merge
+		// input, and when decoded.
+		for _, table := range [][]Builtin{
+			{{Name: "Object", ID: 0}, {Name: "Array", ID: 1}},
+			{{Name: "Array", ID: 0}, {Name: "Array", ID: 1}},
+		} {
+			bad := good()
+			bad.BuiltinTOAST = table
+			if _, err := Merge(good(), bad); err == nil {
+				t.Fatalf("merge accepted builtin table %v", table)
+			}
+			if _, err := Decode(bad.Encode()); err == nil {
+				t.Fatalf("decode accepted builtin table %v", table)
+			}
 		}
 	})
 	t.Run("toast-id-exceeds-table", func(t *testing.T) {

@@ -21,9 +21,11 @@ package ric
 
 import (
 	"fmt"
+	"sort"
 	"sync/atomic"
 
 	"ricjs/internal/bytecode"
+	"ricjs/internal/heapsize"
 	"ricjs/internal/ic"
 	"ricjs/internal/objects"
 	"ricjs/internal/source"
@@ -57,6 +59,24 @@ type DepEntry struct {
 	// stable across processes — the wire format carries names).
 	NameID symtab.ID
 	Kind   ic.AccessKind
+}
+
+// Builtin is one name-keyed TOAST entry: a builtin and the outgoing HCID
+// created for it.
+type Builtin struct {
+	Name string
+	ID   int32
+}
+
+// builtinTable returns a name-keyed TOAST as the record keeps it: sorted
+// by name, one entry per name.
+func builtinTable(ids map[string]int32) []Builtin {
+	t := make([]Builtin, 0, len(ids))
+	for name, id := range ids {
+		t = append(t, Builtin{Name: name, ID: id})
+	}
+	sort.Slice(t, func(i, j int) bool { return t[i].Name < t[j].Name })
+	return t
 }
 
 // SlotClaim is one typed-shape claim of an HCVT row: the slot at Offset of
@@ -121,10 +141,12 @@ type Record struct {
 	// SiteTOAST maps triggering-site identities to their transition pairs.
 	SiteTOAST map[source.Site][]Pair
 
-	// BuiltinTOAST maps builtin names to the outgoing HCID created for
-	// them (entries "have no incoming hidden class and only one outgoing
-	// hidden class", §5.1).
-	BuiltinTOAST map[string]int32
+	// BuiltinTOAST gives the outgoing HCID created for each builtin name
+	// (entries "have no incoming hidden class and only one outgoing hidden
+	// class", §5.1), sorted by name with each name once; BuiltinID looks a
+	// name up. A sorted slice costs a quarter of the map it replaces in
+	// every resident record.
+	BuiltinTOAST []Builtin
 
 	// RejectedSites lists sites whose Initial-run handlers were
 	// context-dependent; the Reuse run classifies their misses as
@@ -142,8 +164,12 @@ type Record struct {
 
 	Stats Stats
 
+	// resident is the heap the record keeps alive, fixed where the record
+	// is built; see ResidentBytes.
+	resident int
+
 	// memo holds the verdict of the last single-program Validate, keyed by
-	// program identity; the last writer wins.
+	// the program's serial; the last writer wins.
 	memo atomic.Pointer[verdict]
 }
 
@@ -151,10 +177,54 @@ type Record struct {
 // staleness error, plus where each dependent's slot sits in the slab a VM
 // registers the program as (vm.Registration). ords[hcid][j] is the slab
 // ordinal of Deps[hcid][j], or -1 when the program has no site there.
+//
+// The verdict names its program by serial, not by pointer: a record
+// outlives the programs it validated, and a pointer here would keep the
+// last one alive after the code cache let it go.
 type verdict struct {
-	prog *bytecode.Program
-	err  error
-	ords [][]int32
+	serial uint64
+	err    error
+	ords   [][]int32
+}
+
+// BuiltinID returns the HCID the builtin TOAST gives name, by binary
+// search over the sorted table.
+func (r *Record) BuiltinID(name string) (int32, bool) {
+	t := r.BuiltinTOAST
+	i := sort.Search(len(t), func(i int) bool { return t[i].Name >= name })
+	if i < len(t) && t[i].Name == name {
+		return t[i].ID, true
+	}
+	return 0, false
+}
+
+// ResidentBytes is the heap the record keeps alive: the record itself,
+// its HCVT rows, its TOAST (the site map with its pair lists, and the
+// builtin table) and its rejected-site and typed-shape maps, each costed
+// as the Go allocator lays it out. Names are not counted: a record's
+// names are the process-global symbol table's strings, shared by every
+// record that mentions them. Extract, Decode and Merge compute the figure
+// once; a hand-built record reports 0.
+func (r *Record) ResidentBytes() int { return r.resident }
+
+// residentBytes computes ResidentBytes.
+func (r *Record) residentBytes() int {
+	n := heapsize.Alloc(heapsize.Of[Record]()) + heapsize.Slice(r.Deps)
+	for _, row := range r.Deps {
+		n += heapsize.Slice(row)
+	}
+	n += heapsize.MapOf(r.SiteTOAST)
+	for _, pairs := range r.SiteTOAST {
+		n += heapsize.Slice(pairs)
+	}
+	n += heapsize.Slice(r.BuiltinTOAST) + heapsize.MapOf(r.RejectedSites)
+	if r.TypedSlots != nil {
+		n += heapsize.MapOf(r.TypedSlots)
+		for _, claims := range r.TypedSlots {
+			n += heapsize.Slice(claims)
+		}
+	}
+	return n
 }
 
 // packDeps moves every HCVT row into one exactly sized backing array, in
@@ -198,9 +268,12 @@ func (r *Record) validateShape() error {
 			}
 		}
 	}
-	for name, id := range r.BuiltinTOAST {
-		if id < 0 || id >= r.HCCount {
-			return fmt.Errorf("ric: builtin %q: id %d out of range", name, id)
+	for i, b := range r.BuiltinTOAST {
+		if b.ID < 0 || b.ID >= r.HCCount {
+			return fmt.Errorf("ric: builtin %q: id %d out of range", b.Name, b.ID)
+		}
+		if i > 0 && r.BuiltinTOAST[i-1].Name >= b.Name {
+			return fmt.Errorf("ric: builtin %q: builtin TOAST not sorted by unique name", b.Name)
 		}
 	}
 	for hcid, deps := range r.Deps {
@@ -255,7 +328,7 @@ func fieldHandler(d ic.CIDescriptor) bool {
 //
 // Record and compiled program are both immutable, so the verdict for one
 // program is computed in full the first time and then served from a
-// single-entry memo on the record, keyed by program identity. A check
+// single-entry memo on the record, keyed by the program's serial. A check
 // against another program replaces the entry; a check against several
 // programs at once is not memoized.
 func (r *Record) Validate(progs ...*bytecode.Program) error {
@@ -269,11 +342,12 @@ func (r *Record) Validate(progs ...*bytecode.Program) error {
 // verdictFor returns the memoized verdict for one program, computing and
 // storing it when the memo holds another program's.
 func (r *Record) verdictFor(prog *bytecode.Program) *verdict {
-	if v := r.memo.Load(); v != nil && v.prog == prog {
+	serial := prog.Serial()
+	if v := r.memo.Load(); v != nil && v.serial == serial {
 		return v
 	}
 	ords, err := r.validate([]*bytecode.Program{prog})
-	v := &verdict{prog: prog, err: err, ords: ords}
+	v := &verdict{serial: serial, err: err, ords: ords}
 	r.memo.Store(v)
 	return v
 }

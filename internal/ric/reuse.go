@@ -143,7 +143,7 @@ func (r *Reuser) OnHCCreated(creator objects.Creator, incoming, outgoing *object
 		return
 	}
 	if creator.IsBuiltin() {
-		if id, ok := r.rec.BuiltinTOAST[creator.Builtin]; ok {
+		if id, ok := r.rec.BuiltinID(creator.Builtin); ok {
 			r.validate(creator, id, outgoing)
 		}
 		// Builtins absent from the record are not failures: the record may

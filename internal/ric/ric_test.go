@@ -227,9 +227,9 @@ func TestGlobalsExcludedByDefault(t *testing.T) {
 		_ = site
 	}
 	// No builtin TOAST entry for global declarations.
-	for name := range rec.BuiltinTOAST {
-		if strings.HasPrefix(name, "global:") {
-			t.Fatalf("global transition %q extracted despite globals disabled", name)
+	for _, b := range rec.BuiltinTOAST {
+		if strings.HasPrefix(b.Name, "global:") {
+			t.Fatalf("global transition %q extracted despite globals disabled", b.Name)
 		}
 	}
 	// Reuse still works and classifies global misses as Global.
@@ -248,8 +248,8 @@ func TestGlobalsAblationIncluded(t *testing.T) {
 	`
 	_, rec := initialRun(t, src, Config{IncludeGlobals: true})
 	found := false
-	for name := range rec.BuiltinTOAST {
-		if strings.HasPrefix(name, "global:") {
+	for _, b := range rec.BuiltinTOAST {
+		if strings.HasPrefix(b.Name, "global:") {
 			found = true
 		}
 	}
@@ -450,7 +450,6 @@ func TestCodecRoundTripProperty(t *testing.T) {
 			HCCount:       hcCount,
 			Deps:          make([][]DepEntry, hcCount),
 			SiteTOAST:     map[source.Site][]Pair{},
-			BuiltinTOAST:  map[string]int32{},
 			RejectedSites: map[source.Site]bool{},
 		}
 		for i, s := range sites {
@@ -471,9 +470,11 @@ func TestCodecRoundTripProperty(t *testing.T) {
 				rec.RejectedSites[site] = true
 			}
 		}
+		ids := map[string]int32{}
 		for i, b := range builtins {
-			rec.BuiltinTOAST[strings.Repeat("b", i%3+1)+string(rune('A'+b%26))] = int32(b) % hcCount
+			ids[strings.Repeat("b", i%3+1)+string(rune('A'+b%26))] = int32(b) % hcCount
 		}
+		rec.BuiltinTOAST = builtinTable(ids)
 		back, err := Decode(rec.Encode())
 		if err != nil {
 			return false

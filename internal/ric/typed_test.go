@@ -187,11 +187,12 @@ func TestMergeTypedClaims(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, id := range merged.BuiltinTOAST {
-			if _, ok := other.BuiltinTOAST[name]; !ok {
+		for _, b := range merged.BuiltinTOAST {
+			name := b.Name
+			if _, ok := other.BuiltinID(name); !ok {
 				continue // not unified; may keep claims
 			}
-			if len(merged.TypedSlots[id]) != 0 {
+			if len(merged.TypedSlots[b.ID]) != 0 {
 				t.Fatalf("builtin %q kept typed claims after merging with a claimless record", name)
 			}
 		}

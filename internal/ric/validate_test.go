@@ -1,7 +1,9 @@
 package ric
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"ricjs/internal/bytecode"
 	"ricjs/internal/vm"
@@ -16,12 +18,13 @@ func errText(err error) string {
 	return err.Error()
 }
 
-// memoized reports the program whose verdict the record's memo holds.
-func memoized(r *Record) *bytecode.Program {
+// memoized reports the serial of the program whose verdict the record's
+// memo holds, or 0 when it holds none.
+func memoized(r *Record) uint64 {
 	if v := r.memo.Load(); v != nil {
-		return v.prog
+		return v.serial
 	}
-	return nil
+	return 0
 }
 
 // TestValidateMemoMatchesFresh checks, for every profile's record against
@@ -48,7 +51,7 @@ func TestValidateMemoMatchesFresh(t *testing.T) {
 			if fresh != "" || first != fresh || memo != fresh {
 				t.Errorf("%s: fresh %q, first %q, memoized %q; want all nil", p.Name, fresh, first, memo)
 			}
-			if memoized(rec) != prog {
+			if memoized(rec) != prog.Serial() {
 				t.Errorf("%s: memo does not hold the program's verdict", p.Name)
 			}
 		}
@@ -76,7 +79,7 @@ func TestValidateMemoKeepsStaleVerdict(t *testing.T) {
 			if got := errText(rec.Validate(stale)); got != want {
 				t.Fatalf("round %d: stale verdict %q, want %q", i, got, want)
 			}
-			if memoized(rec) != stale {
+			if memoized(rec) != stale.Serial() {
 				t.Fatalf("round %d: memo does not hold the stale verdict", i)
 			}
 		}
@@ -84,6 +87,42 @@ func TestValidateMemoKeepsStaleVerdict(t *testing.T) {
 			t.Fatalf("round %d: valid program rejected: %v", i, err)
 		}
 	}
+}
+
+// TestValidateMemoDoesNotPinProgram checks that a record's memo lets go of
+// the program it validated: once nothing else holds the program, a
+// collection frees it, so a code cache that evicts a program gets its
+// memory back even while the record stays cached.
+func TestValidateMemoDoesNotPinProgram(t *testing.T) {
+	src := `function P(x) { this.x = x; } var p = new P(1); print(p.x);`
+	prog := compileSrc(t, "pin.js", src)
+	v := vm.New(vm.Options{AddressSeed: 1})
+	if _, err := v.RunProgram(prog); err != nil {
+		t.Fatal(err)
+	}
+	rec := Extract(v, "pin.js", Config{})
+	v = nil
+	freed := make(chan struct{})
+	func() {
+		p := compileSrc(t, "pin.js", src)
+		if err := rec.Validate(p); err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(p, func(*bytecode.Program) { close(freed) })
+	}()
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			if memoized(rec) == 0 {
+				t.Fatal("memo lost its verdict")
+			}
+			runtime.KeepAlive(prog)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the validated program stayed reachable through the record's memo")
 }
 
 // TestValidateManyProgramsNotMemoized checks that a check against several
@@ -94,7 +133,7 @@ func TestValidateManyProgramsNotMemoized(t *testing.T) {
 	if err := rec.Validate(compileSrc(t, "lib.js", pointLib), other); err != nil {
 		t.Fatal(err)
 	}
-	if memoized(rec) != nil {
+	if memoized(rec) != 0 {
 		t.Fatal("multi-program check stored a verdict")
 	}
 }

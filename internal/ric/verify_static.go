@@ -103,18 +103,13 @@ func (r *Record) resolveShapes(res *analysis.Result) ([]*analysis.Shape, error) 
 
 	// Builtin-keyed TOAST rows anchor resolution: startup is deterministic,
 	// so every builtin name the analysis knows maps to exactly one shape.
-	builtinNames := make([]string, 0, len(r.BuiltinTOAST))
-	for name := range r.BuiltinTOAST {
-		builtinNames = append(builtinNames, name)
-	}
-	sort.Strings(builtinNames)
-	for _, name := range builtinNames {
-		s := res.Builtin(name)
+	for _, b := range r.BuiltinTOAST {
+		s := res.Builtin(b.Name)
 		if s == nil {
-			s = res.ShapeForCreator(objects.Creator{Builtin: name}.String())
+			s = res.ShapeForCreator(objects.Creator{Builtin: b.Name}.String())
 		}
-		if id := r.BuiltinTOAST[name]; assign(id, s) {
-			return nil, conflictErr(id, s, "builtin "+name)
+		if assign(b.ID, s) {
+			return nil, conflictErr(b.ID, s, "builtin "+b.Name)
 		}
 	}
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
@@ -167,17 +166,16 @@ func TestVerifyStaticConflictMessages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := make([]string, 0, len(rec.BuiltinTOAST))
-	for name := range rec.BuiltinTOAST {
-		if shapes[rec.BuiltinTOAST[name]] != nil {
-			names = append(names, name)
+	var resolved []int // indices of builtin rows the analysis resolved, in name order
+	for i, b := range rec.BuiltinTOAST {
+		if shapes[b.ID] != nil {
+			resolved = append(resolved, i)
 		}
 	}
-	sort.Strings(names)
-	if len(names) < 2 {
-		t.Fatalf("need two resolved builtin rows, have %v", names)
+	if len(resolved) < 2 {
+		t.Fatalf("need two resolved builtin rows, have %d", len(resolved))
 	}
-	anchor := rec.BuiltinTOAST[names[0]]
+	anchor := rec.BuiltinTOAST[resolved[0]].ID
 	want := func(s *analysis.Shape, how string) string {
 		return fmt.Sprintf("ric: HCID %d resolves to both %s and %s (%s): HC table inconsistent with static transition graph",
 			anchor, shapes[anchor], s, how)
@@ -200,9 +198,9 @@ func TestVerifyStaticConflictMessages(t *testing.T) {
 	}
 
 	t.Run("builtin", func(t *testing.T) {
-		last := names[len(names)-1]
-		err := forge(t, func(r *Record) { r.BuiltinTOAST[last] = anchor })
-		check(t, err, want(shapes[rec.BuiltinTOAST[last]], "builtin "+last))
+		last := rec.BuiltinTOAST[resolved[len(resolved)-1]]
+		err := forge(t, func(r *Record) { r.BuiltinTOAST[resolved[len(resolved)-1]].ID = anchor })
+		check(t, err, want(shapes[last.ID], "builtin "+last.Name))
 	})
 	for _, rootless := range []bool{true, false} {
 		kind := map[bool]string{true: "root", false: "transition"}[rootless]

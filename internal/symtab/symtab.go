@@ -20,7 +20,10 @@
 // only; the IC fast path itself touches no symtab state at all.
 package symtab
 
-import "sync"
+import (
+	"strings"
+	"sync"
+)
 
 // ID is a dense index into the global symbol table. The zero ID is
 // reserved as "no symbol", so zero-valued structs are unambiguous.
@@ -67,6 +70,10 @@ func Intern(name string) ID {
 	if id, ok := table.ids[name]; ok {
 		return id
 	}
+	// The table keeps its own copy: a name is often a slice of a script's
+	// source text, and the table lives as long as the process, so keeping
+	// the caller's string would pin that whole source forever.
+	name = strings.Clone(name)
 	id = ID(len(table.names))
 	table.names = append(table.names, name)
 	table.ids[name] = id

@@ -2,8 +2,10 @@ package symtab
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // TestInternRoundTrip pins the core contract: interning is idempotent,
@@ -178,5 +180,21 @@ func TestInternConcurrent(t *testing.T) {
 					i, g, results[g][i], want)
 			}
 		}
+	}
+}
+
+// TestInternCopiesName interns a name sliced out of a larger source text:
+// the table must keep its own copy, or it would pin the whole source for
+// the life of the process.
+func TestInternCopiesName(t *testing.T) {
+	src := "var pinnedByTheTable = 1; // " + strings.Repeat("x", 4096)
+	name := src[4:19]
+	id := Intern(name)
+	got := NameOf(id)
+	if got != name {
+		t.Fatalf("NameOf = %q, want %q", got, name)
+	}
+	if unsafe.StringData(got) == unsafe.StringData(name) {
+		t.Fatal("the table kept the caller's slice of the source")
 	}
 }

@@ -114,6 +114,10 @@ const (
 	// to extraction as if the key were cold.
 	EvPoolQuarantine
 
+	// EvPoolEvict is a published record dropped from the pool's shared
+	// cache to keep it within its byte budget; Name is the evicted key.
+	EvPoolEvict
+
 	// NumTypes is the number of event types (array sizing).
 	NumTypes
 )
@@ -146,6 +150,7 @@ var typeNames = [NumTypes]string{
 	EvPoolDegraded:     "pool-degraded",
 
 	EvPoolQuarantine: "pool-quarantine",
+	EvPoolEvict:      "pool-evict",
 }
 
 // String returns the stable wire name of the event type. These names are

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"ricjs/internal/clockring"
 	"ricjs/internal/profiler"
 	"ricjs/internal/source"
 	"ricjs/internal/trace"
@@ -111,9 +112,12 @@ type SessionResult struct {
 
 // recordEntry is one key's slot in the shared record cache. rec is nil
 // while the key's extraction is in flight; the owner stores it exactly
-// once, and the record is immutable afterwards.
+// once, and the record is immutable afterwards. A published entry sits on
+// the pool's CLOCK ring until it is evicted; an in-flight one never does.
 type recordEntry struct {
 	rec atomic.Pointer[Record]
+	ref clockring.Ref
+	key string
 }
 
 // SessionPool serves many independent engine sessions concurrently
@@ -131,6 +135,14 @@ type recordEntry struct {
 // lives in each engine's private Reuser, so N sessions can safely share
 // one decoded *Record.
 //
+// The record cache is bounded in bytes, like the code cache: a published
+// record is charged what it keeps alive (Record.ResidentBytes), and
+// publishing evicts records no session has used since the ring's hand
+// last passed them until the new one fits. An evicted key is cold again:
+// its next session loads the record from the store, or extracts it when
+// there is none. A hit only sets the entry's reference bit, so the warm
+// read path takes no lock.
+//
 // A SessionPool is safe for concurrent use; call Serve from as many
 // goroutines as desired.
 type SessionPool struct {
@@ -141,10 +153,15 @@ type SessionPool struct {
 	traceCap       int
 	sessionSeq     atomic.Uint64
 	// records maps each key to its *recordEntry. It is written once per
-	// key and read by every later session, the case sync.Map is built for:
-	// a warm lookup takes no lock.
+	// key (and again after the key's eviction) and read by every later
+	// session, the case sync.Map is built for: a warm lookup takes no
+	// lock.
 	records sync.Map
-	stats   profiler.PoolCounters
+	// ring orders the published entries for eviction; ringMu serializes
+	// admissions.
+	ringMu sync.Mutex
+	ring   clockring.Ring[*recordEntry]
+	stats  profiler.PoolCounters
 }
 
 // NewSessionPool creates a pool.
@@ -153,13 +170,15 @@ func NewSessionPool(opts PoolOptions) *SessionPool {
 	if cache == nil {
 		cache = NewCodeCache()
 	}
-	return &SessionPool{
+	p := &SessionPool{
 		cache:          cache,
 		store:          opts.Store,
 		includeGlobals: opts.IncludeGlobals,
 		maxSteps:       opts.MaxSteps,
 		traceCap:       opts.TraceCapacity,
 	}
+	p.ring.Budget = residentBudget
+	return p
 }
 
 // Stats snapshots the pool's aggregate statistics.
@@ -182,7 +201,8 @@ func (p *SessionPool) CachedRecords() int {
 // path through Serve queues 6: Session and AcquireOwn; a Quarantine or a
 // StoreError from the store load (LoadStatus reports at most one);
 // Extract and Publish; and a StoreError from the save. An Initial run has
-// no record, so it cannot also degrade.
+// no record, so it cannot also degrade. The evictions a publish causes
+// are not bounded and are kept apart (poolEvents.evicted).
 const maxPoolEvents = 6
 
 // poolEvents is what happened to one session on its way through the pool.
@@ -194,7 +214,8 @@ type poolEvents struct {
 	stats   *profiler.PoolCounters
 	n       int
 	queue   [maxPoolEvents]trace.Type
-	publish string // record source carried by the EvPoolPublish event
+	publish string   // record source carried by the EvPoolPublish event
+	evicted []string // keys this session's publish evicted, in order
 }
 
 // note records one outcome of the session.
@@ -204,10 +225,16 @@ func (ev *poolEvents) note(t trace.Type) {
 	ev.n++
 }
 
-// settleTrace emits a session's queued pool events and hands its buffer
-// to the result. It runs after the session's engine work is done: an
-// engine degradation resets the buffer mid-run, so emitting any earlier
-// could lose the events.
+// evict records that the session's publish evicted key's record.
+func (ev *poolEvents) evict(key string) {
+	ev.stats.Note(trace.EvPoolEvict)
+	ev.evicted = append(ev.evicted, key)
+}
+
+// settleTrace emits a session's queued pool events, then one EvPoolEvict
+// per evicted key, and hands its buffer to the result. It runs after the
+// session's engine work is done: an engine degradation resets the buffer
+// mid-run, so emitting any earlier could lose the events.
 func (ev *poolEvents) settleTrace(tr *trace.Buffer, res *SessionResult, key string) {
 	if tr == nil || res == nil {
 		return
@@ -218,6 +245,9 @@ func (ev *poolEvents) settleTrace(tr *trace.Buffer, res *SessionResult, key stri
 			name = ev.publish
 		}
 		tr.Emit(t, source.Site{}, name, 0)
+	}
+	for _, k := range ev.evicted {
+		tr.Emit(trace.EvPoolEvict, source.Site{}, k, 0)
 	}
 	res.Trace = tr
 }
@@ -235,7 +265,7 @@ func (p *SessionPool) acquire(key string, ev *poolEvents) (rec *Record, owned *r
 	// Cold key: fall to the write path. Entering it is counted so an
 	// all-hot run can prove the read path stayed lock-free.
 	p.stats.ShardLock()
-	ent, loaded := p.records.LoadOrStore(key, &recordEntry{})
+	ent, loaded := p.records.LoadOrStore(key, &recordEntry{key: key})
 	if !loaded {
 		ev.note(trace.EvPoolAcquireOwn)
 		return nil, ent.(*recordEntry)
@@ -251,6 +281,7 @@ func (p *SessionPool) acquire(key string, ev *poolEvents) (rec *Record, owned *r
 // record to reuse, or nil for a conventional run.
 func (p *SessionPool) resolve(ent *recordEntry, ev *poolEvents) *Record {
 	if rec := ent.rec.Load(); rec != nil {
+		ent.ref.Touch()
 		ev.note(trace.EvPoolAcquireHit)
 		return rec
 	}
@@ -259,11 +290,27 @@ func (p *SessionPool) resolve(ent *recordEntry, ev *poolEvents) *Record {
 }
 
 // publish settles an owned entry with a record that came from the named
-// source ("store" or "extract").
+// source ("store" or "extract"). The entry is not yet on the ring, so
+// nothing can evict it before admit.
 func (p *SessionPool) publish(ent *recordEntry, rec *Record, from string, ev *poolEvents) {
 	ent.rec.Store(rec)
 	ev.publish = from
 	ev.note(trace.EvPoolPublish)
+}
+
+// admit puts a published entry on the ring. Records evicted to make room
+// leave the cache; a record larger than the whole budget serves its own
+// session and leaves at once, and counts as an eviction too.
+func (p *SessionPool) admit(ent *recordEntry, ev *poolEvents) {
+	p.ringMu.Lock()
+	defer p.ringMu.Unlock()
+	if !p.ring.Admit(ent, &ent.ref, ent.rec.Load().r.ResidentBytes(), func(victim *recordEntry) {
+		p.records.CompareAndDelete(victim.key, victim)
+		ev.evict(victim.key)
+	}) {
+		p.records.CompareAndDelete(ent.key, ent)
+		ev.evict(ent.key)
+	}
 }
 
 // abandon removes an owned entry that will get no record from the cache,
@@ -313,6 +360,7 @@ func (p *SessionPool) Serve(req SessionRequest) (*SessionResult, error) {
 		} else if stored != nil {
 			ev.note(trace.EvPoolStoreLoad)
 			p.publish(owned, stored, "store", &ev)
+			p.admit(owned, &ev)
 			return p.finish(req, stored, SessionReuse, tr, &ev)
 		}
 	}
@@ -331,6 +379,9 @@ func (p *SessionPool) Serve(req SessionRequest) (*SessionResult, error) {
 	if p.store != nil && p.store.Save(req.Key, record) != nil {
 		ev.note(trace.EvPoolStoreError)
 	}
+	// Admitted only once saved: a record evicted before it reached the
+	// store would send its key's next session to extract it again.
+	p.admit(owned, &ev)
 	ev.settleTrace(tr, res, req.Key)
 	return res, nil
 }

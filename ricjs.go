@@ -49,10 +49,19 @@ type CodeCache struct {
 	c *codecache.Cache
 }
 
+// residentBudget bounds, in bytes, what a CodeCache charges its compiled
+// programs and what a SessionPool charges its cached records: each cache
+// has a budget of this size, and CLOCK eviction keeps it there. The 11
+// workload profiles charge about 1.0 MB of programs and 0.55 MB of
+// records, so the hot set fits either cache with room to spare and is
+// never evicted; a cold tail of one-off scripts is (DESIGN.md, "Bounded
+// resident state").
+const residentBudget = 2 << 20
+
 // NewCodeCache creates an empty code cache. It is safe to share across
 // engines and goroutines.
 func NewCodeCache() *CodeCache {
-	return &CodeCache{c: codecache.New()}
+	return &CodeCache{c: codecache.New(residentBudget)}
 }
 
 // Record is the persistent ICRecord extracted from an Initial run: the

@@ -131,9 +131,8 @@ func TestCodeCacheSharedAcrossEngines(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	hits, misses := cache.c.Stats()
-	if misses != 1 || hits != 2 {
-		t.Fatalf("cache hits=%d misses=%d", hits, misses)
+	if st := cache.c.Stats(); st.Misses != 1 || st.Hits != 2 {
+		t.Fatalf("cache hits=%d misses=%d", st.Hits, st.Misses)
 	}
 }
 

@@ -314,6 +314,7 @@ func TestSessionPoolTraceReconciliation(t *testing.T) {
 		{"ConventionalRuns", ps.ConventionalRuns, merged.Count(trace.EvPoolConventional)},
 		{"DegradedSessions", ps.DegradedSessions, merged.Count(trace.EvPoolDegraded)},
 		{"QuarantinedRecords", ps.QuarantinedRecords, merged.Count(trace.EvPoolQuarantine)},
+		{"RecordEvictions", ps.RecordEvictions, merged.Count(trace.EvPoolEvict)},
 	}
 	for _, c := range poolChecks {
 		if c.counter != c.events {
