@@ -118,10 +118,9 @@ func TestExtractRecordAllocBudget(t *testing.T) {
 
 // TestEngineStartupAllocs pins what building a conventional engine
 // allocates. The builtin realm is copied from the process template as a
-// few flat blocks, and a VM builds no index that only the snapshot, the
-// analysis or the reuser reads, so none of them is paid per session;
-// building the realm object by object, or an index eagerly, raises the
-// count past the pin.
+// few flat blocks, and a VM builds no index that only the analysis or
+// the reuser reads, so neither is paid per session; building the realm
+// object by object, or an index eagerly, raises the count past the pin.
 func TestEngineStartupAllocs(t *testing.T) {
 	const pin = 17
 	allocs := testing.AllocsPerRun(20, func() {

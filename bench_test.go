@@ -332,30 +332,6 @@ func BenchmarkAblationEmptyRecord(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotRestore times heap-snapshot restoration against the
-// Reuse runs (the §9 comparison): restore skips execution entirely.
-func BenchmarkSnapshotRestore(b *testing.B) {
-	p, _ := workloads.ByName("jQuery")
-	src := p.Source()
-	sources := map[string]string{p.Script: src}
-	cache := NewCodeCache()
-	initial := NewEngine(Options{Cache: cache})
-	if err := initial.Run(p.Script, src); err != nil {
-		b.Fatal(err)
-	}
-	snap, err := initial.CaptureSnapshot(p.Name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		target := NewEngine(Options{Cache: cache})
-		if err := target.RestoreSnapshot(snap, sources); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkTraceOverhead compares a Reuse run with tracing disabled (nil
 // sink — the default) and enabled. The Disabled variant is the number the
 // ≤2% overhead contract is stated against: a nil trace buffer must cost no

@@ -45,14 +45,16 @@ if [ -n "$unsafe_users" ]; then
   exit 1
 fi
 
-echo "== deps: the library links no network stack =="
+echo "== deps: the library links no network stack and no encoding/json =="
 # The records live beside the code cache on one host (DESIGN.md §13), so
 # the ricjs package needs no HTTP client or TLS; linking them costs every
-# binary that imports it several MB of text and resident memory.
-net_deps=$(go list -deps . | grep -xE 'net/http|crypto/tls' || true)
-if [ -n "$net_deps" ]; then
+# binary that imports it several MB of text and resident memory. Records
+# have their own binary codec, so the library needs no reflection-based
+# JSON either: only internal/bench and cmd/perfgate emit JSON.
+bad_deps=$(go list -deps . | grep -xE 'net/http|crypto/tls|encoding/json' || true)
+if [ -n "$bad_deps" ]; then
   echo "ci.sh: the ricjs package must not depend on:" >&2
-  echo "$net_deps" >&2
+  echo "$bad_deps" >&2
   exit 1
 fi
 
@@ -81,8 +83,8 @@ go test -race -count=1 -run 'TestConcurrentLoad|TestEvict' ./internal/codecache
 
 echo "== progen differential sweep: fixed seed range =="
 # Seeds 200-260 are dense in keyed-element, delete-to-dictionary, and
-# prototype-call statement kinds: plain, Conventional, RIC Reuse, and
-# snapshot-restore must agree on every one of them.
+# prototype-call statement kinds: plain, Conventional and RIC Reuse must
+# agree on every one of them.
 go test -count=1 -run 'TestProgenDifferential' ./internal/progen
 
 echo "== golden traces: drift check =="

@@ -34,7 +34,6 @@ func main() {
 		ablation   = flag.Bool("ablation", false, "design-choice ablations")
 		faults     = flag.Bool("faults", false, "fault-injection sweep: corrupted records vs conventional runs")
 		faultSeed  = flag.Int64("fault-seed", 1, "seed for the deterministic fault injector")
-		snapshotF  = flag.Bool("snapshot", false, "compare RIC with heap-snapshot restoration (§9)")
 		traceF     = flag.Bool("trace", false, "structured IC-event totals, Initial vs Reuse run")
 		reps       = flag.Int("reps", 5, "timing repetitions per Reuse run (median reported)")
 		workloadsF = flag.String("workloads", "", "glob over workload names or kinds to measure (e.g. 'Json*', 'keyed'; default all)")
@@ -110,7 +109,7 @@ func main() {
 	}
 
 	all := !(*fig1 || *fig5 || *table1 || *table4 || *fig8 || *fig9 ||
-		*overheads || *websites || *ablation || *snapshotF || *faults ||
+		*overheads || *websites || *ablation || *faults ||
 		*traceF)
 
 	needRuns := all || *fig5 || *table1 || *table4 || *fig8 || *fig9 || *overheads
@@ -145,14 +144,6 @@ func main() {
 			os.Exit(1)
 		}
 		bench.ReportWebsites(os.Stdout, wr)
-	})
-	section(*snapshotF, func() {
-		runs, err := bench.MeasureSnapshotComparison(bench.Options{Reps: *reps})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ricbench:", err)
-			os.Exit(1)
-		}
-		bench.ReportSnapshot(os.Stdout, runs)
 	})
 	section(*faults, func() {
 		trials, err := bench.FaultSweep(*faultSeed)

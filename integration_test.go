@@ -63,65 +63,3 @@ func TestAllWorkloadsEquivalentAcrossModes(t *testing.T) {
 		})
 	}
 }
-
-// TestAllWorkloadsSnapshotEquivalence verifies that snapshot restoration
-// reconstructs each library's observable exported state.
-func TestAllWorkloadsSnapshotEquivalence(t *testing.T) {
-	for _, p := range workloads.Profiles {
-		p := p
-		t.Run(p.Name, func(t *testing.T) {
-			src := p.Source()
-			cache := NewCodeCache()
-
-			initial := NewEngine(Options{Cache: cache})
-			if err := initial.Run(p.Script, src); err != nil {
-				t.Fatal(err)
-			}
-			snap, err := initial.CaptureSnapshot(p.Name)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			target := NewEngine(Options{Cache: cache})
-			if err := target.RestoreSnapshot(snap, map[string]string{p.Script: src}); err != nil {
-				t.Fatal(err)
-			}
-			// Probe the restored API object: the initialization checksum
-			// must match what execution produced, without executing.
-			probe := "print(window." + sanitized(p.Name) + ".acc, window." + sanitized(p.Name) + ".ready);"
-			if err := target.Run("probe.js", probe); err != nil {
-				t.Fatal(err)
-			}
-			probeInit := NewEngine(Options{Cache: cache})
-			if err := probeInit.Run(p.Script, src); err != nil {
-				t.Fatal(err)
-			}
-			if err := probeInit.Run("probe.js", probe); err != nil {
-				t.Fatal(err)
-			}
-			// Compare just the probe line (the executed engine also printed
-			// the library's own line).
-			restoredLine := target.Output()
-			executedOut := probeInit.Output()
-			if len(executedOut) < len(restoredLine) ||
-				executedOut[len(executedOut)-len(restoredLine):] != restoredLine {
-				t.Errorf("restored state diverges:\nrestored probe: %qexecuted tail: %q",
-					restoredLine, executedOut)
-			}
-		})
-	}
-}
-
-// sanitized mirrors the workload generator's namespace naming.
-func sanitized(name string) string {
-	out := make([]rune, 0, len(name))
-	for _, c := range name {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9':
-			out = append(out, c)
-		default:
-			out = append(out, '_')
-		}
-	}
-	return string(out)
-}

@@ -156,29 +156,6 @@ func TestMissBreakdownSumsToMissRate(t *testing.T) {
 	}
 }
 
-func TestSnapshotComparison(t *testing.T) {
-	p, _ := workloads.ByName("Underscore")
-	run, err := measureSnapshotOne(p, Options{Reps: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run.SnapTime <= 0 || run.ConvTime <= 0 {
-		t.Fatalf("missing timings: %+v", run)
-	}
-	if run.SnapTime >= run.ConvTime {
-		t.Fatalf("snapshot restore (%v) must beat re-execution (%v): it runs no code",
-			run.SnapTime, run.ConvTime)
-	}
-	if run.SnapshotBytes == 0 || run.RecordBytes == 0 {
-		t.Fatalf("missing sizes: %+v", run)
-	}
-	var b strings.Builder
-	ReportSnapshot(&b, []SnapshotRun{run})
-	if !strings.Contains(b.String(), "Underscore") || !strings.Contains(b.String(), "application-specific") {
-		t.Fatalf("snapshot report malformed:\n%s", b.String())
-	}
-}
-
 func TestAblationReportRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablations measure every library twice")

@@ -55,6 +55,8 @@ func (r *Ring[E]) Admit(e E, ref *Ref, bytes int, evict func(E)) bool {
 	if bytes > r.Budget {
 		return false
 	}
+	in := slot[E]{e: e, ref: ref, bytes: bytes}
+	placed := false
 	for r.used+bytes > r.Budget {
 		if r.hand == len(r.slots) {
 			r.hand = 0
@@ -64,11 +66,20 @@ func (r *Ring[E]) Admit(e E, ref *Ref, bytes int, evict func(E)) bool {
 			r.hand++
 			continue
 		}
-		r.slots = slices.Delete(r.slots, r.hand, r.hand+1)
 		r.used -= s.bytes
+		if r.used+bytes <= r.Budget {
+			// The eviction that makes room frees the very slot the new
+			// entry goes in, so it takes that slot in place.
+			r.slots[r.hand] = in
+			placed = true
+		} else {
+			r.slots = slices.Delete(r.slots, r.hand, r.hand+1)
+		}
 		evict(s.e)
 	}
-	r.slots = slices.Insert(r.slots, r.hand, slot[E]{e: e, ref: ref, bytes: bytes})
+	if !placed {
+		r.slots = slices.Insert(r.slots, r.hand, in)
+	}
 	r.hand++
 	r.used += bytes
 	return true

@@ -328,14 +328,6 @@ func (o *Object) OwnNamedKeys() []string {
 	return append([]string{}, o.hc.Fields()...)
 }
 
-// ConvertToDictionary forces the object into dictionary mode, as snapshot
-// restoration needs for objects that were dictionaries when captured.
-func (o *Object) ConvertToDictionary(s *Space) {
-	if o.dict == nil {
-		o.toDictionary(s)
-	}
-}
-
 // OwnKeys returns the object's own enumerable property names in insertion
 // order, including array indices rendered as decimal strings.
 func (o *Object) OwnKeys() []string {

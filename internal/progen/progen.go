@@ -1,8 +1,8 @@
 // Package progen generates random-but-deterministic JavaScript programs
 // in the engine's subset, for differential testing: any program it emits
-// must behave identically under a plain run, a Conventional Reuse run, a
-// RIC Reuse run, and (for its final state) snapshot restoration. The
-// generator is seeded, so failures reproduce from the seed alone.
+// must behave identically under a plain run, a Conventional Reuse run and
+// a RIC Reuse run. The generator is seeded, so failures reproduce from
+// the seed alone.
 //
 // Generated programs concentrate on the machinery RIC touches: object
 // construction, property addition in varying orders (hidden-class

@@ -33,7 +33,7 @@ func (vm *VM) newNative(name string, fn native) *objects.Object {
 
 // define adds a property to a builtin object during startup; the hidden
 // class transition is attributed to a context-independent builtin name,
-// and object values register under that name for snapshot references.
+// and object values register under that name in the builtin identity index.
 func (vm *VM) define(o *objects.Object, name string, v objects.Value, qualified string) {
 	o.AddOwn(vm.Space, name, v, objects.Creator{Builtin: qualified})
 	if obj := v.Obj(); obj != nil {

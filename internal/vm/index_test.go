@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"ricjs/internal/bytecode"
-	"ricjs/internal/source"
 )
 
 // TestBuiltinObjectNamesOrder pins the registration order the identity
@@ -48,41 +47,6 @@ func TestBuiltinIdentityFirstWins(t *testing.T) {
 		o := v.BuiltinObjectByName(name)
 		if o == nil || v.BuiltinObjectName(o) != name {
 			t.Errorf("%s does not round-trip through the identity index", name)
-		}
-	}
-}
-
-// TestConventionalRunBuildsNoProtoIndex checks that the declaration-site
-// index is built only for its reader: a run without a snapshot never
-// calls FuncProtoAt.
-func TestConventionalRunBuildsNoProtoIndex(t *testing.T) {
-	v, _ := run(t, "function f(o) { return o.p; } var s = 0; for (var i = 0; i < 4; i++) s += f({p: i});")
-	if v.protoIndex != nil {
-		t.Fatalf("conventional run built a declaration index of %d functions", len(v.protoIndex))
-	}
-}
-
-// TestFuncProtoAtSeesLaterScripts registers a second script after the
-// declaration index was first built and checks FuncProtoAt resolves the
-// functions of both scripts.
-func TestFuncProtoAtSeesLaterScripts(t *testing.T) {
-	v := New(Options{AddressSeed: 1})
-	first := compileFor(t, "a.js", "function f(o) { return o.p; } f({p: 1});")
-	second := compileFor(t, "b.js", "function g(o) { return o.q; } g({q: 2});")
-	v.RegisterProgram(first)
-	if v.FuncProtoAt(source.Site{Script: "missing.js"}) != nil {
-		t.Fatal("unknown declaration resolved")
-	}
-	if v.protoIndex == nil {
-		t.Fatal("FuncProtoAt did not build the index")
-	}
-	v.RegisterProgram(second)
-	for _, prog := range []*bytecode.Program{first, second} {
-		for _, p := range prog.Toplevel.Protos {
-			site := source.Site{Script: p.Script, Pos: p.DeclPos}
-			if got := v.FuncProtoAt(site); got != p {
-				t.Errorf("FuncProtoAt(%s) = %v, want %s", site, got, p.FunctionName())
-			}
 		}
 	}
 }

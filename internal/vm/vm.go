@@ -130,20 +130,11 @@ type VM struct {
 	realm *realm
 	heap  objects.Heap
 	// builtinRegs collects startup's (qualified name, object)
-	// registrations while setupBuiltins builds the realm. Only the
-	// snapshot subsystem and the static analysis read builtin identities,
-	// so a VM builds the two-way index over the realm's registrations
-	// (builtinIDs) on first read.
+	// registrations while setupBuiltins builds the realm. Only the static
+	// analysis reads builtin identities, so a VM builds the two-way index
+	// over the realm's registrations (builtinIDs) on first read.
 	builtinRegs []namedBuiltin
 	builtinIDs  *builtinIdentity
-	// protoIndex resolves compiled functions by declaration site, for
-	// snapshot restoration. Only the snapshot reads it, so it is nil until
-	// the first FuncProtoAt call builds it; after that each registration
-	// extends it.
-	protoIndex map[source.Site]*bytecode.FuncProto
-	// restoreHCs caches per-prototype root hidden classes used by
-	// snapshot restoration.
-	restoreHCs map[*objects.Object]*objects.HiddenClass
 }
 
 // BuiltinHC pairs a builtin object name with its post-startup hidden class.
@@ -235,10 +226,9 @@ func hitEvent(preloaded bool) trace.Type {
 }
 
 // builtinIdentity is the two-way builtin identity index: every object
-// registered during startup under its stable qualified name. The snapshot
-// subsystem uses it to encode references to builtins by name instead of
-// by graph walk; order remembers registration order, so the static
-// analysis can rebuild the startup object graph deterministically.
+// registered during startup under its stable qualified name. Order
+// remembers registration order, so the static analysis can rebuild the
+// startup object graph deterministically.
 type builtinIdentity struct {
 	byName map[string]*objects.Object
 	byObj  map[*objects.Object]string
@@ -298,14 +288,6 @@ func (vm *VM) BuiltinObjectName(o *objects.Object) string {
 // BuiltinObjectByName resolves a qualified builtin name in this engine.
 func (vm *VM) BuiltinObjectByName(name string) *objects.Object {
 	return vm.builtinIdentities().byName[name]
-}
-
-// IsBaselineGlobal reports whether a global property existed at the end of
-// engine startup (i.e. was not created by script code): whether the
-// global object's post-startup hidden class lays it out.
-func (vm *VM) IsBaselineGlobal(name string) bool {
-	_, ok := vm.heap.HC(vm.realm.b.global.HC()).Offset(name)
-	return ok
 }
 
 // Output returns everything printed so far when no Stdout was provided.
@@ -428,9 +410,6 @@ func (vm *VM) RegisterProgram(prog *bytecode.Program) {
 		*v = ic.Vector{FuncName: p.FunctionName(), Slots: slots}
 		vm.feedback[p] = v
 		vm.vectorOrder = append(vm.vectorOrder, v)
-		if vm.protoIndex != nil {
-			vm.indexProto(p)
-		}
 	})
 }
 
