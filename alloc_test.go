@@ -92,12 +92,18 @@ func TestNestedCallZeroAlloc(t *testing.T) {
 	zeroAllocCall(t, "nested calls", v, fn)
 }
 
-// TestExtractRecordAllocBudget bounds what one extraction allocates on
-// the largest profile. ExtractRecord runs only the §5 extraction (about
-// 0.6 MB on React); a whole-session static analysis on the serving path
-// allocates about 12 MB, so putting one back fails this budget.
+// TestExtractRecordAllocBudget bounds what one extraction and one encode
+// allocate on the largest profile. ExtractRecord runs only the §5
+// extraction: about 186 KB on React, nearly all of it the record itself:
+// one exactly sized dependent array and the two TOAST maps; map-keyed
+// numbering and append-grown rows took 677 KB.
+// Growing rows by append, keying the class numbering by pointer or
+// putting a whole-session static analysis (about 12 MB) back on the
+// serving path fails the budget. Encode appends to one buffer sized from
+// the record, 78 KB on React where per-varint buffer writes and
+// twice-sorted site tables took 113 KB.
 func TestExtractRecordAllocBudget(t *testing.T) {
-	const budget = 2 << 20
+	const extractBudget, encodeBudget = 256 << 10, 96 << 10
 	p, ok := workloads.ByName("React")
 	if !ok {
 		t.Fatal("no React profile")
@@ -106,13 +112,18 @@ func TestExtractRecordAllocBudget(t *testing.T) {
 	if err := e.Run(p.Script, p.Source()); err != nil {
 		t.Fatal(err)
 	}
-	var before, after runtime.MemStats
+	var before, mid, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	e.ExtractRecord(p.Name)
+	rec := e.ExtractRecord(p.Name)
+	runtime.ReadMemStats(&mid)
+	rec.Encode()
 	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got >= budget {
-		t.Errorf("ExtractRecord on React allocated %d bytes, budget %d", got, budget)
+	if got := mid.TotalAlloc - before.TotalAlloc; got >= extractBudget {
+		t.Errorf("ExtractRecord on React allocated %d bytes, budget %d", got, extractBudget)
+	}
+	if got := after.TotalAlloc - mid.TotalAlloc; got >= encodeBudget {
+		t.Errorf("Encode on React allocated %d bytes, budget %d", got, encodeBudget)
 	}
 }
 

@@ -510,6 +510,25 @@ func BenchmarkStoreTransition(b *testing.B) {
 	callN(b, v, fn)
 }
 
+// BenchmarkRecordEncode measures encoding one real workload record (the
+// write half of every Initial session's extraction).
+func BenchmarkRecordEncode(b *testing.B) {
+	p, _ := workloads.ByName("jQuery")
+	cache := NewCodeCache()
+	src := p.Source()
+	initial := NewEngine(Options{Cache: cache})
+	if err := initial.Run(p.Script, src); err != nil {
+		b.Fatal(err)
+	}
+	record := initial.ExtractRecord(p.Name)
+	b.SetBytes(int64(len(record.Encode())))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		record.Encode()
+	}
+}
+
 // BenchmarkRecordDecode measures .ric decoding throughput over a real
 // workload record (the per-session cost SessionPool amortizes).
 func BenchmarkRecordDecode(b *testing.B) {

@@ -110,6 +110,14 @@ for g in testdata/traces/*.reuse.golden; do
 done
 go test -count=1 -run 'TestGoldenTraces|TestTraceDeterminism' .
 
+echo "== record bytes: drift check =="
+# The encoded record of every profile, of Website1's multi-script session
+# and of progen seeds 200-209 must hash to the SHA-256 committed in
+# testdata/record_digests.txt (the perf gate pins only their lengths).
+# Regenerate deliberately with
+#   go test -run TestRecordDigests -update-records .
+go test -count=1 -run 'TestRecordDigests' .
+
 echo "== golden analysis results: drift check =="
 # The committed static-analysis results under
 # internal/analysis/testdata/results/ (shape graph, site verdicts,
@@ -129,6 +137,11 @@ echo "== analysis benchmarks: smoke =="
 # One iteration of each offline-statics benchmark, so the benchmarks
 # EXPERIMENTS.md quotes keep building and running.
 go test -run '^$' -bench 'BenchmarkAnalyze|BenchmarkAttachTypedShapes' -benchtime 1x ./internal/analysis ./internal/ric
+
+echo "== record production benchmarks: smoke =="
+# One iteration each of extraction, encode and decode, the record
+# benchmarks EXPERIMENTS.md quotes.
+go test -run '^$' -bench 'BenchmarkExtractionPhase|BenchmarkRecordEncode|BenchmarkRecordDecode' -benchtime 1x .
 
 echo "== coverage floors =="
 # Statement-coverage floors for the observability-critical packages, set

@@ -2,7 +2,7 @@ package objects
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"ricjs/internal/source"
@@ -61,8 +61,9 @@ const transLinearMax = 8
 // interned SymbolIDs (package symtab); the string forms are resolved only
 // for diagnostics and persistence.
 type HiddenClass struct {
-	id   uint32
-	addr uint64 // simulated heap address — context-dependent
+	id      uint32
+	ordinal uint32 // dense creation index among its space's hidden classes
+	addr    uint64 // simulated heap address — context-dependent
 
 	// fields holds the property symbol IDs in offset order: the offset of
 	// a property IS its index here, so small layouts need no side table.
@@ -107,6 +108,7 @@ func (s *Space) newHC(proto *Object, creator Creator) *HiddenClass {
 	}
 	return &HiddenClass{
 		id:      s.allocID(),
+		ordinal: s.allocOrdinal(),
 		addr:    s.allocAddr(),
 		proto:   proto,
 		creator: creator,
@@ -122,6 +124,12 @@ func (s *Space) NewRootHC(proto *Object, creator Creator) *HiddenClass {
 
 // ID returns the creation-order id of the hidden class within its space.
 func (h *HiddenClass) ID() uint32 { return h.id }
+
+// Ordinal returns the class's creation index among the hidden classes of
+// its space: 0 for the dictionary class, then 1, 2, ... with no gaps, as
+// objects draw no ordinals. A slice of Space.HiddenClasses() entries
+// indexed by Ordinal is a map from every class of the space.
+func (h *HiddenClass) Ordinal() uint32 { return h.ordinal }
 
 // Addr returns the simulated heap address of the hidden class. Addresses
 // differ across engine instances for the same logical class.
@@ -286,24 +294,25 @@ func (h *HiddenClass) TransitionCount() int {
 	return len(h.transIDs)
 }
 
-// transitionNames returns the outgoing transition property names, resolved
-// to strings, for deterministic walks and diagnostics.
-func (h *HiddenClass) transitionNames() []string {
-	n := h.TransitionCount()
-	if n == 0 {
-		return nil
-	}
-	names := make([]string, 0, n)
+// transEdge is one outgoing transition: the added property's name and
+// the class it leads to.
+type transEdge struct {
+	name string
+	next *HiddenClass
+}
+
+// appendEdges appends the outgoing transitions, names resolved, to buf.
+func (h *HiddenClass) appendEdges(buf []transEdge) []transEdge {
 	if h.transMap != nil {
-		for id := range h.transMap {
-			names = append(names, symtab.NameOf(id))
+		for id, next := range h.transMap {
+			buf = append(buf, transEdge{symtab.NameOf(id), next})
 		}
-	} else {
-		for _, id := range h.transIDs {
-			names = append(names, symtab.NameOf(id))
-		}
+		return buf
 	}
-	return names
+	for i, id := range h.transIDs {
+		buf = append(buf, transEdge{symtab.NameOf(id), h.transTargets[i]})
+	}
+	return buf
 }
 
 // LayoutSignature renders the layout as a canonical string, used by RIC's
@@ -330,29 +339,25 @@ func (h *HiddenClass) layoutBraces() string {
 
 // WalkTransitions visits the transition graph rooted at h in a
 // deterministic order (property names sorted at each node), calling fn for
-// every reachable hidden class including h itself. The extraction phase
-// uses this to enumerate hidden classes in a stable order. Sorting is by
-// the resolved name strings, not raw symbol IDs, so the order — and with
-// it record HCIDs and golden traces — is identical no matter in which
-// order this process happened to intern the names.
+// every reachable hidden class including h itself, each before its
+// transition targets. The extraction phase uses this to enumerate hidden
+// classes in a stable order. Sorting is by the resolved name strings, not
+// raw symbol IDs, so the order — and with it record HCIDs and golden
+// traces — is identical no matter in which order this process happened
+// to intern the names.
+//
+// Every class but a root has exactly one parent, so the graph is a tree
+// and the walk needs no visited set. It keeps one stack of pending edges:
+// a visited class pushes its transitions sorted by descending name, so
+// the smallest name is popped, and walked, first.
 func (h *HiddenClass) WalkTransitions(fn func(*HiddenClass)) {
-	seen := map[*HiddenClass]bool{}
-	var walk func(*HiddenClass)
-	walk = func(hc *HiddenClass) {
-		if hc == nil || seen[hc] {
-			return
-		}
-		seen[hc] = true
+	stack := []transEdge{{next: h}}
+	for len(stack) > 0 {
+		hc := stack[len(stack)-1].next
+		stack = stack[:len(stack)-1]
 		fn(hc)
-		names := hc.transitionNames()
-		if len(names) == 0 {
-			return
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			next, _ := hc.TransitionTo(n)
-			walk(next)
-		}
+		n := len(stack)
+		stack = hc.appendEdges(stack)
+		slices.SortFunc(stack[n:], func(a, b transEdge) int { return strings.Compare(b.name, a.name) })
 	}
-	walk(h)
 }

@@ -183,6 +183,52 @@ func TestWalkTransitionsDeterministicOrder(t *testing.T) {
 	}
 }
 
+// TestWalkTransitionsSpilledTableOrder covers a class whose transition
+// table has spilled into its map (more than transLinearMax edges). The
+// names are interned in reverse order, so their symbol IDs descend while
+// the names ascend: the walk must follow the names, whatever order the
+// process interned them in.
+func TestWalkTransitionsSpilledTableOrder(t *testing.T) {
+	const n = transLinearMax + 4
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("walkSpill%02d", i)
+	}
+	for i := n - 1; i >= 0; i-- {
+		if _, ok := symtab.Find(names[i]); ok {
+			t.Fatalf("%s already interned; the test needs fresh names", names[i])
+		}
+		symtab.Intern(names[i])
+	}
+	s := NewSpace(1)
+	root := s.NewRootHC(nil, Creator{Builtin: "o"})
+	// Add the edges in a scrambled order, each child with one grandchild.
+	children := make([]*HiddenClass, n)
+	grandchildren := make([]*HiddenClass, n)
+	for _, i := range rand.New(rand.NewSource(7)).Perm(n) {
+		children[i], _ = root.Transition(s, names[i], siteCreator(uint32(i+1), 1))
+		grandchildren[i], _ = children[i].Transition(s, "tail", siteCreator(uint32(i+1), 2))
+	}
+	if root.transMap == nil {
+		t.Fatalf("%d transitions did not spill into the map", root.TransitionCount())
+	}
+
+	var order []*HiddenClass
+	root.WalkTransitions(func(h *HiddenClass) { order = append(order, h) })
+	want := []*HiddenClass{root}
+	for i := range names {
+		want = append(want, children[i], grandchildren[i])
+	}
+	if len(order) != len(want) {
+		t.Fatalf("visited %d classes, want %d", len(order), len(want))
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("visit order[%d] = %v, want %v", i, order[i], want[i])
+		}
+	}
+}
+
 func TestDictHCMarked(t *testing.T) {
 	s := NewSpace(1)
 	if !s.DictHC().IsDictionary() {

@@ -14,6 +14,7 @@ type Space struct {
 	next   uint64
 
 	nextID uint32 // monotonically increasing hidden-class/object ids
+	nextHC uint32 // hidden classes allocated so far (see HiddenClass.Ordinal)
 
 	dictHC *HiddenClass // the shared hidden class of dictionary-mode objects
 
@@ -61,6 +62,17 @@ func (s *Space) allocID() uint32 {
 	s.nextID++
 	return s.nextID
 }
+
+// allocOrdinal returns the next hidden-class ordinal.
+func (s *Space) allocOrdinal() uint32 {
+	o := s.nextHC
+	s.nextHC++
+	return o
+}
+
+// HiddenClasses returns how many hidden classes the space has allocated:
+// every class's Ordinal is below it.
+func (s *Space) HiddenClasses() int { return int(s.nextHC) }
 
 // Base returns the base address of the space (for tests and diagnostics).
 func (s *Space) Base() uint64 { return s.base }

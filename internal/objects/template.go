@@ -26,6 +26,7 @@ type Template struct {
 
 	base, stride uint64 // the template space's address layout
 	nextID       uint32
+	nextHC       uint32
 	allocs       uint64 // addresses the template space handed out
 	protoEpoch   uint64
 
@@ -40,6 +41,7 @@ func (s *Space) Freeze(objRoots []*Object, hcRoots []*HiddenClass) *Template {
 		base:       s.base,
 		stride:     s.stride,
 		nextID:     s.nextID,
+		nextHC:     s.nextHC,
 		allocs:     (s.next - s.base) / s.stride,
 		protoEpoch: s.protoEpoch,
 	}
@@ -142,6 +144,7 @@ func (t *Template) Instantiate(s *Space) Heap {
 		dst := &h.hcs[i]
 		*dst = HiddenClass{
 			id:              src.id,
+			ordinal:         src.ordinal,
 			addr:            t.addrIn(s, src.addr),
 			fields:          src.fields[:len(src.fields):len(src.fields)],
 			lastTransID:     src.lastTransID,
@@ -188,6 +191,7 @@ func (t *Template) Instantiate(s *Space) Heap {
 	}
 
 	s.nextID = t.nextID
+	s.nextHC = t.nextHC
 	s.next = s.base + t.allocs*s.stride
 	s.protoEpoch = t.protoEpoch
 	return h

@@ -2,11 +2,13 @@ package ric
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"ricjs/internal/ic"
 	"ricjs/internal/objects"
@@ -59,56 +61,54 @@ const recordVersion = 5
 // recordTrailerLen is the length of the CRC32 trailer.
 const recordTrailerLen = 4
 
+// encoder appends a record's wire form to buf. Scripts and symbols are
+// numbered in first-use order of the section walk.
 type encoder struct {
-	buf      bytes.Buffer
-	scripts  map[string]uint64
-	names    []string
-	syms     map[string]uint64
+	buf []byte
+	// scripts lists the script table; lastScript caches the index of the
+	// last script looked up, since consecutive sites nearly always share
+	// their script.
+	scripts    []string
+	lastScript int
+	// syms numbers the symbol table; symNames lists it.
+	syms     map[string]uint32
 	symNames []string
 }
 
-func (e *encoder) uvarint(v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	e.buf.Write(tmp[:n])
-}
-
-func (e *encoder) varint(v int64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(tmp[:], v)
-	e.buf.Write(tmp[:n])
-}
+func (e *encoder) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
+func (e *encoder) varint(v int64)   { e.buf = binary.AppendVarint(e.buf, v) }
 
 func (e *encoder) str(s string) {
 	e.uvarint(uint64(len(s)))
-	e.buf.WriteString(s)
+	e.buf = append(e.buf, s...)
 }
 
+// scriptIdx registers a script in the script table (first use assigns the
+// next index) and returns its index. A record names a handful of scripts,
+// so a scan beats hashing the name.
 func (e *encoder) scriptIdx(s string) uint64 {
-	if i, ok := e.scripts[s]; ok {
-		return i
+	if e.lastScript < len(e.scripts) && e.scripts[e.lastScript] == s {
+		return uint64(e.lastScript)
 	}
-	i := uint64(len(e.names))
-	e.scripts[s] = i
-	e.names = append(e.names, s)
-	return i
+	i := slices.Index(e.scripts, s)
+	if i < 0 {
+		i = len(e.scripts)
+		e.scripts = append(e.scripts, s)
+	}
+	e.lastScript = i
+	return uint64(i)
 }
 
 // symIdx registers a name in the record-local symbol table (first use
 // assigns the next dense index) and returns its index.
-func (e *encoder) symIdx(s string) uint64 {
+func (e *encoder) symIdx(s string) uint32 {
 	if i, ok := e.syms[s]; ok {
 		return i
 	}
-	i := uint64(len(e.symNames))
+	i := uint32(len(e.symNames))
 	e.syms[s] = i
 	e.symNames = append(e.symNames, s)
 	return i
-}
-
-// sym emits a nameRef: a varint index into the symbol table.
-func (e *encoder) sym(s string) {
-	e.uvarint(e.symIdx(s))
 }
 
 func (e *encoder) site(s source.Site) {
@@ -117,21 +117,20 @@ func (e *encoder) site(s source.Site) {
 	e.uvarint(uint64(s.Pos.Col))
 }
 
-// sortedSites returns map keys in a stable order.
+// sortedSites returns map keys ordered by script, line and column.
 func sortedSites[V any](m map[source.Site]V) []source.Site {
 	keys := make([]source.Site, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
+	slices.SortFunc(keys, func(a, b source.Site) int {
 		if a.Script != b.Script {
-			return a.Script < b.Script
+			return strings.Compare(a.Script, b.Script)
 		}
 		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
+			return cmp.Compare(a.Pos.Line, b.Pos.Line)
 		}
-		return a.Pos.Col < b.Pos.Col
+		return cmp.Compare(a.Pos.Col, b.Pos.Col)
 	})
 	return keys
 }
@@ -139,32 +138,50 @@ func sortedSites[V any](m map[source.Site]V) []source.Site {
 // Encode serializes the record into a compact, deterministic byte form.
 // Its length is the record's memory overhead (paper §7.3 reports 11–118 KB
 // per library for V8).
+//
+// The script and symbol tables precede the sections that reference them,
+// so a first pass walks every reference in exactly the order the body
+// emission walks it: table order equals first-use order, and re-encoding
+// a decoded record is byte-identical. The pass keeps each reference's
+// symbol index, so the body looks no name up twice.
 func (r *Record) Encode() []byte {
-	// Pre-register scripts and symbols so both tables can be emitted before
-	// the sections that reference them: walk everything once, in exactly
-	// the order the body emission below walks it, so table order equals
-	// first-use order and re-encoding a decoded record is byte-identical.
-	e := &encoder{scripts: make(map[string]uint64), syms: make(map[string]uint64)}
-	collect := func(s source.Site) { e.scriptIdx(s.Script) }
+	siteKeys := sortedSites(r.SiteTOAST)
+	rejected := sortedSites(r.RejectedSites)
+	ndeps := 0
+	for _, deps := range r.Deps {
+		ndeps += len(deps)
+	}
+	e := &encoder{syms: make(map[string]uint32)}
+	symRefs := make([]uint32, 0, 2*ndeps+len(r.BuiltinTOAST))
 	for _, deps := range r.Deps {
 		for _, d := range deps {
-			collect(d.Site)
-			e.symIdx(d.Name)
-			e.symIdx(d.Desc.Name)
+			e.scriptIdx(d.Site.Script)
+			symRefs = append(symRefs, e.symIdx(d.Name), e.symIdx(d.Desc.Name))
 		}
 	}
-	for _, s := range sortedSites(r.SiteTOAST) {
-		collect(s)
+	for _, s := range siteKeys {
+		e.scriptIdx(s.Script)
 	}
 	for _, b := range r.BuiltinTOAST {
-		e.symIdx(b.Name)
+		symRefs = append(symRefs, e.symIdx(b.Name))
 	}
-	for _, s := range sortedSites(r.RejectedSites) {
-		collect(s)
+	for _, s := range rejected {
+		e.scriptIdx(s.Script)
 	}
 
-	e.buf.Write(recordTag)
-	e.buf.WriteByte(recordVersion)
+	// Most integers take one or two bytes; the estimate spares the
+	// appends most regrowth.
+	size := len(recordTag) + 1 + len(r.Script) + 16 + 12*ndeps + 10*len(siteKeys) +
+		4*len(r.BuiltinTOAST) + 6*len(rejected) + recordTrailerLen
+	for _, n := range e.scripts {
+		size += len(n) + 1
+	}
+	for _, n := range e.symNames {
+		size += len(n) + 1
+	}
+	e.buf = make([]byte, 0, size)
+	e.buf = append(e.buf, recordTag...)
+	e.buf = append(e.buf, recordVersion)
 	e.str(r.Script)
 	flags := uint64(0)
 	if r.IncludesGlobals {
@@ -172,8 +189,8 @@ func (r *Record) Encode() []byte {
 	}
 	e.uvarint(flags)
 
-	e.uvarint(uint64(len(e.names)))
-	for _, n := range e.names {
+	e.uvarint(uint64(len(e.scripts)))
+	for _, n := range e.scripts {
 		e.str(n)
 	}
 
@@ -188,15 +205,15 @@ func (r *Record) Encode() []byte {
 		for _, d := range deps {
 			e.site(d.Site)
 			e.uvarint(uint64(d.Kind))
-			e.sym(d.Name)
+			e.uvarint(uint64(symRefs[0]))
 			e.uvarint(uint64(d.Desc.Kind))
 			e.varint(int64(d.Desc.Offset))
-			e.sym(d.Desc.Name)
+			e.uvarint(uint64(symRefs[1]))
 			e.uvarint(uint64(d.Desc.Inner))
+			symRefs = symRefs[2:]
 		}
 	}
 
-	siteKeys := sortedSites(r.SiteTOAST)
 	e.uvarint(uint64(len(siteKeys)))
 	for _, s := range siteKeys {
 		e.site(s)
@@ -209,12 +226,11 @@ func (r *Record) Encode() []byte {
 	}
 
 	e.uvarint(uint64(len(r.BuiltinTOAST)))
-	for _, b := range r.BuiltinTOAST {
-		e.sym(b.Name)
+	for i, b := range r.BuiltinTOAST {
+		e.uvarint(uint64(symRefs[i]))
 		e.uvarint(uint64(b.ID))
 	}
 
-	rejected := sortedSites(r.RejectedSites)
 	e.uvarint(uint64(len(rejected)))
 	for _, s := range rejected {
 		e.site(s)
@@ -224,23 +240,20 @@ func (r *Record) Encode() []byte {
 	for id := range r.TypedSlots {
 		typedIDs = append(typedIDs, id)
 	}
-	sort.Slice(typedIDs, func(i, j int) bool { return typedIDs[i] < typedIDs[j] })
+	slices.Sort(typedIDs)
 	e.uvarint(uint64(len(typedIDs)))
 	for _, id := range typedIDs {
-		claims := append([]SlotClaim(nil), r.TypedSlots[id]...)
-		sort.Slice(claims, func(i, j int) bool { return claims[i].Offset < claims[j].Offset })
+		claims := slices.Clone(r.TypedSlots[id])
+		slices.SortStableFunc(claims, func(a, b SlotClaim) int { return cmp.Compare(a.Offset, b.Offset) })
 		e.uvarint(uint64(id))
 		e.uvarint(uint64(len(claims)))
 		for _, c := range claims {
 			e.uvarint(uint64(c.Offset))
-			e.buf.WriteByte(byte(c.Type))
+			e.buf = append(e.buf, byte(c.Type))
 		}
 	}
 
-	var trailer [recordTrailerLen]byte
-	binary.LittleEndian.PutUint32(trailer[:], crc32.ChecksumIEEE(e.buf.Bytes()))
-	e.buf.Write(trailer[:])
-	return e.buf.Bytes()
+	return binary.LittleEndian.AppendUint32(e.buf, crc32.ChecksumIEEE(e.buf))
 }
 
 type decoder struct {

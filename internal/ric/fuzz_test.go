@@ -33,7 +33,8 @@ func corpusSeeds(f *testing.F) {
 
 // FuzzDecodeRecord asserts the decoder's contract on arbitrary input:
 // never panic; either reject with an error or return a record that is
-// shape-valid and round-trips through Encode/Decode.
+// shape-valid and round-trips through Encode/Decode, re-encoding to the
+// same bytes.
 func FuzzDecodeRecord(f *testing.F) {
 	corpusSeeds(f)
 	f.Add([]byte{})
@@ -59,6 +60,9 @@ func FuzzDecodeRecord(f *testing.F) {
 			len(back.BuiltinTOAST) != len(rec.BuiltinTOAST) ||
 			len(back.RejectedSites) != len(rec.RejectedSites) {
 			t.Fatal("re-encode round trip changed the record")
+		}
+		if again := back.Encode(); !bytes.Equal(again, enc) {
+			t.Fatalf("re-encoding a decoded record changed its bytes (%d vs %d bytes)", len(again), len(enc))
 		}
 	})
 }

@@ -1,12 +1,14 @@
 package ric
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"ricjs/internal/bytecode"
 	"ricjs/internal/ic"
+	"ricjs/internal/objects"
 	"ricjs/internal/parser"
 	"ricjs/internal/source"
 	"ricjs/internal/vm"
@@ -534,5 +536,45 @@ func TestKeyedHandlersParticipateInReuse(t *testing.T) {
 	}
 	if v2.Prof.Snapshot().MissesSaved == 0 {
 		t.Fatal("keyed reuse saved no misses")
+	}
+}
+
+// TestBuiltinTOASTPolicy pins how extraction builds the name-keyed TOAST:
+// sorted with each name once, the first created class of a name (lowest
+// record ID) wins, and a builtin object's post-startup class overrides it,
+// a later one of a name winning, unless that class is not numbered or
+// belongs to the skipped global lineage; a post-startup class whose name
+// no class was created under gets its own entry.
+func TestBuiltinTOASTPolicy(t *testing.T) {
+	space := objects.NewSpace(1)
+	hcs := make([]*objects.HiddenClass, 5)
+	for i := range hcs {
+		hcs[i] = space.NewRootHC(nil, objects.Creator{Builtin: "final"})
+	}
+	// Record IDs 20..23 for the first four classes; the last one is not
+	// numbered; ID 23 is in the global lineage.
+	n := numbering{ids: make([]int32, space.HiddenClasses()), globalLo: 23, globalHi: 24}
+	for i := range n.ids {
+		n.ids[i] = -1
+	}
+	for i, hc := range hcs[:4] {
+		n.ids[hc.Ordinal()] = int32(20 + i)
+	}
+	created := []Builtin{{"D", 4}, {"A", 2}, {"Z", 10}, {"C", 9}, {"D", 8}, {"B", 3}, {"C", 11}, {"E", 6}}
+	finals := []vm.BuiltinHC{
+		{Name: "C", HC: hcs[0]}, // overrides C's first class
+		{Name: "E", HC: hcs[1]},
+		{Name: "E", HC: hcs[2]}, // the later final of E wins
+		{Name: "B", HC: hcs[3]}, // global lineage: B keeps its class
+		{Name: "D", HC: hcs[4]}, // not numbered: D keeps its class
+		{Name: "F", HC: hcs[0]}, // no class created under F
+	}
+	got := builtinTOAST(created, finals, &n)
+	want := []Builtin{{"A", 2}, {"B", 3}, {"C", 20}, {"D", 4}, {"E", 22}, {"F", 20}, {"Z", 10}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("builtin TOAST = %v, want %v", got, want)
+	}
+	if cap(got) != len(got) {
+		t.Errorf("table capacity %d, length %d", cap(got), len(got))
 	}
 }

@@ -102,8 +102,8 @@ func (p *realmPairing) hc(path string, a, b *objects.HiddenClass) {
 		return
 	}
 	p.hcs[a] = b
-	if a.ID() != b.ID() || a.Addr() != b.Addr() {
-		p.t.Errorf("%s: class #%d@%#x vs #%d@%#x", path, a.ID(), a.Addr(), b.ID(), b.Addr())
+	if a.ID() != b.ID() || a.Addr() != b.Addr() || a.Ordinal() != b.Ordinal() {
+		p.t.Errorf("%s: class #%d/%d@%#x vs #%d/%d@%#x", path, a.ID(), a.Ordinal(), a.Addr(), b.ID(), b.Ordinal(), b.Addr())
 	}
 	if a.Creator() != b.Creator() || a.IsDictionary() != b.IsDictionary() ||
 		fmt.Sprint(a.FieldIDs()) != fmt.Sprint(b.FieldIDs()) || a.TransitionCount() != b.TransitionCount() {
