@@ -35,7 +35,7 @@ func main() {
 		faults     = flag.Bool("faults", false, "fault-injection sweep: corrupted records vs conventional runs")
 		faultSeed  = flag.Int64("fault-seed", 1, "seed for the deterministic fault injector")
 		traceF     = flag.Bool("trace", false, "structured IC-event totals, Initial vs Reuse run")
-		reps       = flag.Int("reps", 5, "timing repetitions per Reuse run (median reported)")
+		reps       = flag.Int("reps", 5, "timing repetitions per extraction and Reuse run (median reported)")
 		workloadsF = flag.String("workloads", "", "glob over workload names or kinds to measure (e.g. 'Json*', 'keyed'; default all)")
 		format     = flag.String("format", "text", "output format: text or json (json runs the full evaluation)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")

@@ -16,7 +16,8 @@
 // Scripts are supplied with repeated -js flags mapping the script name a
 // record uses to a source file. Records referencing scripts that were not
 // supplied are checked against the layers that do not need source (a
-// merged record legitimately spans scripts a session never loads).
+// record from a multi-script session legitimately spans scripts a
+// session never loads).
 //
 // Usage:
 //

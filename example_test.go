@@ -50,27 +50,6 @@ func ExampleDecodeRecord() {
 	// Output: lib.js
 }
 
-// Per-library records merge into one covering an application that loads
-// both libraries.
-func ExampleMergeRecords() {
-	extract := func(name, src string) *ricjs.Record {
-		e := ricjs.NewEngine(ricjs.Options{})
-		if err := e.Run(name, src); err != nil {
-			log.Fatal(err)
-		}
-		return e.ExtractRecord(name)
-	}
-	a := extract("a.js", "function A() { this.x = 1; } var a = new A(); print(a.x);")
-	b := extract("b.js", "function B() { this.y = 2; } var b = new B(); print(b.y);")
-
-	merged, err := ricjs.MergeRecords(a, b)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(merged.Label())
-	// Output: a.js+b.js
-}
-
 // MaxSteps turns runaway scripts into clean errors.
 func ExampleOptions_maxSteps() {
 	engine := ricjs.NewEngine(ricjs.Options{MaxSteps: 50_000})

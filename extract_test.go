@@ -85,9 +85,9 @@ func TestTypedClaimsDoNotChangeReuse(t *testing.T) {
 }
 
 // TestRecordRowsPacked checks that the HCVT rows of every record a pool
-// can hold carry no spare capacity: records from ExtractRecord, from
-// DecodeRecord and from MergeRecords, over every profile. The sum of the
-// row capacities must equal the dependents the record counts.
+// can hold carry no spare capacity: records from ExtractRecord and from
+// DecodeRecord, over every profile. The sum of the row capacities must
+// equal the dependents the record counts.
 func TestRecordRowsPacked(t *testing.T) {
 	packed := func(what string, rec *Record) {
 		t.Helper()
@@ -99,7 +99,6 @@ func TestRecordRowsPacked(t *testing.T) {
 			t.Errorf("%s: HCVT rows hold %d dependents in a capacity of %d", what, want, capacity)
 		}
 	}
-	var records []*Record
 	for _, p := range workloads.Profiles {
 		e := NewEngine(Options{Cache: NewCodeCache()})
 		if err := e.Run(p.Script, p.Source()); err != nil {
@@ -112,11 +111,5 @@ func TestRecordRowsPacked(t *testing.T) {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
 		packed(p.Name+" decoded", decoded)
-		records = append(records, rec)
 	}
-	merged, err := MergeRecords(records...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	packed("merged", merged)
 }

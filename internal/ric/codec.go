@@ -628,7 +628,6 @@ func Decode(data []byte) (*Record, error) {
 	for _, deps := range r.Deps {
 		r.Stats.DependentSlots += len(deps)
 	}
-	r.Stats.ContextIndependentHandlers = r.Stats.DependentSlots
 	for _, claims := range r.TypedSlots {
 		r.Stats.TypedSlotClaims += len(claims)
 	}

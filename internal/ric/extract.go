@@ -208,12 +208,11 @@ func Extract(v *vm.VM, label string, cfg Config) *Record {
 	rec.resident = rec.residentBytes()
 
 	rec.Stats = Stats{
-		HiddenClasses:              int(rec.HCCount),
-		TriggeringSites:            len(rec.SiteTOAST),
-		BuiltinEntries:             len(rec.BuiltinTOAST),
-		DependentSlots:             total,
-		RejectedSites:              len(rec.RejectedSites),
-		ContextIndependentHandlers: total,
+		HiddenClasses:   int(rec.HCCount),
+		TriggeringSites: len(rec.SiteTOAST),
+		BuiltinEntries:  len(rec.BuiltinTOAST),
+		DependentSlots:  total,
+		RejectedSites:   len(rec.RejectedSites),
 	}
 	return rec
 }

@@ -68,17 +68,6 @@ type Builtin struct {
 	ID   int32
 }
 
-// builtinTable returns a name-keyed TOAST as the record keeps it: sorted
-// by name, one entry per name.
-func builtinTable(ids map[string]int32) []Builtin {
-	t := make([]Builtin, 0, len(ids))
-	for name, id := range ids {
-		t = append(t, Builtin{Name: name, ID: id})
-	}
-	sort.Slice(t, func(i, j int) bool { return t[i].Name < t[j].Name })
-	return t
-}
-
 // SlotClaim is one typed-shape claim of an HCVT row: the slot at Offset of
 // the row's hidden class only ever holds values of Type. Claims are
 // computed offline by the static value-type analysis (AttachTypedShapes)
@@ -103,9 +92,6 @@ type Stats struct {
 	// RejectedSites is the number of sites excluded because their handler
 	// was context-dependent.
 	RejectedSites int
-	// ContextIndependentHandlers counts the saved handler descriptors
-	// (equal to DependentSlots; kept for reporting symmetry).
-	ContextIndependentHandlers int
 	// TypedSlotClaims is the total number of typed-shape slot claims the
 	// record carries (the v5 section). It is 0 for every record
 	// Engine.ExtractRecord serves; only offline AttachTypedShapes raises it.
@@ -116,7 +102,7 @@ type Stats struct {
 // context-independent extract of one execution's IC state.
 //
 // Immutability contract: a Record is written only during construction
-// (Extract, Merge, Decode) and is read-only from then on. The Reuser
+// (Extract, Decode) and is read-only from then on. The Reuser
 // keeps all run-varying reuse state (addresses, validation bits, preload
 // progress) in per-Reuser runtime columns, never in the Record, so one
 // decoded Record may be shared by any number of concurrent sessions
@@ -203,8 +189,8 @@ func (r *Record) BuiltinID(name string) (int32, bool) {
 // builtin table) and its rejected-site and typed-shape maps, each costed
 // as the Go allocator lays it out. Names are not counted: a record's
 // names are the process-global symbol table's strings, shared by every
-// record that mentions them. Extract, Decode and Merge compute the figure
-// once; a hand-built record reports 0.
+// record that mentions them. Extract and Decode compute the figure once;
+// a hand-built record reports 0.
 func (r *Record) ResidentBytes() int { return r.resident }
 
 // residentBytes computes ResidentBytes.
@@ -225,28 +211,6 @@ func (r *Record) residentBytes() int {
 		}
 	}
 	return n
-}
-
-// packDeps moves every HCVT row into one exactly sized backing array, in
-// row order, so a resident record keeps no spare capacity from the
-// appends that built its rows and its dependents sit in one allocation.
-// Empty rows become nil.
-func packDeps(rows [][]DepEntry) {
-	n := 0
-	for _, row := range rows {
-		n += len(row)
-	}
-	flat := make([]DepEntry, n)
-	for i, row := range rows {
-		if len(row) == 0 {
-			rows[i] = nil
-			continue
-		}
-		packed := flat[:len(row):len(row)]
-		copy(packed, row)
-		rows[i] = packed
-		flat = flat[len(row):]
-	}
 }
 
 // validateShape checks internal consistency; the decoder and tests use it
@@ -323,8 +287,8 @@ func fieldHandler(d ic.CIDescriptor) bool {
 // different access. Every site reference belonging to a script covered by
 // progs must resolve to a live feedback site with the recorded access kind
 // and property name. Sites in scripts not covered by progs are skipped:
-// a merged record legitimately spans scripts the current session never
-// loads.
+// a record from a multi-script session legitimately spans scripts the
+// current session never loads.
 //
 // Record and compiled program are both immutable, so the verdict for one
 // program is computed in full the first time and then served from a

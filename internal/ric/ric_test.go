@@ -362,6 +362,58 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 	}
 }
 
+// builtinTable returns a name-keyed TOAST as the record keeps it: sorted
+// by name, one entry per name.
+func builtinTable(ids map[string]int32) []Builtin {
+	t := make([]Builtin, 0, len(ids))
+	for name, id := range ids {
+		t = append(t, Builtin{Name: name, ID: id})
+	}
+	slices.SortFunc(t, func(a, b Builtin) int { return strings.Compare(a.Name, b.Name) })
+	return t
+}
+
+// TestDecodeRejectsMalformedShape requires Decode to reject, with
+// validateShape's error, hand-built records that encode cleanly but are
+// internally inconsistent; the unmodified record ("none") must decode.
+func TestDecodeRejectsMalformedShape(t *testing.T) {
+	site := source.At("a.js", 1, 1)
+	for _, c := range []struct {
+		name, want string
+		corrupt    func(r *Record)
+	}{
+		{"none", "", func(*Record) {}},
+		{"builtin-id-exceeds-table", `builtin "Array": id 5 out of range`,
+			func(r *Record) { r.BuiltinTOAST = builtinTable(map[string]int32{"Array": r.HCCount + 3}) }},
+		{"toast-id-exceeds-table", "outgoing id 2 out of range",
+			func(r *Record) { r.SiteTOAST[site] = []Pair{{In: -1, Out: r.HCCount}} }},
+		{"builtin-table-unsorted", "not sorted by unique name",
+			func(r *Record) { r.BuiltinTOAST = []Builtin{{Name: "Object"}, {Name: "Array", ID: 1}} }},
+		{"builtin-table-duplicate", "not sorted by unique name",
+			func(r *Record) { r.BuiltinTOAST = []Builtin{{Name: "Array"}, {Name: "Array", ID: 1}} }},
+		{"negative-field-offset", "negative field offset -1",
+			func(r *Record) { r.Deps[1][0].Desc.Offset = -1 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := &Record{Script: "a.js", HCCount: 2, RejectedSites: map[source.Site]bool{},
+				Deps:         [][]DepEntry{nil, {{Site: site, Desc: ic.CIDescriptor{Kind: ic.KindLoadField}}}},
+				SiteTOAST:    map[source.Site][]Pair{site: {{In: 0, Out: 1}}},
+				BuiltinTOAST: builtinTable(map[string]int32{"EmptyObject": 0})}
+			c.corrupt(r)
+			_, err := Decode(r.Encode())
+			if (err == nil) != (c.want == "") || err != nil && !strings.Contains(err.Error(), c.want) {
+				t.Errorf("Decode error = %v, want %q", err, c.want)
+			}
+		})
+	}
+	// Decode sizes the rows from the count, so only a hand-built record
+	// can disagree with itself here.
+	rows := &Record{HCCount: 2, Deps: make([][]DepEntry, 1)}
+	if err := rows.validateShape(); err == nil || !strings.Contains(err.Error(), "1 dep rows for 2 hidden classes") {
+		t.Errorf("validateShape error = %v for a record with too few dep rows", err)
+	}
+}
+
 func TestCorruptRecordDegradesGracefully(t *testing.T) {
 	// Build a record whose dependent offsets are nonsense; the reuse run
 	// must not preload them (handlerFits) and must produce correct output.
@@ -377,6 +429,18 @@ func TestCorruptRecordDegradesGracefully(t *testing.T) {
 	}
 	if v2.Prof.Snapshot().MissesSaved != 0 {
 		t.Fatal("corrupt handlers must not be preloaded")
+	}
+}
+
+func TestReplayPreloadsIdempotent(t *testing.T) {
+	_, rec := initialRun(t, pointLib, Config{})
+	v, reuser := reuseRun(t, pointLib, rec)
+	preloadsAfterRun := v.Prof.Snapshot().Preloads
+	// Replaying again must not add preloads: everything applicable was
+	// applied (done-tracking) and duplicates are rejected anyway.
+	reuser.ReplayPreloads()
+	if got := v.Prof.Snapshot().Preloads; got != preloadsAfterRun {
+		t.Fatalf("replay added preloads: %d -> %d", preloadsAfterRun, got)
 	}
 }
 

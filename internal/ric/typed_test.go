@@ -160,48 +160,6 @@ func TestDecodeRejectsBadTypeTag(t *testing.T) {
 	}
 }
 
-// TestMergeTypedClaims: appended rows keep their claims; unified builtin
-// rows keep a claim only when every contributing record makes it.
-func TestMergeTypedClaims(t *testing.T) {
-	rec, _ := extractTypedPointRecord(t)
-
-	t.Run("self-merge preserves claims", func(t *testing.T) {
-		merged, err := Merge(rec, rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if merged.Stats.TypedSlotClaims == 0 {
-			t.Fatal("self-merge dropped every typed claim")
-		}
-	})
-
-	t.Run("claimless partner drops unified claims", func(t *testing.T) {
-		// A second record with the same builtins but no typed section: its
-		// rows unify with rec's builtin rows and veto their claims (absent
-		// claim = ⊤ from that contributor).
-		_, other := initialRun(t, "var q = {zzz: 'str'}; print(q.zzz);", Config{})
-		if len(other.TypedSlots) != 0 {
-			t.Fatal("claimless partner unexpectedly carries claims")
-		}
-		merged, err := Merge(rec, other)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, b := range merged.BuiltinTOAST {
-			name := b.Name
-			if _, ok := other.BuiltinID(name); !ok {
-				continue // not unified; may keep claims
-			}
-			if len(merged.TypedSlots[b.ID]) != 0 {
-				t.Fatalf("builtin %q kept typed claims after merging with a claimless record", name)
-			}
-		}
-		if err := merged.validateShape(); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
 // TestRegenerateTypedFixtures rewrites the committed typed fixtures from
 // the point fixture source. Extraction and encoding are deterministic, so
 // regeneration is reproducible; run it after a wire-format change:

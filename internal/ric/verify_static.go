@@ -26,7 +26,8 @@ import (
 // triggering store site. Resolution is conservative — IDs the analysis
 // cannot pin down (keyed-store lineages, ⊤ sites, uncovered scripts) are
 // skipped, never rejected — so a truthful record always passes, matching
-// Validate's policy for merged records that span unloaded scripts.
+// Validate's policy for a record from a multi-script session that spans
+// unloaded scripts.
 //
 // For every resolved ID the record's claims are then recomputed from the
 // static shape: field handlers must name a property the shape stores at

@@ -165,18 +165,23 @@ func TestMultiScriptWebsiteReuse(t *testing.T) {
 	rec := initial.ExtractRecord("site1")
 
 	// Reuse with the opposite load order (the paper's two-website setup).
+	// The one record must avert misses in each script's run.
 	reuse := NewEngine(Options{Cache: cache, Record: rec})
 	if err := reuse.Run("b.js", libB); err != nil {
 		t.Fatal(err)
 	}
+	savedAfterB := reuse.Stats().MissesSaved
 	if err := reuse.Run("a.js", libA); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(reuse.Output(), "A 45") || !strings.Contains(reuse.Output(), "B 285") {
 		t.Fatalf("output = %q", reuse.Output())
 	}
-	if reuse.Stats().MissesSaved == 0 {
-		t.Fatal("cross-order reuse saved no misses")
+	if savedAfterB == 0 {
+		t.Fatal("cross-order reuse saved no misses during b.js")
+	}
+	if reuse.Stats().MissesSaved <= savedAfterB {
+		t.Fatal("cross-order reuse saved no misses during a.js")
 	}
 }
 

@@ -8,29 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-
-	"ricjs/internal/ric"
 )
-
-// MergeRecords combines records extracted from separate runs — typically
-// one per library — into a single record covering all of them. Hidden
-// class IDs are renumbered; builtin entries unify by name. This is the
-// sharing capability the paper contrasts with heap snapshots (§9): a
-// library's record serves every application that loads the library.
-func MergeRecords(records ...*Record) (*Record, error) {
-	inner := make([]*ric.Record, len(records))
-	for i, r := range records {
-		if r == nil {
-			return nil, fmt.Errorf("ricjs: nil record at index %d", i)
-		}
-		inner[i] = r.r
-	}
-	merged, err := ric.Merge(inner...)
-	if err != nil {
-		return nil, err
-	}
-	return &Record{r: merged}, nil
-}
 
 // FS abstracts the filesystem operations a RecordStore performs. The
 // production implementation is the OS filesystem; fault-injection

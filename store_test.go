@@ -4,7 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -239,142 +238,5 @@ func TestRecordStoreKeysRoundTrip(t *testing.T) {
 		if string(back.Encode()) != string(rec.Encode()) {
 			t.Fatalf("Load(%q) returned a different record", key)
 		}
-	}
-}
-
-func TestMergeRecordsCoversBothLibraries(t *testing.T) {
-	libA := `
-		function A(v) { this.va = v; this.wa = v + 1; }
-		var as = [new A(1), new A(2), new A(3)];
-		var sa = 0;
-		for (var i = 0; i < as.length; i++) sa += as[i].va + as[i].wa;
-		print('A', sa);
-	`
-	libB := `
-		function B(v) { this.vb = v; this.wb = v * 2; }
-		var bs = [new B(1), new B(2), new B(3)];
-		var sb = 0;
-		for (var i = 0; i < bs.length; i++) sb += bs[i].vb + bs[i].wb;
-		print('B', sb);
-	`
-	cache := NewCodeCache()
-
-	// Extract one record per library, in separate engines.
-	engA := NewEngine(Options{Cache: cache})
-	if err := engA.Run("a.js", libA); err != nil {
-		t.Fatal(err)
-	}
-	recA := engA.ExtractRecord("a.js")
-
-	engB := NewEngine(Options{Cache: cache})
-	if err := engB.Run("b.js", libB); err != nil {
-		t.Fatal(err)
-	}
-	recB := engB.ExtractRecord("b.js")
-
-	merged, err := MergeRecords(recA, recB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.Label() != "a.js+b.js" {
-		t.Fatalf("label = %q", merged.Label())
-	}
-	// The merged record must be encodable/decodable.
-	if _, err := DecodeRecord(merged.Encode()); err != nil {
-		t.Fatalf("merged record does not round trip: %v", err)
-	}
-
-	// An application loading both libraries benefits from the merged
-	// record for both.
-	app := NewEngine(Options{Cache: cache, Record: merged})
-	if err := app.Run("a.js", libA); err != nil {
-		t.Fatal(err)
-	}
-	savedAfterA := app.Stats().MissesSaved
-	if err := app.Run("b.js", libB); err != nil {
-		t.Fatal(err)
-	}
-	savedTotal := app.Stats().MissesSaved
-	if savedAfterA == 0 {
-		t.Fatal("merged record saved nothing for library A")
-	}
-	if savedTotal <= savedAfterA {
-		t.Fatal("merged record saved nothing for library B")
-	}
-	if !strings.Contains(app.Output(), "A 15") || !strings.Contains(app.Output(), "B 18") {
-		t.Fatalf("output = %q", app.Output())
-	}
-
-	// Compare against per-library baselines: the merged record must be at
-	// least as effective for A as recA alone.
-	solo := NewEngine(Options{Cache: cache, Record: recA})
-	if err := solo.Run("a.js", libA); err != nil {
-		t.Fatal(err)
-	}
-	if savedAfterA < solo.Stats().MissesSaved {
-		t.Fatalf("merged record (%d saved) weaker than solo record (%d saved) for A",
-			savedAfterA, solo.Stats().MissesSaved)
-	}
-}
-
-func TestMergeRecordsErrors(t *testing.T) {
-	if _, err := MergeRecords(); err == nil {
-		t.Fatal("empty merge must fail")
-	}
-	if _, err := MergeRecords(nil); err == nil {
-		t.Fatal("nil record must fail")
-	}
-	rec := extractDemo(t, demoLib, "demo.js")
-	gEngine := NewEngine(Options{IncludeGlobals: true})
-	if err := gEngine.Run("g.js", "var q = 1; print(q);"); err != nil {
-		t.Fatal(err)
-	}
-	gRec := gEngine.ExtractRecord("g.js")
-	if _, err := MergeRecords(rec, gRec); err == nil {
-		t.Fatal("mixed IncludesGlobals must fail")
-	}
-	// Single-record merge is the identity.
-	same, err := MergeRecords(rec)
-	if err != nil || same == nil {
-		t.Fatal(err)
-	}
-	if string(same.Encode()) != string(rec.Encode()) {
-		t.Fatal("single merge must be identity")
-	}
-}
-
-func TestMergedRecordMatchesCombinedRun(t *testing.T) {
-	// Merging per-library records approximates extracting from a run that
-	// loaded both libraries; effectiveness should be comparable.
-	w := NewEngine(Options{})
-	for _, s := range []struct{ name, src string }{
-		{"x.js", "function X(v){this.x=v;} var xs=[new X(1),new X(2)]; var t=xs[0].x+xs[1].x; print('x',t);"},
-		{"y.js", "function Y(v){this.y=v;} var ys=[new Y(1),new Y(2)]; var u=ys[0].y+ys[1].y; print('y',u);"},
-	} {
-		if err := w.Run(s.name, s.src); err != nil {
-			t.Fatal(err)
-		}
-	}
-	combined := w.ExtractRecord("both")
-
-	e1 := NewEngine(Options{})
-	if err := e1.Run("x.js", "function X(v){this.x=v;} var xs=[new X(1),new X(2)]; var t=xs[0].x+xs[1].x; print('x',t);"); err != nil {
-		t.Fatal(err)
-	}
-	e2 := NewEngine(Options{})
-	if err := e2.Run("y.js", "function Y(v){this.y=v;} var ys=[new Y(1),new Y(2)]; var u=ys[0].y+ys[1].y; print('y',u);"); err != nil {
-		t.Fatal(err)
-	}
-	merged, err := MergeRecords(e1.ExtractRecord("x.js"), e2.ExtractRecord("y.js"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs := combined.Stats()
-	ms := merged.Stats()
-	if ms.TriggeringSites != cs.TriggeringSites {
-		t.Fatalf("triggering sites: merged %d vs combined %d", ms.TriggeringSites, cs.TriggeringSites)
-	}
-	if ms.DependentSlots != cs.DependentSlots {
-		t.Fatalf("dependent slots: merged %d vs combined %d", ms.DependentSlots, cs.DependentSlots)
 	}
 }
